@@ -20,6 +20,15 @@ The tangent lift is computed from the deck equation upstairs: the unit
 tangent bundle of the chart is trivial, the deck group acts on (x, y, theta)
 with T flipping theta, and the fiber exponent is whatever power of the fiber
 class closes the lifted path.
+
+Ingestion is one pass over the vertices, linear in their number: a curve's
+lift data (turning number, or deck class, fiber exponent and crossing log)
+is computed once per ``CurveOnSurface`` and cached on it, so ``load_curve``
+validates by computing it and ``lift`` and ``crossing_log`` reuse it.  The
+crossing scan runs only on edges whose endpoints lie in different grid
+cells: no vertex lies within 1e-9 of a grid line, so two endpoints with the
+same floor on both axes lie in one open cell, and no integer lies strictly
+between their coordinates on either axis.
 """
 
 from __future__ import annotations
@@ -27,6 +36,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from itertools import chain, islice
 
 from .surfaces import Regime, SurfaceSpec, regime
 from .words import spell_klein, spell_torus, klein_product
@@ -34,6 +45,7 @@ from .stbundle import STWord, st_word
 
 _TWO_PI = 2.0 * math.pi
 _ANGLE_EPS = 1e-9
+_CUSP_ANGLE = math.pi - _ANGLE_EPS
 _INT_EPS = 1e-9
 _TURN_TOL = 1e-6
 
@@ -67,25 +79,41 @@ class Crossing:
 class CurveOnSurface:
     model: Model
     polyline: Polyline
-    crossings: tuple[Crossing, ...]
+
+    @cached_property
+    def _lift_data(self):
+        """(deck coordinates, fiber exponent, crossing log), computed on first
+        use and kept; plane curves have no deck coordinates (``None``), an
+        empty log, and their turning number as the fiber exponent.  Not a
+        dataclass field, so it takes no part in equality or hashing."""
+        if self.model is Model.PLANE:
+            return None, turning_number(self.polyline), ()
+        return _chart_data(self)
 
 
-def _angle(u, v) -> float:
-    cross = u[0] * v[1] - u[1] * v[0]
-    dot = u[0] * v[0] + u[1] * v[1]
-    return math.atan2(cross, dot)
+def _edges(path) -> list[tuple[float, float]]:
+    """Edge vectors between consecutive vertices of ``path``; edge i starts
+    at vertex i.  Rejects a zero-length edge."""
+    edges = [(x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(path, islice(path, 1, None))]
+    for i, (ex, ey) in enumerate(edges):
+        if math.hypot(ex, ey) < 1e-12:
+            raise CurveError(f"zero-length edge at vertex {i}")
+    return edges
 
 
-def _edge(p, q, where: str):
-    e = (q[0] - p[0], q[1] - p[1])
-    if math.hypot(*e) < 1e-12:
-        raise CurveError(f"zero-length edge {where}")
-    return e
-
-
-def _check_angle(a: float, where: str):
-    if abs(a) > math.pi - _ANGLE_EPS:
-        raise CurveError(f"cusp (exterior angle of +-pi) {where}")
+def _angle_sum(edges, first, closing_at: str) -> float:
+    """Sum of the exterior angles between consecutive edges, then between the
+    last edge and ``first``.  The corner after edge i is vertex i + 1; the
+    closing corner is named by ``closing_at``.  Rejects a cusp."""
+    total = 0.0
+    following = chain(islice(edges, 1, None), (first,))
+    for i, ((ux, uy), (vx, vy)) in enumerate(zip(edges, following), start=1):
+        a = math.atan2(ux * vy - uy * vx, ux * vx + uy * vy)
+        if abs(a) > _CUSP_ANGLE:
+            where = f"at vertex {i}" if i < len(edges) else closing_at
+            raise CurveError(f"cusp (exterior angle of +-pi) {where}")
+        total += a
+    return total
 
 
 def turning_number(p: Polyline) -> int:
@@ -93,14 +121,8 @@ def turning_number(p: Polyline) -> int:
     verts = p.vertices
     if len(verts) < 3:
         raise CurveError("a closed polyline needs at least 3 vertices")
-    n = len(verts)
-    edges = [_edge(verts[i], verts[(i + 1) % n], f"at vertex {i}") for i in range(n)]
-    total = 0.0
-    for i in range(n):
-        a = _angle(edges[i], edges[(i + 1) % n])
-        _check_angle(a, f"at vertex {(i + 1) % n}")
-        total += a
-    turns = total / _TWO_PI
+    edges = _edges(verts + verts[:1])
+    turns = _angle_sum(edges, edges[0], "at vertex 0") / _TWO_PI
     if abs(turns - round(turns)) > _TURN_TOL:
         raise CurveError("exterior angles do not sum to a multiple of 2 pi")
     return round(turns)
@@ -152,16 +174,16 @@ def _segment_crossings(p, q, edge_index: int) -> list[tuple[float, Crossing]]:
 
 
 def _chart_data(curve: CurveOnSurface):
-    """(deck coordinates, fiber exponent) for a torus/Klein chart curve."""
+    """(deck coordinates, fiber exponent, crossing log) for a torus/Klein
+    chart curve."""
     model = curve.model
     verts = _normalize_start(curve.polyline.vertices, model)
     if len(verts) < 3:
         raise CurveError("a chart curve needs at least 3 vertices (endpoint repeated)")
     for x, y in verts:
-        if _near_int(x) or _near_int(y):
+        if abs(x - round(x)) < _INT_EPS or abs(y - round(y)) < _INT_EPS:
             raise CurveError("vertices may not lie on grid lines; perturb the curve")
-    m = len(verts) - 1
-    edges = [_edge(verts[i], verts[i + 1], f"at vertex {i}") for i in range(m)]
+    edges = _edges(verts)
 
     # deck transformation solving endpoint = Delta(start)
     x0, y0 = verts[0]
@@ -170,28 +192,18 @@ def _chart_data(curve: CurveOnSurface):
     if not _near_int(bx):
         raise CurveError("endpoint does not close up horizontally")
     b = round(bx)
-    if model is Model.TORUS or b % 2 == 0:
-        ay = ye - y0
-    else:
-        ay = ye + y0 - 1.0
+    glide = model is Model.KLEIN and b % 2 != 0
+    ay = ye + y0 - 1.0 if glide else ye - y0
     if not _near_int(ay):
         raise CurveError("endpoint is not a deck image of the start point")
     a = round(ay)
 
     # turning: interior corners plus the closing corner against d(Delta)
-    total = 0.0
-    for i in range(m - 1):
-        ang = _angle(edges[i], edges[i + 1])
-        _check_angle(ang, f"at vertex {i + 1}")
-        total += ang
     first = edges[0]
-    if model is Model.KLEIN and b % 2 != 0:
+    if glide:
         first = (first[0], -first[1])
-    closing = _angle(edges[-1], first)
-    _check_angle(closing, "at the basepoint")
-    total += closing
-
-    if model is Model.KLEIN and b % 2 != 0:
+    total = _angle_sum(edges, first, "at the basepoint")
+    if glide:
         theta0 = math.atan2(edges[0][1], edges[0][0])
         fiber = (2.0 * theta0 + total) / _TWO_PI
     else:
@@ -201,8 +213,12 @@ def _chart_data(curve: CurveOnSurface):
 
     # crossing log, validated against the deck solution
     crossings: list[Crossing] = []
-    for i in range(m):
-        crossings += [c for _, c in _segment_crossings(verts[i], verts[i + 1], i)]
+    px, py = math.floor(x0), math.floor(y0)
+    for i, (x, y) in enumerate(islice(verts, 1, None)):
+        qx, qy = math.floor(x), math.floor(y)
+        if qx != px or qy != py:
+            crossings += [c for _, c in _segment_crossings(verts[i], verts[i + 1], i)]
+            px, py = qx, qy
     cx, cy = _cell(verts[0])
     acc = (0, 0)
     if model is Model.TORUS:
@@ -235,23 +251,21 @@ def lift(curve: CurveOnSurface, surface: SurfaceSpec) -> STWord:
     """Tangent lift of the curve as a tangent-bundle group element."""
     reg = regime(surface)
     if curve.model is Model.PLANE:
-        return st_word(surface, (), turning_number(curve.polyline))
+        return st_word(surface, (), curve._lift_data[1])
     if curve.model is Model.TORUS:
         if reg is not Regime.TORUS:
             raise CurveError("torus-model curves need the torus")
-        (p, q), fiber, _ = _chart_data(curve)
+        (p, q), fiber, _ = curve._lift_data
         return st_word(surface, spell_torus(p, q), fiber)
     if reg is not Regime.KLEIN:
         raise CurveError("klein-model curves need the Klein bottle")
-    (a, b), fiber, _ = _chart_data(curve)
+    (a, b), fiber, _ = curve._lift_data
     return st_word(surface, spell_klein(a, b), fiber)
 
 
 def crossing_log(curve: CurveOnSurface) -> tuple[Crossing, ...]:
-    if curve.model is Model.PLANE:
-        return ()
-    _, _, crossings = _chart_data(curve)
-    return crossings
+    """Grid crossings of the developed path, in order; empty for plane curves."""
+    return curve._lift_data[2]
 
 
 # ---------------------------------------------------------------------------
@@ -259,15 +273,19 @@ def crossing_log(curve: CurveOnSurface) -> tuple[Crossing, ...]:
 
 
 def load_curve(text: str) -> CurveOnSurface:
-    """Parse the curve file format.
+    """Parse the curve file format and validate the curve.
 
-    Line 1: ``model=plane|torus|klein``; then one ``x,y`` pair per line.
-    ``#`` starts a comment; blank lines are ignored.
+    Line 1: ``model=plane|torus|klein``; then one ``x,y`` pair per line, with
+    finite coordinates.  ``#`` starts a comment; blank lines are ignored.
+    Validation computes the curve's lift data, which ``lift`` and
+    ``crossing_log`` then reuse.
     """
     model: Model | None = None
     points: list[tuple[float, float]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        if "#" in raw:
+            raw = raw.partition("#")[0]
+        line = raw.strip()
         if not line:
             continue
         if model is None:
@@ -279,22 +297,20 @@ def load_curve(text: str) -> CurveOnSurface:
             except ValueError:
                 raise CurveError(f"line {lineno}: unknown model {name!r}") from None
             continue
-        parts = line.split(",")
-        if len(parts) != 2:
+        xs, comma, ys = line.partition(",")
+        if not comma or "," in ys:
             raise CurveError(f"line {lineno}: expected 'x,y'")
         try:
-            points.append((float(parts[0]), float(parts[1])))
+            x, y = float(xs), float(ys)
         except ValueError:
             raise CurveError(f"line {lineno}: bad coordinates {line!r}") from None
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise CurveError(f"line {lineno}: coordinates must be finite, not {line!r}")
+        points.append((x, y))
     if model is None:
         raise CurveError("empty curve file")
-    poly = Polyline(tuple(points))
-    curve = CurveOnSurface(model, poly, ())
-    if model is not Model.PLANE:
-        _, _, crossings = _chart_data(curve)
-        curve = CurveOnSurface(model, poly, crossings)
-    else:
-        turning_number(poly)  # validate regularity eagerly
+    curve = CurveOnSurface(model, Polyline(tuple(points)))
+    curve._lift_data  # validate now; the result stays cached on the curve
     return curve
 
 

@@ -5,6 +5,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the PASS lines.
 
 import random
 import time
+import zlib
 
 from curvespace import (
     CurveOnSurface,
@@ -203,8 +204,12 @@ def test_criterion_4_algebra_property_suite():
     """10^4 randomized trials per regime; zero failures allowed."""
     trials = 10_000
     regimes = (SPHERE, TORUS, RP2, KLEIN, GENUS2, NONOR3, PUNCTURED)
+    seeds = {}
     for surface in regimes:
-        rng = random.Random(hash(str(surface)) & 0xFFFF)
+        # crc32, unlike the per-process salted str hash, replays a failure
+        seed = seeds[str(surface)] = zlib.crc32(str(surface).encode())
+        where = f"surface {surface}, seed {seed}"
+        rng = random.Random(seed)
         pres = presentation(surface)
         n = len(pres.generators)
         decomposable = 0
@@ -213,31 +218,31 @@ def test_criterion_4_algebra_property_suite():
             b = _random_element(surface, rng, 5)
             c = _random_element(surface, rng, 5)
             # associativity and inverse law, field-wise on normal forms
-            assert st_multiply(st_multiply(a, b), c) == st_multiply(a, st_multiply(b, c))
-            assert st_is_trivial(st_multiply(a, st_invert(a)))
+            assert st_multiply(st_multiply(a, b), c) == st_multiply(a, st_multiply(b, c)), where
+            assert st_is_trivial(st_multiply(a, st_invert(a))), where
             if n:
                 # orientation character is a homomorphism
                 u = word(pres, tuple(rng.choice([1, -1]) * rng.randrange(1, n + 1) for _ in range(rng.randrange(5))))
                 v = word(pres, tuple(rng.choice([1, -1]) * rng.randrange(1, n + 1) for _ in range(rng.randrange(5))))
-                assert orientation_character(multiply(u, v)) == orientation_character(u) * orientation_character(v)
+                assert orientation_character(multiply(u, v)) == orientation_character(u) * orientation_character(v), where
             # twist law: w f^m = f^(eps(w) m) w
             w = _random_element(surface, rng, 5, maxfib=0)
             m = rng.randrange(-3, 4)
             assert st_multiply(w, st_word(surface, (), m)) == st_multiply(
                 st_word(surface, (), base_character(w) * m), w
-            )
+            ), where
             # decompose round-trip wherever it is defined
             if surface not in (SPHERE, RP2):
                 xi = _random_element(surface, rng, 4)
                 if xi.base.letters:
                     decomposable += 1
                     dec = decompose(xi)
-                    assert dec.recompose() == xi
+                    assert dec.recompose() == xi, where
         if surface not in (SPHERE, RP2):
-            assert decomposable > trials // 2
+            assert decomposable > trials // 2, where
     print(
         f"ACCEPTANCE criterion 4: PASS - {trials} randomized trials in each of "
-        f"{len(regimes)} regimes, zero failures"
+        f"{len(regimes)} regimes, zero failures; seeds {seeds}"
     )
 
 
@@ -271,14 +276,12 @@ def test_criterion_5_presentation_sanity():
 def test_criterion_6_curve_ingestion():
     assert turning_number(SQUARE) == 1
     assert turning_number(Polyline(tuple(reversed(SQUARE.vertices)))) == -1
-    fig8 = CurveOnSurface(Model.PLANE, FIGURE_EIGHT, ())
+    fig8 = CurveOnSurface(Model.PLANE, FIGURE_EIGHT)
     for surface in (TORUS, NONOR3):
         el = lift(fig8, surface)
         assert st_is_trivial(el)
         assert classify_pi1(surface, el).group.kind is Kind.FULL_ST_GROUP
-    geodesic = CurveOnSurface(
-        Model.TORUS, Polyline(((0.5, 0.5), (1.2, 0.5), (1.5, 0.5))), ()
-    )
+    geodesic = CurveOnSurface(Model.TORUS, Polyline(((0.5, 0.5), (1.2, 0.5), (1.5, 0.5))))
     el = lift(geodesic, TORUS)
     assert st_text(el) == "a1"
     assert classify_pi1(TORUS, el).group.kind is Kind.ZXZXZ

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from curvespace import st_parse
@@ -153,6 +157,25 @@ def test_invalid_inputs_exit2(capsys):
     assert code == 2
     code, _, err = run(capsys, "lift", "--surface", "orientable:1:0", "/nonexistent.curve")
     assert code == 2
+
+
+def test_non_finite_curve_exits2_without_traceback(tmp_path):
+    import curvespace
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(curvespace.__file__)))
+    for bad in ("inf", "nan"):
+        path = tmp_path / f"{bad}.curve"
+        path.write_text(f"model=torus\n0.5,0.5\n{bad},0.5\n1.5,0.5\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "curvespace.cli", "lift", "--surface", "orientable:1:0", str(path)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "coordinates must be finite" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 def test_structured_classify_roundtrips_witnesses(capsys):

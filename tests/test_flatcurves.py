@@ -31,7 +31,7 @@ FIGURE_EIGHT = Polyline(
 
 
 def plane_curve(poly):
-    return CurveOnSurface(Model.PLANE, poly, ())
+    return CurveOnSurface(Model.PLANE, poly)
 
 
 def rotate(poly, k):
@@ -131,9 +131,7 @@ def test_klein_side_loops():
 
 
 def test_klein_double_traverse_is_square():
-    base = CurveOnSurface(
-        Model.KLEIN, Polyline(((0.5, 0.5), (1.2, 0.7), (1.5, 0.5))), ()
-    )
+    base = CurveOnSurface(Model.KLEIN, Polyline(((0.5, 0.5), (1.2, 0.7), (1.5, 0.5))))
     (a, b), fiber, _ = _chart_data(base)
 
     def deck(pt):
@@ -145,20 +143,16 @@ def test_klein_double_traverse_is_square():
     doubled = CurveOnSurface(
         Model.KLEIN,
         Polyline(base.polyline.vertices[:-1] + tuple(deck(p) for p in base.polyline.vertices)),
-        (),
     )
     u = lift(base, KLEIN)
     assert lift(doubled, KLEIN) == st_multiply(u, u)
 
 
 def test_chart_lift_subdivision_invariance():
-    coarse = CurveOnSurface(
-        Model.KLEIN, Polyline(((0.5, 0.5), (1.2, 0.7), (1.5, 0.5))), ()
-    )
+    coarse = CurveOnSurface(Model.KLEIN, Polyline(((0.5, 0.5), (1.2, 0.7), (1.5, 0.5))))
     fine = CurveOnSurface(
         Model.KLEIN,
         Polyline(((0.5, 0.5), (0.85, 0.6), (1.2, 0.7), (1.35, 0.6), (1.5, 0.5))),
-        (),
     )
     assert lift(coarse, KLEIN) == lift(fine, KLEIN)
 
@@ -167,33 +161,25 @@ def test_chart_rejections():
     # corner crossing: straight through the lattice point (1, 1)
     with pytest.raises(CurveError):
         lift(
-            CurveOnSurface(
-                Model.TORUS, Polyline(((0.5, 0.5), (1.2, 1.2), (1.5, 1.5))), ()
-            ),
+            CurveOnSurface(Model.TORUS, Polyline(((0.5, 0.5), (1.2, 1.2), (1.5, 1.5)))),
             TORUS,
         )
     # vertex on a grid line
     with pytest.raises(CurveError):
         lift(
-            CurveOnSurface(
-                Model.TORUS, Polyline(((0.5, 0.5), (1.0, 0.6), (1.5, 0.5))), ()
-            ),
+            CurveOnSurface(Model.TORUS, Polyline(((0.5, 0.5), (1.0, 0.6), (1.5, 0.5)))),
             TORUS,
         )
     # endpoint does not close up
     with pytest.raises(CurveError):
         lift(
-            CurveOnSurface(
-                Model.TORUS, Polyline(((0.5, 0.5), (1.2, 0.6), (1.6, 0.5))), ()
-            ),
+            CurveOnSurface(Model.TORUS, Polyline(((0.5, 0.5), (1.2, 0.6), (1.6, 0.5)))),
             TORUS,
         )
     # model/surface mismatch
     with pytest.raises(CurveError):
         lift(
-            CurveOnSurface(
-                Model.KLEIN, Polyline(((0.5, 0.5), (1.2, 0.5), (1.5, 0.5))), ()
-            ),
+            CurveOnSurface(Model.KLEIN, Polyline(((0.5, 0.5), (1.2, 0.5), (1.5, 0.5)))),
             TORUS,
         )
 
@@ -208,6 +194,11 @@ def test_curve_file_parsing():
         load_curve("model=moebius\n0,0\n")
     with pytest.raises(CurveError):
         load_curve("model=plane\n0;0\n")
+    for bad in ("inf", "nan", "1e999"):
+        with pytest.raises(CurveError, match="line 3: coordinates must be finite"):
+            load_curve(f"model=torus\n0.5,0.5\n{bad},0.5\n1.5,0.5\n")
+        with pytest.raises(CurveError, match="line 3: coordinates must be finite"):
+            load_curve(f"model=plane\n0,0\n1,{bad}\n1,1\n")
 
 
 def test_klein_fiber_against_fold_frame_simulation():
@@ -264,9 +255,7 @@ def test_klein_fiber_against_fold_frame_simulation():
             if b % 2 == 0
             else (first[0] + b, 1 - first[1] + a)
         )
-        curve = CurveOnSurface(
-            Model.KLEIN, Polyline((first, *middle, closing)), ()
-        )
+        curve = CurveOnSurface(Model.KLEIN, Polyline((first, *middle, closing)))
         try:
             el = lift(curve, KLEIN)
         except CurveError:
@@ -287,3 +276,81 @@ def test_winding_circle_polygon_on_torus():
     )
     assert turning_number(octagon) == 1
     assert st_text(lift(plane_curve(octagon), TORUS)) == "f"
+
+
+def _curve_text(model, pts):
+    return f"model={model.value}\n" + "".join(f"{x!r},{y!r}\n" for x, y in pts)
+
+
+def _seeded_curves(rng):
+    """Jittered circles on the plane and random chart loops on the torus and
+    the Klein bottle, as (model, vertices, surface)."""
+    out = []
+    for turns in (-2, 1, 3):
+        n = rng.randrange(40, 200)
+        out.append(
+            (
+                Model.PLANE,
+                tuple(
+                    (
+                        (1 + 0.02 * rng.random()) * math.cos(2 * math.pi * turns * i / n),
+                        (1 + 0.02 * rng.random()) * math.sin(2 * math.pi * turns * i / n),
+                    )
+                    for i in range(n)
+                ),
+                TORUS,
+            )
+        )
+    for model, surface in ((Model.TORUS, TORUS), (Model.KLEIN, KLEIN)):
+        found = 0
+        while found < 4:
+            a, b = rng.randrange(-2, 3), rng.randrange(-2, 3)
+            first = (rng.uniform(0.1, 0.9), rng.uniform(0.1, 0.9))
+            middle = [
+                (first[0] + rng.uniform(-2.5, 2.5), first[1] + rng.uniform(-2.5, 2.5))
+                for _ in range(rng.randrange(2, 8))
+            ]
+            glide = model is Model.KLEIN and b % 2 != 0
+            closing = (first[0] + b, (1 - first[1] if glide else first[1]) + a)
+            verts = (first, *middle, closing)
+            try:
+                lift(CurveOnSurface(model, Polyline(verts)), surface)
+            except CurveError:
+                continue
+            found += 1
+            out.append((model, verts, surface))
+    return out
+
+
+def test_loaded_curve_lifts_like_constructed_curve():
+    import random
+
+    rng = random.Random(2)
+    crossed = 0
+    for model, verts, surface in _seeded_curves(rng):
+        loaded = load_curve(_curve_text(model, verts))
+        built = CurveOnSurface(model, Polyline(verts))
+        assert loaded == built
+        first = lift(loaded, surface)
+        assert first == lift(built, surface)
+        assert crossing_log(loaded) == crossing_log(built)
+        # the second lift of one object reads the same lift data
+        assert lift(loaded, surface) == first
+        assert lift(built, surface) == first
+        crossed += bool(crossing_log(loaded))
+    assert crossed >= 6
+
+
+def test_zero_length_edge_reported_before_open_endpoint():
+    with pytest.raises(CurveError, match="zero-length edge"):
+        load_curve("model=torus\n0.5,0.5\n0.5,0.5\n0.9,0.5\n")
+
+
+def test_long_winding_circle_lifts_to_third_fiber_power():
+    n = 10_000
+    pts = tuple(
+        (math.cos(6 * math.pi * i / n), math.sin(6 * math.pi * i / n)) for i in range(n)
+    )
+    curve = load_curve(_curve_text(Model.PLANE, pts))
+    assert st_text(lift(curve, TORUS)) == "f^3"
+    assert crossing_log(curve) == ()
