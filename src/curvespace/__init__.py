@@ -21,7 +21,6 @@ from .surfaces import (
 )
 from .words import (
     AmbientMismatchError,
-    CyclicWord,
     TrivialWordError,
     Word,
     WordParseError,

@@ -2,7 +2,9 @@
 
 Subcommands: group, classify, pin, lift, decompose, reghom, verify.
 Exit status: 0 success, 1 negative verdict (reghom false / verify fail),
-2 invalid input, 3 undecided at the search bound.
+2 invalid input, 3 undecided at the search bound.  A search that trips its
+cap on any subcommand prints ``status=undecided`` on stdout and
+``undecided: <reason>`` on stderr, and exits 3.
 
 Grammars (frozen):
 
@@ -26,7 +28,7 @@ from .surfaces import (
     presentation_text,
     st_presentation,
 )
-from .words import AmbientMismatchError, TrivialWordError, WordParseError
+from .words import AmbientMismatchError, SearchExhausted, TrivialWordError, WordParseError
 from .stbundle import STWord, st_parse, st_text, decompose
 from .flatcurves import CurveError, lift, read_curve_file
 from .classify import classify_pi1, classify_pin, regular_homotopy_equivalent
@@ -236,6 +238,10 @@ def main(argv=None) -> int:
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except SearchExhausted as exc:
+        print("status=undecided")
+        print(f"undecided: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -9,10 +9,11 @@ Results are deterministic: fixed enumeration order, fixed tie-breaks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .surfaces import Presentation, Regime, SurfaceSpec, presentation, regime
+from .surfaces import Presentation, Regime, SurfaceSpec, presentation, regime, smith_diagonal
 from .words import Word, free_reduce, invert_letters
 from . import stbundle
 from .stbundle import STWord, st_multiply, st_word
@@ -63,52 +64,23 @@ def _exponent_vector(pres: Presentation, letters) -> tuple[int, ...]:
     return tuple(v)
 
 
-def _lattice_member(rows: list[tuple[int, ...]], vec: tuple[int, ...]) -> bool:
-    """Is ``vec`` an integer combination of ``rows``?  Small exact HNF-style
-    elimination."""
-    work = [list(r) for r in rows]
-    target = list(vec)
-    n = len(vec)
-    used: list[list[int]] = []
-    col = 0
-    for col in range(n):
-        pivot = None
-        for row in work:
-            if row[col] != 0:
-                if pivot is None or abs(row[col]) < abs(pivot[col]):
-                    pivot = row
-        if pivot is None:
-            continue
-        # reduce every other row against the pivot by gcd steps
-        changed = True
-        while changed:
-            changed = False
-            for row in work:
-                if row is pivot or row[col] == 0:
-                    continue
-                q = row[col] // pivot[col]
-                for j in range(n):
-                    row[j] -= q * pivot[j]
-                if row[col] != 0:
-                    pivot, row = row, pivot
-                    changed = True
-        work = [r for r in work if r is not pivot and any(r)]
-        used.append(pivot)
-    for pivot in used:
-        col = next(j for j in range(n) if pivot[j] != 0)
-        if target[col] % pivot[col] != 0:
-            return False
-        q = target[col] // pivot[col]
-        for j in range(n):
-            target[j] -= q * pivot[j]
-    return not any(target)
-
-
 def _abelian_certificate_nontrivial(u: Word) -> bool:
-    """True if the abelianization already shows ``u != 1``."""
+    """True if the abelianization already shows ``u != 1``.
+
+    The exponent vector of ``u`` lies in the lattice spanned by the relator
+    rows exactly when adding it as one more row keeps the number of nonzero
+    Smith invariant factors and their product: the two lattices then have
+    the same rank, and their index in the common saturation is that product.
+    """
     pres = u.ambient
+    n = len(pres.generators)
     rows = [_exponent_vector(pres, rel) for rel in pres.relators]
-    return not _lattice_member(rows, _exponent_vector(pres, u.letters))
+
+    def invariants(matrix):
+        nonzero = [d for d in smith_diagonal(matrix, n) if d]
+        return len(nonzero), math.prod(nonzero)
+
+    return invariants(rows) != invariants(rows + [_exponent_vector(pres, u.letters)])
 
 
 def bounded_is_trivial(u: Word, bound: SearchBound = SearchBound()):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .surfaces import Presentation, Regime, SurfaceSpec, regime, st_presentation, presentation
+from .surfaces import Regime, SurfaceSpec, presentation, regime
 from .words import (
     AmbientMismatchError,
     TrivialWordError,
@@ -46,15 +46,8 @@ class STWord:
     fiber: int | None
     residue: int | None = None
 
-    def is_finite_regime(self) -> bool:
-        return self.residue is not None
-
     def __str__(self) -> str:
         return st_text(self)
-
-
-def _base_presentation(surface: SurfaceSpec) -> Presentation:
-    return presentation(surface)
 
 
 def st_word(surface: SurfaceSpec, base_letters, fiber: int) -> STWord:
@@ -73,7 +66,7 @@ def st_word(surface: SurfaceSpec, base_letters, fiber: int) -> STWord:
             res += 1 if x > 0 else -1
         # the fiber class is the square of the crosscap lift: residue 2
         return STWord(surface, None, None, (res + 2 * fiber) % 4)
-    pres = _base_presentation(surface)
+    pres = presentation(surface)
     nf, shift = normalize_with_fiber(tuple(base_letters), pres)
     return STWord(surface, Word(pres, nf), fiber + shift, None)
 
@@ -87,7 +80,7 @@ def fiber_generator(surface: SurfaceSpec) -> STWord:
 
 
 def generator_lift(surface: SurfaceSpec, name: str) -> STWord:
-    pres = _base_presentation(surface)
+    pres = presentation(surface)
     return st_word(surface, (pres.index_of(name) + 1,), 0)
 
 
@@ -140,26 +133,6 @@ def st_conjugate(u: STWord, by: STWord) -> STWord:
     return st_multiply(st_multiply(by, u), st_invert(by))
 
 
-def as_presentation_word(u: STWord) -> Word:
-    """The same element spelled over the full tangent-bundle presentation.
-
-    Useful for feeding tangent-bundle elements to the brute-force oracle,
-    which works on presentations, not on the (base, fiber) normal form.
-    """
-    pres = st_presentation(u.surface)
-    f = len(pres.generators)
-    if u.residue is not None:
-        if regime(u.surface) is Regime.SPHERE:
-            return Word(pres, (f,) * u.residue)
-        # projective plane: residue counts lifts of c1; f itself is c1^2,
-        # but the lifted presentation only has the generator f, so spell
-        # residue r as f^r -- valid because that presentation is Z/4 with
-        # its single generator playing the residue-1 element.
-        return Word(pres, (f,) * u.residue)
-    letters = u.base.letters + ((f,) * u.fiber if u.fiber >= 0 else (-f,) * (-u.fiber))
-    return Word(pres, letters)
-
-
 # ---------------------------------------------------------------------------
 # conjugacy
 
@@ -184,10 +157,8 @@ def st_is_conjugate(u: STWord, v: STWord):
             return True
         has_reversing = any(g.character < 0 for g in u.base.ambient.generators)
         return has_reversing and u.fiber == -v.fiber
-    if reg is Regime.PUNCTURED:
-        return _free_st_conjugate(u, v)
     try:
-        return _closed_st_conjugate(u, v)
+        return _coset_st_conjugate(u, v)
     except SearchExhausted:
         return UNDECIDED
 
@@ -203,22 +174,10 @@ def _klein_st_conjugate(u: STWord, v: STWord) -> bool:
     return (k2 - k1) % 2 == 0 and (m2 - m1) % 2 == 0
 
 
-def _free_st_conjugate(u: STWord, v: STWord) -> bool:
-    v0 = conjugating_element(u.base, v.base)
-    if v0 is None:
-        return False
-    eps_w = base_character(u)
-    if eps_w == -1:
-        # conjugating by f^n shifts the fiber by even amounts
-        return (u.fiber - v.fiber) % 2 == 0
-    root, _ = primitive_root(u.base)
-    pres = u.base.ambient
-    eps_v0 = pres.word_character(v0.letters)
-    signs = {eps_v0, eps_v0 * pres.word_character(root.letters)}
-    return any(v.fiber == s * u.fiber for s in signs)
-
-
-def _closed_st_conjugate(u: STWord, v: STWord) -> bool:
+def _coset_st_conjugate(u: STWord, v: STWord) -> bool:
+    """Conjugacy on free and closed hyperbolic surfaces, where the base
+    centralizer is the cyclic group on the primitive root.  Free groups have
+    no relator, so there d0 = c_rho = 0 below."""
     v0 = conjugating_element(u.base, v.base)
     if v0 is None:
         return False
@@ -287,8 +246,7 @@ def decompose(xi: STWord) -> LiftDecomposition:
 
 def st_parse(text: str, surface: SurfaceSpec) -> STWord:
     """Parse the word grammar extended with the reserved fiber letter ``f``."""
-    reg = regime(surface)
-    pres = _base_presentation(surface)
+    pres = presentation(surface)
     names = pres.names() + ("f",)
     letters = parse_letters(text, names)
     fidx = len(names)

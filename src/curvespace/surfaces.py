@@ -16,6 +16,7 @@ import math
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 
 
 class SurfaceError(ValueError):
@@ -185,8 +186,10 @@ def _crosscap_relator(genus: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+@cache
 def presentation(spec: SurfaceSpec) -> Presentation:
-    """Standard presentation of the fundamental group of the surface."""
+    """Standard presentation of the fundamental group of the surface, built
+    once per surface."""
     if spec.punctures > 0:
         if spec.orientable:
             gens = _orientable_generators(spec.genus)
@@ -243,7 +246,7 @@ def st_presentation(spec: SurfaceSpec) -> Presentation:
 
 
 # ---------------------------------------------------------------------------
-# integer linear algebra for presentation sanity checks
+# integer linear algebra for presentation sanity checks and the oracle
 
 
 def smith_diagonal(rows: list[list[int]], ncols: int) -> list[int]:

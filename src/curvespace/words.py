@@ -1,5 +1,8 @@
 """Exact arithmetic in surface fundamental groups.
 
+Each regime has one engine, and the table ``_ENGINES`` is the only place
+where a regime picks its algorithm.  An engine normalizes letters (with the
+fiber shift described below), finds conjugators and finds primitive roots.
 Normal forms by regime:
 
 * free (punctured surfaces): free reduction;
@@ -11,7 +14,13 @@ Normal forms by regime:
   free reduction, Dehn shortening of subwords longer than half a cyclically
   rotated relator, and replacement of exactly-half subwords by their
   lexicographically smaller complements.  Together these rewrite every word
-  of the one-relator surface presentations to a unique shortlex-minimal form.
+  of the one-relator surface presentations to a unique shortlex-minimal form;
+* projective plane: the parity of the exponent sum; sphere: the empty word.
+
+Words are normalized only over the surface presentations that
+:func:`curvespace.surfaces.presentation` builds.  Tangent-bundle
+presentations (handled by :mod:`curvespace.stbundle`) and ad-hoc
+presentations without a surface (handled by the oracle) raise ``ValueError``.
 
 The rewriting rules carry a fiber exponent so that the tangent-bundle module
 can reuse them: the surface relator equals ``f**chi`` upstairs, so removing a
@@ -25,12 +34,15 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
+from typing import Callable
 
 from .surfaces import (
     Presentation,
     Regime,
+    SurfaceSpec,
     euler_characteristic,
+    presentation,
     regime,
 )
 
@@ -68,26 +80,6 @@ class Word:
         return len(self.letters)
 
 
-@dataclass(frozen=True)
-class CyclicWord:
-    """A conjugacy-class representative: letters up to rotation.
-
-    Stored at the lexicographically least rotation so equal classes of
-    freely-cyclically-reduced words compare equal in the free regimes.
-    """
-
-    ambient: Presentation
-    letters: Letters
-
-    @classmethod
-    def of(cls, word: Word) -> "CyclicWord":
-        _, core = cyclic_free_reduce(word.letters)
-        return cls(word.ambient, min_rotation(core))
-
-    def __str__(self) -> str:
-        return self.ambient.spell(self.letters)
-
-
 # ---------------------------------------------------------------------------
 # letter-sequence primitives
 
@@ -116,31 +108,8 @@ def cyclic_free_reduce(letters) -> tuple[Letters, Letters]:
     return w[:i], w[i:j]
 
 
-def min_rotation(letters) -> Letters:
-    if not letters:
-        return ()
-    rots = [letters[i:] + letters[:i] for i in range(len(letters))]
-    return min(rots, key=_lex_key)
-
-
 def _lex_key(letters) -> tuple:
     return tuple((abs(x), 0 if x > 0 else 1) for x in letters)
-
-
-# ---------------------------------------------------------------------------
-# regime dispatch
-
-
-def _strategy(pres: Presentation) -> Regime:
-    if pres.surface is None:
-        # ad-hoc presentations (used by tests/oracle): free reduction only
-        return Regime.PUNCTURED
-    return regime(pres.surface)
-
-
-def _require_base(pres: Presentation):
-    if pres.lifted:
-        raise ValueError("tangent-bundle words are handled by the stbundle module")
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +161,6 @@ def spell_klein(k: int, l: int) -> Letters:
 # Dehn rewriting for closed hyperbolic regimes
 
 
-@lru_cache(maxsize=None)
 def dehn_rules(pres: Presentation) -> dict[Letters, tuple[Letters, int, int]]:
     """Strictly shortening rewriting rules from the (single) surface relator.
 
@@ -218,7 +186,6 @@ def dehn_rules(pres: Presentation) -> dict[Letters, tuple[Letters, int, int]]:
     return rules
 
 
-@lru_cache(maxsize=None)
 def half_swaps(pres: Presentation) -> dict[Letters, tuple[tuple[Letters, int, int], ...]]:
     """Length-preserving relator replacements (both directions, with fiber
     data).  Maps each half-relator LHS to (RHS, variant fiber, RHS character)
@@ -242,6 +209,14 @@ def half_swaps(pres: Presentation) -> dict[Letters, tuple[tuple[Letters, int, in
                 if entry not in out.setdefault(lhs, []):
                     out[lhs].append(entry)
     return {k: tuple(v) for k, v in out.items()}
+
+
+@cache
+def _dehn_tables(surface: SurfaceSpec):
+    """``dehn_rules`` and ``half_swaps`` of a closed hyperbolic surface, built
+    once per surface."""
+    pres = presentation(surface)
+    return dehn_rules(pres), half_swaps(pres)
 
 
 # cap on the fixed-length swap orbit explored per normalization; generous for
@@ -271,8 +246,7 @@ def _dehn_normalize(letters, pres: Presentation) -> tuple[Letters, int]:
     result a canonical form; the randomized associativity suites and the
     brute-force oracle cross-check this.
     """
-    rules = dehn_rules(pres)
-    swaps = half_swaps(pres)
+    rules, swaps = _dehn_tables(pres.surface)
     L = len(pres.relators[0])
     half = L // 2
     w = free_reduce(letters)
@@ -330,22 +304,7 @@ def normalize_with_fiber(letters, pres: Presentation) -> tuple[Letters, int]:
     is exact, and the torus/Klein relators lift without any fiber twist
     (their Euler characteristic vanishes).
     """
-    strat = _strategy(pres)
-    if strat is Regime.TORUS:
-        return spell_torus(*torus_exponents(letters)), 0
-    if strat is Regime.KLEIN:
-        return spell_klein(*klein_coordinates(letters)), 0
-    if strat in (
-        Regime.CLOSED_ORIENTABLE_HYPERBOLIC,
-        Regime.CLOSED_NONORIENTABLE_HYPERBOLIC,
-    ):
-        return _dehn_normalize(letters, pres)
-    if strat is Regime.RP2:
-        exp = sum(1 if x > 0 else -1 for x in letters)
-        return ((1,) if exp % 2 else ()), 0
-    if strat is Regime.SPHERE:
-        return (), 0
-    return free_reduce(letters), 0
+    return _engine(pres).normalize(letters, pres)
 
 
 # ---------------------------------------------------------------------------
@@ -400,16 +359,13 @@ def conjugating_element(u: Word, v: Word) -> Word | None:
     if u.ambient != v.ambient:
         raise AmbientMismatchError("conjugacy needs a common presentation")
     pres = u.ambient
-    _require_base(pres)
-    strat = _strategy(pres)
-    un, vn = normal_form(u), normal_form(v)
-    if strat in (Regime.TORUS, Regime.RP2, Regime.SPHERE):
-        return identity(pres) if un.letters == vn.letters else None
-    if strat is Regime.KLEIN:
-        return _klein_conjugator(pres, un.letters, vn.letters)
-    if strat is Regime.PUNCTURED:
-        return _free_conjugator(pres, un.letters, vn.letters)
-    return _dehn_conjugator(pres, un.letters, vn.letters)
+    conjugator = _engine(pres).conjugator
+    return conjugator(pres, normal_form(u).letters, normal_form(v).letters)
+
+
+def _equal_conjugator(pres, lu, lv) -> Word | None:
+    # abelian groups: conjugate only when equal
+    return identity(pres) if lu == lv else None
 
 
 def _free_conjugator(pres, lu, lv) -> Word | None:
@@ -454,8 +410,7 @@ _ORBIT_CAP = 20000
 def _cyclic_orbit(pres, letters, cap=_ORBIT_CAP) -> dict[Letters, Letters]:
     """All reachable cyclic spellings ``s`` with conjugators ``c``:
     the input element equals ``c s c^-1``."""
-    rules = dehn_rules(pres)
-    swaps = half_swaps(pres)
+    rules, swaps = _dehn_tables(pres.surface)
     L = len(pres.relators[0])
     half = L // 2
     p0, s0 = cyclic_free_reduce(letters)
@@ -532,22 +487,19 @@ def primitive_root(u: Word) -> tuple[Word, int]:
     orientation-reversing side the choice ``h`` is fixed by convention.
     """
     pres = u.ambient
-    _require_base(pres)
-    strat = _strategy(pres)
-    if strat in (Regime.SPHERE, Regime.RP2):
+    root = _engine(pres).root
+    if root is None:
         raise ValueError("primitive roots are undefined on finite fundamental groups")
     un = normal_form(u)
     if not un.letters:
         raise TrivialWordError("the identity has no primitive root")
-    if strat is Regime.TORUS:
-        p, q = torus_exponents(un.letters)
-        d = math.gcd(abs(p), abs(q))
-        return word(pres, spell_torus(p // d, q // d)), d
-    if strat is Regime.KLEIN:
-        return _klein_root(pres, un.letters)
-    if strat is Regime.PUNCTURED:
-        return _free_root(pres, un.letters)
-    return _dehn_root(pres, un.letters)
+    return root(pres, un.letters)
+
+
+def _torus_root(pres, letters) -> tuple[Word, int]:
+    p, q = torus_exponents(letters)
+    d = math.gcd(abs(p), abs(q))
+    return word(pres, spell_torus(p // d, q // d)), d
 
 
 def _free_root(pres, letters) -> tuple[Word, int]:
@@ -596,6 +548,62 @@ def _dehn_root(pres, letters) -> tuple[Word, int]:
     if power.letters != target.letters:
         raise AssertionError("primitive root verification failed")
     return root, e
+
+
+# ---------------------------------------------------------------------------
+# the engine table
+
+
+@dataclass(frozen=True)
+class _Engine:
+    """How one regime normalizes, conjugates and takes roots.
+
+    ``normalize(letters, pres)`` returns the normal-form letters and the
+    fiber shift; ``conjugator(pres, lu, lv)`` and ``root(pres, letters)`` take
+    normal-form letters (``root`` only nontrivial ones) and answer as
+    :func:`conjugating_element` and :func:`primitive_root` do.  ``root`` is
+    None on the finite groups, where primitive roots are undefined.
+    """
+
+    normalize: Callable[[Letters, Presentation], tuple[Letters, int]]
+    conjugator: Callable[[Presentation, Letters, Letters], Word | None]
+    root: Callable[[Presentation, Letters], tuple[Word, int]] | None
+
+
+def _rp2_normalize(letters, pres) -> tuple[Letters, int]:
+    exp = sum(1 if x > 0 else -1 for x in letters)
+    return ((1,) if exp % 2 else ()), 0
+
+
+_DEHN_ENGINE = _Engine(_dehn_normalize, _dehn_conjugator, _dehn_root)
+
+_ENGINES = {
+    Regime.SPHERE: _Engine(lambda letters, pres: ((), 0), _equal_conjugator, None),
+    Regime.RP2: _Engine(_rp2_normalize, _equal_conjugator, None),
+    Regime.TORUS: _Engine(
+        lambda letters, pres: (spell_torus(*torus_exponents(letters)), 0),
+        _equal_conjugator,
+        _torus_root,
+    ),
+    Regime.KLEIN: _Engine(
+        lambda letters, pres: (spell_klein(*klein_coordinates(letters)), 0),
+        _klein_conjugator,
+        _klein_root,
+    ),
+    Regime.PUNCTURED: _Engine(
+        lambda letters, pres: (free_reduce(letters), 0), _free_conjugator, _free_root
+    ),
+    Regime.CLOSED_ORIENTABLE_HYPERBOLIC: _DEHN_ENGINE,
+    Regime.CLOSED_NONORIENTABLE_HYPERBOLIC: _DEHN_ENGINE,
+}
+
+
+def _engine(pres: Presentation) -> _Engine:
+    if pres.lifted:
+        raise ValueError("tangent-bundle words are handled by the stbundle module")
+    if pres.surface is None:
+        raise ValueError("words need a surface presentation; the oracle handles ad-hoc ones")
+    return _ENGINES[regime(pres.surface)]
 
 
 # ---------------------------------------------------------------------------

@@ -178,6 +178,29 @@ def test_non_finite_curve_exits2_without_traceback(tmp_path):
         assert "Traceback" not in proc.stderr
 
 
+def test_tripped_search_cap_exits3_without_traceback():
+    import curvespace
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(curvespace.__file__)))
+    long_word = " ".join(["c1 c1 c2"] * 13)  # past the half-relator swap cap
+    surface = ["--surface", "nonorientable:3:0"]
+    for argv in (
+        ["classify", *surface, "--format", "structured", "--word", long_word],
+        ["reghom", *surface, f"word:{long_word}", "word:c1"],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "curvespace.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert "status=undecided" in proc.stdout.splitlines()
+        assert proc.stderr.startswith("undecided: ")
+        assert "Traceback" not in proc.stderr
+
+
 def test_structured_classify_roundtrips_witnesses(capsys):
     import curvespace
 

@@ -17,11 +17,11 @@ from curvespace import (
     st_parse,
     st_power,
     st_text,
+    st_presentation,
     st_word,
 )
 from curvespace.oracle import SearchBound, bounded_is_trivial
-from curvespace.stbundle import as_presentation_word
-from curvespace.words import klein_coordinates
+from curvespace.words import Word, klein_coordinates
 
 from conftest import (
     GENUS2,
@@ -82,7 +82,9 @@ def test_genus2_relator_lift_with_oracle():
     assert (rel.base.letters, rel.fiber) == ((), -2)
     assert st_is_trivial(st_word(GENUS2, pres.relators[0], 2))
     # oracle sees the same thing inside the lifted presentation
-    w = as_presentation_word(st_word(GENUS2, pres.relators[0], 2))
+    lifted = st_presentation(GENUS2)
+    f = len(lifted.generators)
+    w = Word(lifted, pres.relators[0] + (f,) * 2)
     assert bounded_is_trivial(w, SearchBound(12, 4, 4)) is True
 
 
@@ -117,7 +119,7 @@ def test_st_is_conjugate_examples():
 def test_st_conjugacy_brute_agreement():
     """The closed-form/coset decisions match a brute conjugator search."""
     rng = random.Random(8)
-    for surface in (KLEIN, GENUS2, NONOR3, PUNCTURED_NONOR):
+    for surface in (KLEIN, GENUS2, NONOR3, PUNCTURED_NONOR, PUNCTURED_TORUS):
         pres = presentation(surface)
         n = len(pres.generators)
         alphabet = [i for i in range(1, n + 1)] + [-i for i in range(1, n + 1)]
@@ -148,7 +150,7 @@ def test_constructed_conjugates_are_recognized():
     """alpha u alpha^-1 must test conjugate to u, even for conjugators far
     beyond any brute search radius."""
     rng = random.Random(602)
-    for surface in (KLEIN, GENUS2, NONOR3, PUNCTURED_NONOR):
+    for surface in (KLEIN, GENUS2, NONOR3, PUNCTURED_NONOR, PUNCTURED_TORUS):
         pres = presentation(surface)
         n = len(pres.generators)
         alphabet = [i for i in range(1, n + 1)] + [-i for i in range(1, n + 1)]

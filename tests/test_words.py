@@ -14,10 +14,12 @@ from curvespace import (
     parse_word,
     presentation,
     primitive_root,
+    st_presentation,
     word_text,
 )
+from curvespace.classify import KLEIN_BOTTLE_PRESENTATION
 from curvespace.oracle import SearchBound, bounded_is_trivial
-from curvespace.words import free_reduce, klein_coordinates, spell_klein, word
+from curvespace.words import Word, free_reduce, klein_coordinates, spell_klein, word
 
 from conftest import GENUS2, KLEIN, NONOR3, PUNCTURED_TORUS, RP2, TORUS, W
 
@@ -38,6 +40,21 @@ def test_relator_is_trivial_with_oracle():
     conjugated = word(pres, free_reduce((1,) + pres.relators[0] + (-1,)))
     assert is_trivial(conjugated)
     assert bounded_is_trivial(conjugated) is True
+
+
+def test_words_need_a_surface_presentation():
+    """Words over a tangent-bundle or a surface-less presentation are
+    rejected, not normalized by the engine of the underlying surface."""
+    cases = (
+        (st_presentation(TORUS), (3, 1)),  # f a1, where f is not b1
+        (st_presentation(GENUS2), (5, 1, 5)),  # f a1 f
+        (KLEIN_BOTTLE_PRESENTATION, (1, 2, -1, 2)),  # its own relator
+    )
+    for pres, letters in cases:
+        u = Word(pres, letters)
+        for call in (lambda: word(pres, letters), lambda: multiply(u, u), lambda: is_trivial(u)):
+            with pytest.raises(ValueError, match="stbundle|surface presentation"):
+                call()
 
 
 def test_is_trivial_basics():
@@ -73,6 +90,8 @@ def test_character_is_homomorphism():
 
 def test_conjugacy_basics():
     assert is_conjugate(W("a1 b1", GENUS2), W("b1 a1", GENUS2))
+    assert is_conjugate(W("a1 b1 a2", GENUS2), W("a2 a1 b1", GENUS2))
+    assert is_conjugate(W("b1 a1 B1", GENUS2), W("a1", GENUS2))
     assert not is_conjugate(W("a1", TORUS), W("b1", TORUS))
     u, v = W("a1", GENUS2), W("B1 a1 b1", GENUS2)
     assert is_conjugate(u, v)
@@ -239,16 +258,6 @@ def test_parse_and_spell_roundtrip():
         u = parse_word(text, presentation(GENUS2))
         again = parse_word(word_text(u), presentation(GENUS2))
         assert u.letters == again.letters
-
-
-def test_cyclic_word_identifies_rotations():
-    from curvespace import CyclicWord
-
-    u = CyclicWord.of(W("a1 b1 a2", GENUS2))
-    v = CyclicWord.of(W("a2 a1 b1", GENUS2))
-    w = CyclicWord.of(W("b1 a1 B1", GENUS2))  # conjugate spelling of a1
-    assert u == v
-    assert CyclicWord.of(W("a1", GENUS2)) == w
 
 
 def test_is_trivial_oracle_agreement_sweep():
