@@ -12,8 +12,8 @@ nontrivial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .surfaces import (
     Generator,
@@ -62,23 +62,34 @@ ORIENTATION_PRESERVING_PREDICATE = (
 )
 
 
-@dataclass(frozen=True)
-class GroupDescription:
+class _GroupDescription(NamedTuple):
+    kind: Kind
+    witnesses: tuple[STWord, ...]
+    presentation: Presentation | None
+    membership: str | None
+    sphere_sum_degree: int | None
+
+
+class GroupDescription(_GroupDescription):
     """A named group with generator witnesses living in the tangent-bundle
     group of the classified surface."""
 
-    kind: Kind
-    witnesses: tuple[STWord, ...] = ()
-    presentation: Presentation | None = None
-    membership: str | None = None
-    sphere_sum_degree: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(
+        cls,
+        kind: Kind,
+        witnesses: tuple[STWord, ...] = (),
+        presentation: Presentation | None = None,
+        membership: str | None = None,
+        sphere_sum_degree: int | None = None,
+    ):
         # rank check applies when witnesses are supplied at all (the higher
         # homotopy answers reuse the kinds without pi_1 witnesses)
-        want = _RANK.get(self.kind)
-        if want is not None and self.witnesses and len(self.witnesses) != want:
-            raise ValueError(f"{self.kind.value} needs {want} witnesses")
+        want = _RANK.get(kind)
+        if want is not None and witnesses and len(witnesses) != want:
+            raise ValueError(f"{kind.value} needs {want} witnesses")
+        return super().__new__(cls, kind, witnesses, presentation, membership, sphere_sum_degree)
 
     def label(self) -> str:
         if self.kind is Kind.SYMBOLIC_SPHERE_SUM:
@@ -110,8 +121,7 @@ class GroupDescription:
         return f"{first} (+) pi_{n + 1}(S^2)"
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     surface: SurfaceSpec
     source: str
     element: STWord

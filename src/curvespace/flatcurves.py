@@ -28,16 +28,20 @@ validates by computing it and ``lift`` and ``crossing_log`` reuse it.  The
 crossing scan runs only on edges whose endpoints lie in different grid
 cells: no vertex lies within 1e-9 of a grid line, so two endpoints with the
 same floor on both axes lie in one open cell, and no integer lies strictly
-between their coordinates on either axis.
+between their coordinates on either axis.  For the same reason an edge
+crosses exactly ``|dx| + |dy|`` grid lines, where ``(dx, dy)`` is the step
+between its endpoint cells, so a path that crosses more than
+``_MAX_GRID_CROSSINGS`` lines is rejected before any crossing is listed and
+the cost stays bounded however large the coordinates are.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import chain, islice
+from typing import NamedTuple
 
 from .surfaces import Regime, SurfaceSpec, regime
 from .words import spell_klein, spell_torus, klein_product
@@ -48,6 +52,9 @@ _ANGLE_EPS = 1e-9
 _CUSP_ANGLE = math.pi - _ANGLE_EPS
 _INT_EPS = 1e-9
 _TURN_TOL = 1e-6
+#: most grid lines a chart curve may cross; bounds the crossing log and,
+#: through it, the length of the lifted word
+_MAX_GRID_CROSSINGS = 100_000
 
 
 class CurveError(ValueError):
@@ -60,13 +67,11 @@ class Model(Enum):
     KLEIN = "klein"
 
 
-@dataclass(frozen=True)
-class Polyline:
+class Polyline(NamedTuple):
     vertices: tuple[tuple[float, float], ...]
 
 
-@dataclass(frozen=True)
-class Crossing:
+class Crossing(NamedTuple):
     """One transition of the developed path across a grid line."""
 
     edge: int
@@ -75,17 +80,23 @@ class Crossing:
     direction: int  # +1 rightward/upward
 
 
-@dataclass(frozen=True)
-class CurveOnSurface:
+class _CurveOnSurface(NamedTuple):
     model: Model
     polyline: Polyline
+
+
+class CurveOnSurface(_CurveOnSurface):
+    # no __slots__: cached_property stores the lift data in the instance dict
 
     @cached_property
     def _lift_data(self):
         """(deck coordinates, fiber exponent, crossing log), computed on first
         use and kept; plane curves have no deck coordinates (``None``), an
-        empty log, and their turning number as the fiber exponent.  Not a
-        dataclass field, so it takes no part in equality or hashing."""
+        empty log, and their turning number as the fiber exponent.  It lives
+        in the instance dict, outside the tuple of fields, so it takes no
+        part in equality or hashing."""
+        if not all(map(math.isfinite, chain.from_iterable(self.polyline.vertices))):
+            raise CurveError("coordinates must be finite")
         if self.model is Model.PLANE:
             return None, turning_number(self.polyline), ()
         return _chart_data(self)
@@ -213,10 +224,14 @@ def _chart_data(curve: CurveOnSurface):
 
     # crossing log, validated against the deck solution
     crossings: list[Crossing] = []
+    count = 0
     px, py = math.floor(x0), math.floor(y0)
     for i, (x, y) in enumerate(islice(verts, 1, None)):
         qx, qy = math.floor(x), math.floor(y)
         if qx != px or qy != py:
+            count += abs(qx - px) + abs(qy - py)
+            if count > _MAX_GRID_CROSSINGS:
+                raise CurveError(f"the path crosses more than {_MAX_GRID_CROSSINGS} grid lines")
             crossings += [c for _, c in _segment_crossings(verts[i], verts[i + 1], i)]
             px, py = qx, qy
     cx, cy = _cell(verts[0])

@@ -10,8 +10,8 @@ Results are deterministic: fixed enumeration order, fixed tie-breaks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .surfaces import Presentation, Regime, SurfaceSpec, presentation, regime, smith_diagonal
 from .words import Word, free_reduce, invert_letters
@@ -19,8 +19,13 @@ from . import stbundle
 from .stbundle import STWord, st_multiply, st_word
 
 
-@dataclass(frozen=True)
-class SearchBound:
+class _SearchBound(NamedTuple):
+    max_word_length: int
+    max_fiber: int
+    max_depth: int
+
+
+class SearchBound(_SearchBound):
     """Caps for the brute-force searches.
 
     ``max_word_length`` bounds enumerated base words, ``max_fiber`` the fiber
@@ -28,13 +33,12 @@ class SearchBound:
     witness-product depth in classification checks).
     """
 
-    max_word_length: int = 8
-    max_fiber: int = 4
-    max_depth: int = 6
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.max_word_length < 1 or self.max_depth < 1 or self.max_fiber < 0:
+    def __new__(cls, max_word_length: int = 8, max_fiber: int = 4, max_depth: int = 6):
+        if max_word_length < 1 or max_depth < 1 or max_fiber < 0:
             raise ValueError("bounds must be positive (fiber may be zero)")
+        return super().__new__(cls, max_word_length, max_fiber, max_depth)
 
 
 #: default bounds for :func:`verify_classification`, sized so that the full
@@ -188,8 +192,7 @@ def bounded_centralizer(
 # classification verification
 
 
-@dataclass(frozen=True)
-class VerificationOutcome:
+class VerificationOutcome(NamedTuple):
     passed: bool
     detail: str
     counterexample: STWord | None = None

@@ -16,7 +16,7 @@ here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .surfaces import Regime, SurfaceSpec, presentation, regime
 from .words import (
@@ -37,8 +37,7 @@ UNDECIDED = "undecided"
 _FINITE_ORDER = {Regime.SPHERE: 2, Regime.RP2: 4}
 
 
-@dataclass(frozen=True)
-class STWord:
+class STWord(NamedTuple):
     """Normal-form element of the tangent-bundle fundamental group."""
 
     surface: SurfaceSpec
@@ -209,8 +208,7 @@ def _coset_st_conjugate(u: STWord, v: STWord) -> bool:
 # the canonical root-and-fiber decomposition
 
 
-@dataclass(frozen=True)
-class LiftDecomposition:
+class LiftDecomposition(NamedTuple):
     """``element = root_lift**k * f**l`` with the root primitive downstairs
     and its lift fixed at fiber zero."""
 

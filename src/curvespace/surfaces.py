@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from enum import Enum
 from functools import cache
+from typing import NamedTuple
 
 
 class SurfaceError(ValueError):
@@ -35,21 +35,25 @@ class Regime(Enum):
     PUNCTURED = "punctured"
 
 
-@dataclass(frozen=True)
-class SurfaceSpec:
-    """Orientability + genus + punctures.  Immutable and hashable."""
-
+class _SurfaceSpec(NamedTuple):
     orientable: bool
     genus: int
-    punctures: int = 0
+    punctures: int
 
-    def __post_init__(self):
-        if self.genus < 0:
+
+class SurfaceSpec(_SurfaceSpec):
+    """Orientability + genus + punctures.  Immutable and hashable."""
+
+    __slots__ = ()
+
+    def __new__(cls, orientable: bool, genus: int, punctures: int = 0):
+        if genus < 0:
             raise SurfaceError("genus must be nonnegative")
-        if self.punctures < 0:
+        if punctures < 0:
             raise SurfaceError("puncture count must be nonnegative")
-        if not self.orientable and self.genus < 1:
+        if not orientable and genus < 1:
             raise SurfaceError("a nonorientable surface needs at least one crosscap")
+        return super().__new__(cls, orientable, genus, punctures)
 
     @classmethod
     def parse(cls, text: str) -> "SurfaceSpec":
@@ -89,20 +93,23 @@ def regime(spec: SurfaceSpec) -> Regime:
     return Regime.CLOSED_NONORIENTABLE_HYPERBOLIC
 
 
-@dataclass(frozen=True)
-class Generator:
-    """A group generator together with its orientation character (+1 or -1)."""
-
+class _Generator(NamedTuple):
     name: str
     character: int
 
-    def __post_init__(self):
-        if self.character not in (+1, -1):
+
+class Generator(_Generator):
+    """A group generator together with its orientation character (+1 or -1)."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, character: int):
+        if character not in (+1, -1):
             raise ValueError("character must be +1 or -1")
+        return super().__new__(cls, name, character)
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(NamedTuple):
     """A finite presentation.
 
     Letters of relators (and of words over this presentation) are nonzero

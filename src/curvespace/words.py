@@ -33,9 +33,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from functools import cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .surfaces import (
     Presentation,
@@ -66,8 +65,7 @@ class SearchExhausted(RuntimeError):
 Letters = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(NamedTuple):
     """A group element over ``ambient``, stored as its normal-form letters."""
 
     ambient: Presentation
@@ -77,6 +75,7 @@ class Word:
         return self.ambient.spell(self.letters)
 
     def __len__(self) -> int:
+        """The number of letters, not of fields."""
         return len(self.letters)
 
 
@@ -554,8 +553,7 @@ def _dehn_root(pres, letters) -> tuple[Word, int]:
 # the engine table
 
 
-@dataclass(frozen=True)
-class _Engine:
+class _Engine(NamedTuple):
     """How one regime normalizes, conjugates and takes roots.
 
     ``normalize(letters, pres)`` returns the normal-form letters and the

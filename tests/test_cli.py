@@ -163,9 +163,19 @@ def test_non_finite_curve_exits2_without_traceback(tmp_path):
     import curvespace
 
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(curvespace.__file__)))
-    for bad in ("inf", "nan"):
-        path = tmp_path / f"{bad}.curve"
-        path.write_text(f"model=torus\n0.5,0.5\n{bad},0.5\n1.5,0.5\n")
+    for name, text, message in (
+        ("inf", "model=torus\n0.5,0.5\ninf,0.5\n1.5,0.5\n", "coordinates must be finite"),
+        ("nan", "model=torus\n0.5,0.5\nnan,0.5\n1.5,0.5\n", "coordinates must be finite"),
+        # finite, but the path crosses 10^6 grid lines: without the cap this
+        # loads (exit 0), where farther points would exhaust memory instead
+        (
+            "far",
+            "model=torus\n0.5,0.5\n1000000.7,0.6\n1000000.5,0.5\n",
+            "crosses more than 100000 grid lines",
+        ),
+    ):
+        path = tmp_path / f"{name}.curve"
+        path.write_text(text)
         proc = subprocess.run(
             [sys.executable, "-m", "curvespace.cli", "lift", "--surface", "orientable:1:0", str(path)],
             capture_output=True,
@@ -174,8 +184,23 @@ def test_non_finite_curve_exits2_without_traceback(tmp_path):
             timeout=60,
         )
         assert proc.returncode == 2, proc.stderr
-        assert "coordinates must be finite" in proc.stderr
+        assert message in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+def test_cli_import_leaves_out_dataclasses():
+    import curvespace
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(curvespace.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import curvespace.cli, sys; print('dataclasses' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
 
 
 def test_tripped_search_cap_exits3_without_traceback():

@@ -199,6 +199,15 @@ def test_curve_file_parsing():
             load_curve(f"model=torus\n0.5,0.5\n{bad},0.5\n1.5,0.5\n")
         with pytest.raises(CurveError, match="line 3: coordinates must be finite"):
             load_curve(f"model=plane\n0,0\n1,{bad}\n1,1\n")
+        # a directly built curve is checked when it is first lifted
+        v = float(bad)
+        for model, verts, surface in (
+            (Model.TORUS, ((0.5, 0.5), (v, 0.5), (1.5, 0.5)), TORUS),
+            (Model.KLEIN, ((0.5, 0.5), (1.2, v), (1.5, 0.5)), KLEIN),
+            (Model.PLANE, ((0, 0), (1, v), (1, 1)), TORUS),
+        ):
+            with pytest.raises(CurveError, match="^coordinates must be finite$"):
+                lift(CurveOnSurface(model, Polyline(verts)), surface)
 
 
 def test_klein_fiber_against_fold_frame_simulation():
@@ -330,7 +339,8 @@ def test_loaded_curve_lifts_like_constructed_curve():
     for model, verts, surface in _seeded_curves(rng):
         loaded = load_curve(_curve_text(model, verts))
         built = CurveOnSurface(model, Polyline(verts))
-        assert loaded == built
+        # loading cached the lift data on ``loaded`` only
+        assert loaded == built and hash(loaded) == hash(built)
         first = lift(loaded, surface)
         assert first == lift(built, surface)
         assert crossing_log(loaded) == crossing_log(built)

@@ -1,3 +1,5 @@
+import pytest
+
 from curvespace import (
     SearchBound,
     bounded_centralizer,
@@ -10,7 +12,7 @@ from curvespace import (
     st_power,
     verify_classification,
 )
-from curvespace.oracle import UNDECIDED
+from curvespace.oracle import UNDECIDED, VerificationOutcome
 from curvespace.words import Word, word
 
 from conftest import GENUS2, KLEIN, NONOR3, SPHERE, TORUS, ST
@@ -34,6 +36,8 @@ def test_bounded_is_trivial_undecided_vs_certificate():
     # generate a free subgroup): small bounds answer undecided, never False
     verdict = bounded_is_trivial(Word(pres, (1, 2, -1, -2)), SearchBound(6, 4, 1))
     assert verdict is UNDECIDED
+    with pytest.raises(ValueError, match="bounds must be positive"):
+        SearchBound(0, 1, 1)
 
 
 def test_finite_regime_element_tables():
@@ -98,6 +102,7 @@ def test_verify_classification_examples():
     assert verify_classification(KLEIN, ST("C2^2", KLEIN)).passed
     assert verify_classification(TORUS, ST("a1", TORUS)).passed
     assert verify_classification(NONOR3, ST("c1^2", NONOR3)).passed
+    assert not VerificationOutcome(False, "x")
 
 
 def test_verify_classification_catches_wrong_witnesses():
@@ -109,5 +114,7 @@ def test_verify_classification_catches_wrong_witnesses():
     report = classify_pi1(NONOR3, xi)
     # replace the witness with something that does not commute
     bad = GroupDescription(Kind.Z, (ST("c2", NONOR3),))
+    with pytest.raises(ValueError, match="ZxZ needs 2 witnesses"):
+        GroupDescription(Kind.ZXZ, bad.witnesses)
     products = oracle._witness_products(bad.witnesses, SearchBound(3, 2, 4))
     assert any(st_multiply(p, xi) != st_multiply(xi, p) for p in products)

@@ -251,6 +251,8 @@ def test_parse_print_roundtrip():
     for surface, text in cases:
         u = st_parse(text, surface)
         assert st_parse(st_text(u), surface) == u
+        with pytest.raises(AttributeError):
+            u.fiber = 0
 
 
 def test_power():

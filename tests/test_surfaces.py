@@ -35,6 +35,12 @@ def test_spec_validation():
         SurfaceSpec(True, -1, 0)
     with pytest.raises(SurfaceError):
         SurfaceSpec.parse("orientable:2")
+    with pytest.raises(ValueError, match="character must be"):
+        Generator("g", 2)
+    spec = SurfaceSpec(True, 2)
+    assert repr(spec) == "SurfaceSpec(orientable=True, genus=2, punctures=0)"
+    with pytest.raises(AttributeError):
+        spec.genus = 3
 
 
 def test_parse_roundtrip():

@@ -28,6 +28,7 @@ def test_multiply_and_invert_basics():
     u = W("a1", TORUS)
     assert multiply(u, invert(u)).letters == ()
     assert word_text(multiply(W("a1 b1", GENUS2), W("B1", GENUS2))) == "a1"
+    assert len(W("a1 b1 a2", GENUS2)) == 3
     with pytest.raises(AmbientMismatchError):
         multiply(W("a1", TORUS), W("a1", GENUS2))
 
