@@ -21,18 +21,24 @@ tangent bundle of the chart is trivial, the deck group acts on (x, y, theta)
 with T flipping theta, and the fiber exponent is whatever power of the fiber
 class closes the lifted path.
 
-Ingestion is one pass over the vertices, linear in their number: a curve's
-lift data (turning number, or deck class, fiber exponent and crossing log)
-is computed once per ``CurveOnSurface`` and cached on it, so ``load_curve``
-validates by computing it and ``lift`` and ``crossing_log`` reuse it.  The
-crossing scan runs only on edges whose endpoints lie in different grid
-cells: no vertex lies within 1e-9 of a grid line, so two endpoints with the
-same floor on both axes lie in one open cell, and no integer lies strictly
-between their coordinates on either axis.  For the same reason an edge
-crosses exactly ``|dx| + |dy|`` grid lines, where ``(dx, dy)`` is the step
-between its endpoint cells, so a path that crosses more than
-``_MAX_GRID_CROSSINGS`` lines is rejected before any crossing is listed and
-the cost stays bounded however large the coordinates are.
+Ingestion is one loop over the vertices, linear in their number.  It pulls
+the path back to the unit cell, tests each vertex against the grid lines,
+and forms each edge with its zero-length test, each exterior angle with its
+cusp test, and each change of grid cell.  Every check keeps its first
+failure; after the loop the failures are raised in a fixed order, which
+``_turning`` and ``_chart_data`` list.  A curve's lift data (turning
+number, or deck class, fiber exponent and crossing log) is computed once
+per ``CurveOnSurface`` and cached on it: ``load_curve`` checks each
+coordinate for finiteness as it parses its line and stores what the loop
+returns, and ``lift`` and ``crossing_log`` reuse it.  The crossing scan
+runs only on edges whose endpoints lie in different grid cells: no vertex
+lies within 1e-9 of a grid line, so two endpoints with the same floor on
+both axes lie in one open cell, and no integer lies strictly between their
+coordinates on either axis.  For the same reason an edge crosses exactly
+``|dx| + |dy|`` grid lines, where ``(dx, dy)`` is the step between its
+endpoint cells, so a path that crosses more than ``_MAX_GRID_CROSSINGS``
+lines is rejected before any crossing is listed and the cost stays bounded
+however large the coordinates are.
 """
 
 from __future__ import annotations
@@ -94,46 +100,64 @@ class CurveOnSurface(_CurveOnSurface):
         use and kept; plane curves have no deck coordinates (``None``), an
         empty log, and their turning number as the fiber exponent.  It lives
         in the instance dict, outside the tuple of fields, so it takes no
-        part in equality or hashing."""
+        part in equality or hashing.  ``load_curve`` stores it there itself:
+        the parser has already checked every coordinate for finiteness."""
         if not all(map(math.isfinite, chain.from_iterable(self.polyline.vertices))):
             raise CurveError("coordinates must be finite")
-        if self.model is Model.PLANE:
-            return None, turning_number(self.polyline), ()
-        return _chart_data(self)
+        return _validated(self)
 
 
-def _edges(path) -> list[tuple[float, float]]:
-    """Edge vectors between consecutive vertices of ``path``; edge i starts
-    at vertex i.  Rejects a zero-length edge."""
-    edges = [(x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(path, islice(path, 1, None))]
-    for i, (ex, ey) in enumerate(edges):
-        if math.hypot(ex, ey) < 1e-12:
-            raise CurveError(f"zero-length edge at vertex {i}")
-    return edges
-
-
-def _angle_sum(edges, first, closing_at: str) -> float:
-    """Sum of the exterior angles between consecutive edges, then between the
-    last edge and ``first``.  The corner after edge i is vertex i + 1; the
-    closing corner is named by ``closing_at``.  Rejects a cusp."""
-    total = 0.0
-    following = chain(islice(edges, 1, None), (first,))
-    for i, ((ux, uy), (vx, vy)) in enumerate(zip(edges, following), start=1):
-        a = math.atan2(ux * vy - uy * vx, ux * vx + uy * vy)
-        if abs(a) > _CUSP_ANGLE:
-            where = f"at vertex {i}" if i < len(edges) else closing_at
-            raise CurveError(f"cusp (exterior angle of +-pi) {where}")
-        total += a
-    return total
+def _validated(curve: CurveOnSurface):
+    """Lift data of a curve whose coordinates are finite, from one loop over
+    its vertices."""
+    if curve.model is Model.PLANE:
+        return None, _turning(curve.polyline.vertices), ()
+    return _chart_data(curve)
 
 
 def turning_number(p: Polyline) -> int:
     """Sum of signed exterior angles over two pi, for plane-model polylines."""
-    verts = p.vertices
-    if len(verts) < 3:
+    return CurveOnSurface(Model.PLANE, p)._lift_data[1]
+
+
+def _turning(verts) -> int:
+    """Turning number of the closed polygon ``verts`` in one pass.  Edge i
+    runs from vertex i to vertex i + 1; the closing edge n - 1 returns to
+    vertex 0.  Each check keeps its first failure and raises it after the
+    pass, in this order: a zero-length edge, a cusp (vertices 1 .. n - 1,
+    then vertex 0), an angle sum that is no multiple of 2 pi."""
+    n = len(verts)
+    if n < 3:
         raise CurveError("a closed polyline needs at least 3 vertices")
-    edges = _edges(verts + verts[:1])
-    turns = _angle_sum(edges, edges[0], "at vertex 0") / _TWO_PI
+    hypot, atan2 = math.hypot, math.atan2
+    zero = cusp = None
+    total = 0.0
+    (px, py), (x, y) = verts[0], verts[1]
+    fx, fy = ux, uy = x - px, y - py
+    if hypot(fx, fy) < 1e-12:
+        zero = 0
+    px, py = x, y
+    # corner k lies between edge k - 1 (u) and edge k (e)
+    for k, (x, y) in enumerate(chain(islice(verts, 2, None), verts[:1]), 1):
+        ex, ey = x - px, y - py
+        # the squares sum below 1e-20 whenever hypot is below 1e-12, so
+        # hypot is called only for a near-zero edge
+        if ex * ex + ey * ey < 1e-20 and zero is None and hypot(ex, ey) < 1e-12:
+            zero = k
+        a = atan2(ux * ey - uy * ex, ux * ex + uy * ey)
+        if cusp is None and abs(a) > _CUSP_ANGLE:
+            cusp = k
+        total += a
+        px, py, ux, uy = x, y, ex, ey
+    a = atan2(ux * fy - uy * fx, ux * fx + uy * fy)
+    if cusp is None and abs(a) > _CUSP_ANGLE:
+        cusp = 0
+    total += a
+    if zero is not None:
+        raise CurveError(f"zero-length edge at vertex {zero}")
+    if cusp is not None:
+        raise CurveError(f"cusp (exterior angle of +-pi) at vertex {cusp}")
+    turns = total / _TWO_PI
     if abs(turns - round(turns)) > _TURN_TOL:
         raise CurveError("exterior angles do not sum to a multiple of 2 pi")
     return round(turns)
@@ -145,23 +169,6 @@ def turning_number(p: Polyline) -> int:
 
 def _near_int(x: float) -> bool:
     return abs(x - round(x)) < _INT_EPS
-
-
-def _cell(pt) -> tuple[int, int]:
-    return math.floor(pt[0]), math.floor(pt[1])
-
-
-def _normalize_start(verts, model: Model):
-    """Pull the path back so its first vertex lies in the unit cell.
-
-    This identifies the basepoint frame with the fundamental-domain frame,
-    so crossing words and the endpoint deck transformation agree.
-    """
-    i, j = _cell(verts[0])
-    if model is Model.TORUS or i % 2 == 0:
-        return tuple((x - i, y - j) for x, y in verts)
-    # odd Klein shift: T^-i reflects the vertical coordinate
-    return tuple((x - i, 1.0 - (y - j)) for x, y in verts)
 
 
 def _segment_crossings(p, q, edge_index: int) -> list[tuple[float, Crossing]]:
@@ -186,55 +193,99 @@ def _segment_crossings(p, q, edge_index: int) -> list[tuple[float, Crossing]]:
 
 def _chart_data(curve: CurveOnSurface):
     """(deck coordinates, fiber exponent, crossing log) for a torus/Klein
-    chart curve."""
-    model = curve.model
-    verts = _normalize_start(curve.polyline.vertices, model)
+    chart curve with finite coordinates, in one pass over its vertices.
+
+    The path is pulled back so its first vertex lies in the unit cell.  This
+    identifies the basepoint frame with the fundamental-domain frame, so
+    crossing words and the endpoint deck transformation agree.  A vertex on
+    a grid line is reported at once.  Every other check keeps its first
+    failure and raises it after the pass, in this order: a zero-length edge,
+    an open endpoint, a cusp (interior corners, then the basepoint), a
+    tangent lift that does not close, the first edge that passes the
+    crossing cap or a grid corner, and a crossing log that disagrees with
+    the endpoint.
+    """
+    model, verts = curve.model, curve.polyline.vertices
     if len(verts) < 3:
         raise CurveError("a chart curve needs at least 3 vertices (endpoint repeated)")
-    for x, y in verts:
-        if abs(x - round(x)) < _INT_EPS or abs(y - round(y)) < _INT_EPS:
+    i, j = math.floor(verts[0][0]), math.floor(verts[0][1])
+    # an odd Klein shift T^-i reflects the vertical coordinate
+    flip = model is Model.KLEIN and i % 2 != 0
+    floor, hypot, atan2 = math.floor, math.hypot, math.atan2
+    zero = cusp = bad = None
+    total = 0.0
+    crossings: list[Crossing] = []
+    count = 0
+    for k, (x, y) in enumerate(verts):
+        x = x - i
+        y = 1.0 - (y - j) if flip else y - j
+        qx, qy = floor(x), floor(y)
+        # the grid line nearer to x is qx or qx + 1; the difference to that
+        # one is at most 1/2 and exact, so this is |x - round(x)| < _INT_EPS
+        if (x - qx < _INT_EPS or qx + 1 - x < _INT_EPS
+                or y - qy < _INT_EPS or qy + 1 - y < _INT_EPS):
             raise CurveError("vertices may not lie on grid lines; perturb the curve")
-    edges = _edges(verts)
+        if k == 0:
+            x0, y0, cell0 = x, y, (qx, qy)
+        else:
+            # edge k - 1 runs from (px, py) in cell (cx, cy) to (x, y)
+            ex, ey = x - px, y - py
+            # hypot only for a near-zero edge, as in _turning
+            if ex * ex + ey * ey < 1e-20 and zero is None and hypot(ex, ey) < 1e-12:
+                zero = k - 1
+            if k == 1:
+                fx, fy = ex, ey
+            else:
+                a = atan2(ux * ey - uy * ex, ux * ex + uy * ey)
+                if cusp is None and abs(a) > _CUSP_ANGLE:
+                    cusp = f"vertex {k - 1}"
+                total += a
+            if (qx != cx or qy != cy) and bad is None:
+                count += abs(qx - cx) + abs(qy - cy)
+                if count > _MAX_GRID_CROSSINGS:
+                    bad = CurveError(f"the path crosses more than {_MAX_GRID_CROSSINGS} grid lines")
+                else:
+                    try:
+                        crossings += [c for _, c in _segment_crossings((px, py), (x, y), k - 1)]
+                    except CurveError as exc:
+                        bad = exc
+            ux, uy = ex, ey
+        px, py, cx, cy = x, y, qx, qy
+    if zero is not None:
+        raise CurveError(f"zero-length edge at vertex {zero}")
 
     # deck transformation solving endpoint = Delta(start)
-    x0, y0 = verts[0]
-    xe, ye = verts[-1]
-    bx = xe - x0
+    bx = px - x0
     if not _near_int(bx):
         raise CurveError("endpoint does not close up horizontally")
     b = round(bx)
     glide = model is Model.KLEIN and b % 2 != 0
-    ay = ye + y0 - 1.0 if glide else ye - y0
+    ay = py + y0 - 1.0 if glide else py - y0
     if not _near_int(ay):
         raise CurveError("endpoint is not a deck image of the start point")
     a = round(ay)
 
-    # turning: interior corners plus the closing corner against d(Delta)
-    first = edges[0]
+    # the closing corner, against d(Delta) of the first edge
+    gy = -fy if glide else fy
+    corner = atan2(ux * gy - uy * fx, ux * fx + uy * gy)
+    if cusp is None and abs(corner) > _CUSP_ANGLE:
+        cusp = "the basepoint"
+    total += corner
+    if cusp is not None:
+        raise CurveError(f"cusp (exterior angle of +-pi) at {cusp}")
     if glide:
-        first = (first[0], -first[1])
-    total = _angle_sum(edges, first, "at the basepoint")
-    if glide:
-        theta0 = math.atan2(edges[0][1], edges[0][0])
+        theta0 = atan2(fy, fx)
         fiber = (2.0 * theta0 + total) / _TWO_PI
     else:
         fiber = total / _TWO_PI
     if abs(fiber - round(fiber)) > _TURN_TOL:
         raise CurveError("tangent lift does not close up to a fiber power")
+    if bad is not None:
+        raise bad
 
-    # crossing log, validated against the deck solution
-    crossings: list[Crossing] = []
-    count = 0
-    px, py = math.floor(x0), math.floor(y0)
-    for i, (x, y) in enumerate(islice(verts, 1, None)):
-        qx, qy = math.floor(x), math.floor(y)
-        if qx != px or qy != py:
-            count += abs(qx - px) + abs(qy - py)
-            if count > _MAX_GRID_CROSSINGS:
-                raise CurveError(f"the path crosses more than {_MAX_GRID_CROSSINGS} grid lines")
-            crossings += [c for _, c in _segment_crossings(verts[i], verts[i + 1], i)]
-            px, py = qx, qy
-    cx, cy = _cell(verts[0])
+    # the crossing log, validated against the deck solution
+    end = cx, cy
+    cx, cy = cell0
     acc = (0, 0)
     if model is Model.TORUS:
         # torus coordinates: (rightward crossings, upward crossings)
@@ -257,7 +308,7 @@ def _chart_data(curve: CurveOnSurface):
                 acc = klein_product(acc, (sign, 0))
                 cy += c.direction
         expected = (a, b)
-    if (cx, cy) != _cell(verts[-1]) or acc != expected:
+    if (cx, cy) != end or acc != expected:
         raise CurveError("crossing log disagrees with the endpoint; degenerate input")
     return expected, round(fiber), tuple(crossings)
 
@@ -295,37 +346,52 @@ def load_curve(text: str) -> CurveOnSurface:
     Validation computes the curve's lift data, which ``lift`` and
     ``crossing_log`` then reuse.
     """
-    model: Model | None = None
-    points: list[tuple[float, float]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if "#" in raw:
+    comments = "#" in text
+    lines = enumerate(text.splitlines(), start=1)
+    for lineno, raw in lines:
+        if comments and "#" in raw:
             raw = raw.partition("#")[0]
         line = raw.strip()
         if not line:
             continue
-        if model is None:
-            if not line.startswith("model="):
-                raise CurveError(f"line {lineno}: expected 'model=...' first")
-            name = line[len("model=") :].strip()
-            try:
-                model = Model(name)
-            except ValueError:
-                raise CurveError(f"line {lineno}: unknown model {name!r}") from None
-            continue
-        xs, comma, ys = line.partition(",")
+        if not line.startswith("model="):
+            raise CurveError(f"line {lineno}: expected 'model=...' first")
+        name = line[len("model=") :].strip()
+        try:
+            model = Model(name)
+        except ValueError:
+            raise CurveError(f"line {lineno}: unknown model {name!r}") from None
+        break
+    else:
+        raise CurveError("empty curve file")
+    isfinite = math.isfinite
+    points: list[tuple[float, float]] = []
+    for lineno, raw in lines:
+        if comments and "#" in raw:
+            raw = raw.partition("#")[0]
+        # float() ignores the whitespace around a number, so a line is
+        # stripped only to skip it when blank or to quote it in an error
+        xs, comma, ys = raw.partition(",")
         if not comma or "," in ys:
+            if not comma and not raw.strip():
+                continue
             raise CurveError(f"line {lineno}: expected 'x,y'")
         try:
             x, y = float(xs), float(ys)
         except ValueError:
-            raise CurveError(f"line {lineno}: bad coordinates {line!r}") from None
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise CurveError(f"line {lineno}: coordinates must be finite, not {line!r}")
+            # str.strip() also removes U+001F, which float() keeps
+            xs, _, ys = raw.strip().partition(",")
+            try:
+                x, y = float(xs), float(ys)
+            except ValueError:
+                raise CurveError(f"line {lineno}: bad coordinates {raw.strip()!r}") from None
+        if not (isfinite(x) and isfinite(y)):
+            raise CurveError(f"line {lineno}: coordinates must be finite, not {raw.strip()!r}")
         points.append((x, y))
-    if model is None:
-        raise CurveError("empty curve file")
     curve = CurveOnSurface(model, Polyline(tuple(points)))
-    curve._lift_data  # validate now; the result stays cached on the curve
+    # the coordinates are finite, so the lift data is stored without the
+    # finiteness pass that ``_lift_data`` runs on a directly built curve
+    vars(curve)["_lift_data"] = _validated(curve)
     return curve
 
 

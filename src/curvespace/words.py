@@ -610,14 +610,21 @@ def _engine(pres: Presentation) -> _Engine:
 
 _TOKEN = re.compile(r"([A-Za-z]+[0-9]*)(?:\^(-?[0-9]+))?$")
 
+#: most letters a word may expand to: powers are spelled out letter by
+#: letter, so this bounds the time and memory a parse can take
+_MAX_WORD_LETTERS = 1_000_000
+
 
 def parse_letters(text: str, names: tuple[str, ...]) -> Letters:
     """Parse the word grammar over the given generator names.
 
     Lowercase names, uppercase = inverse, ``^`` powers, juxtaposition with
-    spaces, and ``1`` for the empty word.
+    spaces, and ``1`` for the empty word.  A word whose powers add up to
+    more than ``_MAX_WORD_LETTERS`` letters is rejected before it is spelled
+    out.
     """
     out: list[int] = []
+    length = 0
     for token in text.split():
         if token == "1":
             continue
@@ -635,6 +642,9 @@ def parse_letters(text: str, names: tuple[str, ...]) -> Letters:
             raise WordParseError(f"unknown generator {name!r}") from None
         total = sign * power
         if total:
+            length += abs(total)
+            if length > _MAX_WORD_LETTERS:
+                raise WordParseError(f"the word expands to more than {_MAX_WORD_LETTERS} letters")
             out += [idx if total > 0 else -idx] * abs(total)
     return tuple(out)
 

@@ -157,6 +157,9 @@ def test_invalid_inputs_exit2(capsys):
     assert code == 2
     code, _, err = run(capsys, "lift", "--surface", "orientable:1:0", "/nonexistent.curve")
     assert code == 2
+    # 2 * 10^6 letters: over the cap on a word's expanded length
+    code, _, err = run(capsys, "classify", "--surface", "orientable:1:0", "--word", "a1^2000000")
+    assert code == 2 and "more than 1000000 letters" in err
 
 
 def test_non_finite_curve_exits2_without_traceback(tmp_path):
@@ -166,6 +169,7 @@ def test_non_finite_curve_exits2_without_traceback(tmp_path):
     for name, text, message in (
         ("inf", "model=torus\n0.5,0.5\ninf,0.5\n1.5,0.5\n", "coordinates must be finite"),
         ("nan", "model=torus\n0.5,0.5\nnan,0.5\n1.5,0.5\n", "coordinates must be finite"),
+        ("header", "model=torus\n", "at least 3 vertices"),
         # finite, but the path crosses 10^6 grid lines: without the cap this
         # loads (exit 0), where farther points would exhaust memory instead
         (

@@ -76,6 +76,12 @@ def test_regularity_rejections():
     # cusp: the path doubles straight back
     with pytest.raises(CurveError):
         turning_number(Polyline(((0, 0), (2, 0), (1, 0))))
+    # cusps at vertices 0 and 2: vertex 0 is the closing corner, checked last
+    with pytest.raises(CurveError, match="cusp .* at vertex 2$"):
+        turning_number(Polyline(((0, 0), (2, 0), (3, 0), (1, 0))))
+    for bad in (math.inf, math.nan):
+        with pytest.raises(CurveError, match="^coordinates must be finite$"):
+            turning_number(Polyline(((0, 0), (1, 0), (bad, 1))))
 
 
 def test_plane_lifts():
@@ -194,6 +200,10 @@ def test_curve_file_parsing():
         load_curve("model=moebius\n0,0\n")
     with pytest.raises(CurveError):
         load_curve("model=plane\n0;0\n")
+    # a chart file with no vertex lines
+    for text in ("model=torus\n", "model=klein\n"):
+        with pytest.raises(CurveError, match="at least 3 vertices"):
+            load_curve(text)
     for bad in ("inf", "nan", "1e999"):
         with pytest.raises(CurveError, match="line 3: coordinates must be finite"):
             load_curve(f"model=torus\n0.5,0.5\n{bad},0.5\n1.5,0.5\n")
@@ -217,11 +227,19 @@ def test_klein_fiber_against_fold_frame_simulation():
     up to the fixed basepoint-frame sign, which is a fiber-conjugation)."""
     import random
 
-    from curvespace.flatcurves import _normalize_start, _segment_crossings
+    from curvespace.flatcurves import _segment_crossings
     from curvespace.words import klein_coordinates
 
+    def normalize_start(verts):
+        # pull the path back so its first vertex lies in the unit cell; an
+        # odd shift T^-i reflects the vertical coordinate
+        i, j = math.floor(verts[0][0]), math.floor(verts[0][1])
+        if i % 2 == 0:
+            return tuple((x - i, y - j) for x, y in verts)
+        return tuple((x - i, 1.0 - (y - j)) for x, y in verts)
+
     def fold_frame_fiber(curve):
-        verts = _normalize_start(curve.polyline.vertices, curve.model)
+        verts = normalize_start(curve.polyline.vertices)
         m = len(verts) - 1
         edges = [
             (verts[i + 1][0] - verts[i][0], verts[i + 1][1] - verts[i][1])
@@ -354,6 +372,17 @@ def test_loaded_curve_lifts_like_constructed_curve():
 def test_zero_length_edge_reported_before_open_endpoint():
     with pytest.raises(CurveError, match="zero-length edge"):
         load_curve("model=torus\n0.5,0.5\n0.5,0.5\n0.9,0.5\n")
+    # the rest of the order in which a chart curve's errors are reported
+    for verts, message in (
+        # a zero-length edge, then a vertex on a grid line
+        (((0.5, 0.5), (0.5, 0.5), (1.0, 0.6), (1.5, 0.5)), "may not lie on grid lines"),
+        # a cusp at vertex 1, then an open endpoint
+        (((0.5, 0.5), (1.2, 0.5), (0.9, 0.5), (1.7, 0.5)), "does not close up horizontally"),
+        # an edge past the crossing cap, then a cusp at its far end
+        (((0.5, 0.5), (300000.5, 0.5), (0.7, 0.5), (1.5, 0.5)), "cusp .* at vertex 1$"),
+    ):
+        with pytest.raises(CurveError, match=message):
+            lift(CurveOnSurface(Model.TORUS, Polyline(verts)), TORUS)
 
 
 def test_long_winding_circle_lifts_to_third_fiber_power():
