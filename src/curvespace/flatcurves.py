@@ -125,7 +125,9 @@ def _turning(verts) -> int:
     runs from vertex i to vertex i + 1; the closing edge n - 1 returns to
     vertex 0.  Each check keeps its first failure and raises it after the
     pass, in this order: a zero-length edge, a cusp (vertices 1 .. n - 1,
-    then vertex 0), an angle sum that is no multiple of 2 pi."""
+    then vertex 0), an angle sum that overflows (finite coordinates so large
+    that an edge or an angle's products are infinite), an angle sum that is
+    no multiple of 2 pi."""
     n = len(verts)
     if n < 3:
         raise CurveError("a closed polyline needs at least 3 vertices")
@@ -157,6 +159,8 @@ def _turning(verts) -> int:
         raise CurveError(f"zero-length edge at vertex {zero}")
     if cusp is not None:
         raise CurveError(f"cusp (exterior angle of +-pi) at vertex {cusp}")
+    if not math.isfinite(total):
+        raise CurveError("coordinates too large: the exterior angles overflow")
     turns = total / _TWO_PI
     if abs(turns - round(turns)) > _TURN_TOL:
         raise CurveError("exterior angles do not sum to a multiple of 2 pi")

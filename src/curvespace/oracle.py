@@ -177,13 +177,32 @@ def bounded_elements(surface: SurfaceSpec, bound: SearchBound) -> tuple[STWord, 
     return tuple(out)
 
 
+def _product(table: dict, u: STWord, v: STWord) -> STWord:
+    """``st_multiply(u, v)``, normalizing each pair of bases only once.
+
+    ``table`` maps a pair of base spellings to their product at fiber
+    zero and ``eps(v)``; the fibers then add up linearly, because pushing
+    ``f**m`` right through ``v`` turns it into ``f**(eps(v) m)``.
+    """
+    if u.residue is not None:
+        return st_multiply(u, v)
+    key = (u.base.letters, v.base.letters)
+    hit = table.get(key)
+    if hit is None:
+        z = st_multiply(STWord(u.surface, u.base, 0), STWord(v.surface, v.base, 0))
+        hit = table[key] = z, stbundle.base_character(v)
+    z, eps = hit
+    return STWord(z.surface, z.base, eps * u.fiber + v.fiber + z.fiber)
+
+
 def bounded_centralizer(
     surface: SurfaceSpec, xi: STWord, bound: SearchBound = SearchBound()
 ) -> tuple[STWord, ...]:
     """All bounded elements commuting with ``xi``, deterministically ordered."""
+    table: dict = {}
     out = []
     for el in bounded_elements(surface, bound):
-        if st_multiply(el, xi) == st_multiply(xi, el):
+        if _product(table, el, xi) == _product(table, xi, el):
             out.append(el)
     return tuple(out)
 
@@ -208,13 +227,14 @@ def _witness_products(witnesses, bound: SearchBound):
     if not witnesses:
         return []
     surface = witnesses[0].surface
+    table: dict = {}
     products = [stbundle.st_identity(surface)]
     for w in witnesses[: bound.max_depth]:
         powers = {0: stbundle.st_identity(surface)}
         for e in range(1, emax + 1):
-            powers[e] = st_multiply(powers[e - 1], w)
+            powers[e] = _product(table, powers[e - 1], w)
             powers[-e] = stbundle.st_invert(powers[e])
-        products = [st_multiply(p, powers[e]) for p in products for e in range(-emax, emax + 1)]
+        products = [_product(table, p, powers[e]) for p in products for e in range(-emax, emax + 1)]
     return products
 
 
@@ -258,8 +278,9 @@ def verify_classification(
 
     witnesses = report.group.witnesses
     products = _witness_products(witnesses, bound)
+    table: dict = {}
     for p in products:
-        if st_multiply(p, xi) != st_multiply(xi, p):
+        if _product(table, p, xi) != _product(table, xi, p):
             return VerificationOutcome(False, "a witness product fails to commute", p)
     product_set = set(products)
     for el in cent:

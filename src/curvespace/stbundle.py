@@ -114,11 +114,17 @@ def st_invert(u: STWord) -> STWord:
 
 
 def st_power(u: STWord, e: int) -> STWord:
+    """``u**e`` by repeated squaring: O(log |e|) products.  Normal forms are
+    canonical, so any bracketing of the product gives the same element."""
     if e < 0:
         return st_power(st_invert(u), -e)
     acc = st_identity(u.surface)
-    for _ in range(e):
-        acc = st_multiply(acc, u)
+    while e:
+        if e & 1:
+            acc = st_multiply(acc, u)
+        e >>= 1
+        if e:
+            u = st_multiply(u, u)
     return acc
 
 

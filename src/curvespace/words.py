@@ -14,7 +14,11 @@ Normal forms by regime:
   free reduction, Dehn shortening of subwords longer than half a cyclically
   rotated relator, and replacement of exactly-half subwords by their
   lexicographically smaller complements.  Together these rewrite every word
-  of the one-relator surface presentations to a unique shortlex-minimal form;
+  of the one-relator surface presentations to a unique shortlex-minimal form.
+  The shortening pass is linear in the word's length n.  The swap phase
+  costs O(L^2) per swap it tries (L the relator length) plus the O(n) copy
+  of each new orbit state; the orbit itself can grow exponentially and is
+  capped;
 * projective plane: the parity of the exponent sum; sphere: the empty word.
 
 Words are normalized only over the surface presentations that
@@ -213,9 +217,12 @@ def half_swaps(pres: Presentation) -> dict[Letters, tuple[tuple[Letters, int, in
 @cache
 def _dehn_tables(surface: SurfaceSpec):
     """``dehn_rules`` and ``half_swaps`` of a closed hyperbolic surface, built
-    once per surface."""
+    once per surface, and the character that all its generators share (+1 on
+    orientable surfaces, -1 for crosscaps), so that a word's character is
+    that sign to the power of its length."""
     pres = presentation(surface)
-    return dehn_rules(pres), half_swaps(pres)
+    (sign,) = {g.character for g in pres.generators}
+    return dehn_rules(pres), half_swaps(pres), sign
 
 
 # cap on the fixed-length swap orbit explored per normalization; generous for
@@ -223,43 +230,70 @@ def _dehn_tables(surface: SurfaceSpec):
 _SWAP_ORBIT_CAP = 4096
 
 
-def _find_shortening(w: Letters, rules, L: int) -> tuple[int, int] | None:
+def _dehn_shorten(w: Letters, rules, L: int, sign: int) -> tuple[Letters, int]:
+    """Dehn-irreducible form of the freely reduced ``w`` and the fiber shift.
+
+    Rewrites the leftmost occurrence of a rule left-hand side, the longest one
+    at that position, until none is left, in one left-to-right pass that is
+    linear in ``len(w)``.  ``done`` holds the letters left of the cursor and
+    ``todo`` the rest, reversed.  A rewrite and the free cancellation it sets
+    off leave every letter left of the cancellation's end as it was, so no
+    window ending there can match and the scan resumes ``L - 1`` letters
+    before that end.  The first ``L // 2 + 1`` letters of a left-hand side
+    are a left-hand side themselves, so one lookup clears a position.
+    """
     lo = L // 2 + 1
-    n = len(w)
-    for i in range(n):
-        top = min(L, n - i)
-        for size in range(top, lo - 1, -1):
-            if w[i : i + size] in rules:
-                return i, size
-    return None
+    done: list[int] = []
+    todo = list(reversed(w))
+    shift = 0
+    while len(todo) >= lo:
+        if tuple(todo[: -lo - 1 : -1]) not in rules:
+            done.append(todo.pop())
+            continue
+        window = tuple(todo[: -L - 1 : -1])
+        size = next(k for k in range(len(window), lo - 1, -1) if window[:k] in rules)
+        rhs, e, eps_rhs = rules[window[:size]]
+        del todo[-size:]
+        shift += e * eps_rhs * sign ** len(todo)
+        for x in reversed(rhs):
+            if todo and todo[-1] == -x:
+                todo.pop()
+            else:
+                todo.append(x)
+        while done and todo and done[-1] == -todo[-1]:
+            done.pop()
+            todo.pop()
+        cut = max(0, len(done) - L + 1)
+        todo += reversed(done[cut:])
+        del done[cut:]
+    done += reversed(todo)
+    return tuple(done), shift
 
 
 def _dehn_normalize(letters, pres: Presentation) -> tuple[Letters, int]:
     """Normal form plus the accumulated fiber shift.
 
-    Free reduction and Dehn shortening run to a fixpoint; then the orbit of
-    the word under half-relator swaps is explored and the shortlex-least
-    member is taken (restarting whenever a swap exposes a further
-    shortening).  Equal-length spellings of one element are connected by
-    such swaps in the one-relator surface presentations, which makes the
-    result a canonical form; the randomized associativity suites and the
-    brute-force oracle cross-check this.
+    Phase 1 frees and Dehn-shortens the word (:func:`_dehn_shorten`, linear
+    in its length).  Phase 2 explores the orbit of the result under
+    half-relator swaps and takes the shortlex-least member, going back to
+    phase 1 whenever a swap exposes a further shortening.  Every orbit state
+    is freely reduced and Dehn-irreducible, so a swap at ``i`` can only
+    cancel at its two seams or shorten through a window that overlaps
+    ``[i, i + L/2)``: a swap costs O(L^2) for those checks plus the copy of
+    the state.  Equal-length spellings of one element are connected by such
+    swaps in the one-relator surface presentations, which makes the result a
+    canonical form; the randomized associativity suites and the brute-force
+    oracle cross-check this.
     """
-    rules, swaps = _dehn_tables(pres.surface)
+    rules, swaps, sign = _dehn_tables(pres.surface)
     L = len(pres.relators[0])
     half = L // 2
+    lo = half + 1
     w = free_reduce(letters)
     shift = 0
     while True:
-        # phase 1: shorten to a Dehn-irreducible word, leftmost-longest
-        while True:
-            hit = _find_shortening(w, rules, L)
-            if hit is None:
-                break
-            i, size = hit
-            rhs, e, eps_rhs = rules[w[i : i + size]]
-            shift += e * eps_rhs * pres.word_character(w[i + size :])
-            w = free_reduce(w[:i] + rhs + w[i + size :])
+        w, moved = _dehn_shorten(w, rules, L, sign)
+        shift += moved
         if not swaps:
             return w, shift
         # phase 2: canonicalize across the fixed-length swap orbit
@@ -271,13 +305,22 @@ def _dehn_normalize(letters, pres: Presentation) -> tuple[Letters, int]:
             fs = seen[s]
             n = len(s)
             for i in range(n - half + 1):
-                seg = s[i : i + half]
-                for rhs, e, eps_rhs in swaps.get(seg, ()):
-                    cand_shift = fs + e * eps_rhs * pres.word_character(s[i + half :])
-                    cand = s[:i] + rhs + s[i + half :]
-                    reduced = free_reduce(cand)
-                    if len(reduced) < len(cand) or _find_shortening(reduced, rules, L):
-                        restart = (reduced, cand_shift)
+                alternatives = swaps.get(s[i : i + half])
+                if alternatives is None:
+                    continue
+                head, tail = s[:i], s[i + half :]
+                twist = sign ** len(tail)
+                # the starts of the shortest windows that overlap the swap
+                starts = range(max(0, i - half), min(i + half, n - half))
+                for rhs, e, eps_rhs in alternatives:
+                    cand_shift = fs + e * eps_rhs * twist
+                    cand = head + rhs + tail
+                    if (
+                        (head and head[-1] == -rhs[0])
+                        or (tail and tail[0] == -rhs[-1])
+                        or any(cand[j : j + lo] in rules for j in starts)
+                    ):
+                        restart = (free_reduce(cand), cand_shift)
                         break
                     if cand in seen:
                         if seen[cand] != cand_shift:
@@ -409,7 +452,7 @@ _ORBIT_CAP = 20000
 def _cyclic_orbit(pres, letters, cap=_ORBIT_CAP) -> dict[Letters, Letters]:
     """All reachable cyclic spellings ``s`` with conjugators ``c``:
     the input element equals ``c s c^-1``."""
-    rules, swaps = _dehn_tables(pres.surface)
+    rules, swaps, _ = _dehn_tables(pres.surface)
     L = len(pres.relators[0])
     half = L // 2
     p0, s0 = cyclic_free_reduce(letters)

@@ -170,6 +170,8 @@ def test_non_finite_curve_exits2_without_traceback(tmp_path):
         ("inf", "model=torus\n0.5,0.5\ninf,0.5\n1.5,0.5\n", "coordinates must be finite"),
         ("nan", "model=torus\n0.5,0.5\nnan,0.5\n1.5,0.5\n", "coordinates must be finite"),
         ("header", "model=torus\n", "at least 3 vertices"),
+        # finite, but the plane edges overflow to infinity
+        ("huge", "model=plane\n1e308,0\n-1e308,0\n0,1e308\n", "coordinates too large"),
         # finite, but the path crosses 10^6 grid lines: without the cap this
         # loads (exit 0), where farther points would exhaust memory instead
         (

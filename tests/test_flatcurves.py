@@ -82,6 +82,9 @@ def test_regularity_rejections():
     for bad in (math.inf, math.nan):
         with pytest.raises(CurveError, match="^coordinates must be finite$"):
             turning_number(Polyline(((0, 0), (1, 0), (bad, 1))))
+    # finite, but the edges overflow
+    with pytest.raises(CurveError, match="^coordinates too large"):
+        turning_number(Polyline(((1e308, 0), (-1e308, 0), (0, 1e308))))
 
 
 def test_plane_lifts():
@@ -200,6 +203,8 @@ def test_curve_file_parsing():
         load_curve("model=moebius\n0,0\n")
     with pytest.raises(CurveError):
         load_curve("model=plane\n0;0\n")
+    with pytest.raises(CurveError, match="^coordinates too large"):
+        load_curve("model=plane\n1e308,0\n-1e308,0\n0,1e308\n")
     # a chart file with no vertex lines
     for text in ("model=torus\n", "model=klein\n"):
         with pytest.raises(CurveError, match="at least 3 vertices"):

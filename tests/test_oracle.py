@@ -89,6 +89,19 @@ def test_centralizer_contains_identity_inverse_and_self():
                 assert inv in els
 
 
+def test_centralizer_of_reversing_elements_matches_plain_products():
+    """Orientation-reversing elements flip the fiber of what they commute
+    past, so each fiber copy of a base needs the right sign; the reference
+    makes two full products per element."""
+    bound = SearchBound(3, 2, 4)
+    for surface, text in ((KLEIN, "c1"), (KLEIN, "c2 f^2"), (NONOR3, "c1"), (NONOR3, "c1 c2 c3 F")):
+        xi = ST(text, surface)
+        reference = tuple(
+            el for el in bounded_elements(surface, bound) if st_multiply(el, xi) == st_multiply(xi, el)
+        )
+        assert bounded_centralizer(surface, xi, bound) == reference, (surface, text)
+
+
 def test_centralizer_order_is_deterministic():
     bound = SearchBound(3, 2, 4)
     a = bounded_centralizer(KLEIN, ST("c1", KLEIN), bound)

@@ -260,3 +260,14 @@ def test_power():
     assert st_power(u, 4) == ST("c1^4", NONOR3)
     assert st_power(u, -2) == st_invert(st_multiply(u, u))
     assert st_power(u, 0) == st_identity(NONOR3)
+    # odd and negative exponents against one product per factor
+    for surface, text in ((GENUS2, "a1 b2 f"), (NONOR3, "c1 c2 F^2"), (KLEIN, "c1 f")):
+        v = ST(text, surface)
+        for e in (1, 3, 5, 7, 13, -1, -3, -6, -11):
+            ref = st_identity(surface)
+            for _ in range(abs(e)):
+                ref = st_multiply(ref, v if e > 0 else st_invert(v))
+            assert st_power(v, e) == ref, (surface, text, e)
+    # a long power: quadratic when each factor renormalized the product
+    d = decompose(ST("a1^4000", GENUS2))
+    assert st_text(d.root_lift) == "a1" and (d.k, d.l) == (4000, 0)

@@ -19,7 +19,18 @@ from curvespace import (
 )
 from curvespace.classify import KLEIN_BOTTLE_PRESENTATION
 from curvespace.oracle import SearchBound, bounded_is_trivial
-from curvespace.words import Word, free_reduce, klein_coordinates, spell_klein, word
+from curvespace.stbundle import st_parse, st_text, st_word
+from curvespace.words import (
+    Word,
+    _dehn_shorten,
+    _dehn_tables,
+    free_reduce,
+    invert_letters,
+    klein_coordinates,
+    parse_letters,
+    spell_klein,
+    word,
+)
 
 from conftest import GENUS2, KLEIN, NONOR3, PUNCTURED_TORUS, RP2, TORUS, W
 
@@ -291,3 +302,49 @@ def test_is_trivial_oracle_agreement_sweep():
     for conj in ((), (1,), (2, 3)):
         letters = conj + relator + tuple(-x for x in reversed(conj))
         check(letters)
+
+
+def test_dehn_pass_resumes_after_deep_cancellation():
+    """Removing the relator copy ``b2 A2 B2 a1 b1 A1 B1 a2`` sets off the
+    cancellation of ``b2^12`` against ``B2^12``, which exposes the left-hand
+    side ``a1 b1 A1 B1 a2`` 15 letters left of the removed copy.  The Dehn
+    pass must rewrite it too: one that resumed only L = 8 letters back
+    would hand ``a1 b1 A1 B1 a2`` with fiber -2 to the swap phase."""
+    text = "a1 b1 A1 b2^13 A2 B2 a1 b1 A1 B1 a2 B2^12 B1 a2"
+    assert st_text(st_parse(text, GENUS2)) == "b2 a2 B2 F^4"
+    rules, _, sign = _dehn_tables(GENUS2)
+    letters = parse_letters(text, presentation(GENUS2).names())
+    assert _dehn_shorten(free_reduce(letters), rules, 8, sign) == (W("b2 a2 B2", GENUS2).letters, -4)
+
+
+def test_dehn_pass_leaves_no_shortening():
+    """No window of the pass's output is a rule left-hand side, on words
+    built from relator pieces so that rewrites cascade."""
+    rng = random.Random(41)
+    for surface in (GENUS2, NONOR3):
+        pres = presentation(surface)
+        rules, _, sign = _dehn_tables(surface)
+        relator = pres.relators[0]
+        L = len(relator)
+        pieces = [relator, invert_letters(relator)]
+        pieces = [p[r:] + p[:r] for p in pieces for r in range(L)]
+        for _ in range(300):
+            letters = ()
+            for _ in range(rng.randrange(1, 12)):
+                piece = rng.choice(pieces)
+                letters += piece[: rng.randrange(1, L + 1)]
+            w, _ = _dehn_shorten(free_reduce(letters), rules, L, sign)
+            assert w == free_reduce(w)
+            for i in range(len(w)):
+                for size in range(L // 2 + 1, L + 1):
+                    assert i + size > len(w) or w[i : i + size] not in rules, (surface, letters)
+
+
+def test_dehn_pass_on_a_long_word_with_relator_copies():
+    """``a1^n`` followed by n/10 relator copies: every copy is removed and
+    lifts to ``f^chi``; at this length a quadratic pass takes minutes."""
+    n = 20_000
+    pres = presentation(GENUS2)
+    u = st_word(GENUS2, (1,) * n + pres.relators[0] * (n // 10), 0)
+    assert u.base.letters == (1,) * n
+    assert u.fiber == -2 * (n // 10)
