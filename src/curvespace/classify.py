@@ -276,9 +276,10 @@ def classify_pin(surface: SurfaceSpec, n: int) -> GroupDescription:
     return GroupDescription(Kind.TRIVIAL_GROUP)
 
 
-def regular_homotopy_equivalent(surface: SurfaceSpec, u: STWord, v: STWord):
-    """Are two tangent lifts freely homotopic in the tangent bundle?
-    True / False / ``UNDECIDED``."""
+def regular_homotopy_equivalent(surface: SurfaceSpec, u: STWord, v: STWord) -> bool:
+    """Are two tangent lifts freely homotopic in the tangent bundle?  Raises
+    :class:`~curvespace.words.SearchExhausted` if a closed-hyperbolic search
+    hits its cap."""
     if u.surface != surface or v.surface != surface:
         raise ValueError("elements do not live over the given surface")
     return st_is_conjugate(u, v)

@@ -150,17 +150,11 @@ def _cmd_reghom(args) -> int:
     v = _reghom_input(args.inputs[1], spec)
     verdict = regular_homotopy_equivalent(spec, u, v)
     if args.format == "structured":
-        value = {True: "true", False: "false"}.get(verdict, "undecided")
-        _emit([f"lift.1={st_text(u)}", f"lift.2={st_text(v)}", f"equivalent={value}"])
+        _emit([f"lift.1={st_text(u)}", f"lift.2={st_text(v)}", f"equivalent={'true' if verdict else 'false'}"])
     else:
-        msg = {
-            True: "regularly homotopic",
-            False: "not regularly homotopic",
-        }.get(verdict, "undecided at the search bound")
+        msg = "regularly homotopic" if verdict else "not regularly homotopic"
         _emit(f"{st_text(u)} vs {st_text(v)}: {msg}")
-    if verdict is True:
-        return 0
-    return 1 if verdict is False else 3
+    return 0 if verdict else 1
 
 
 def _cmd_verify(args) -> int:

@@ -124,10 +124,11 @@ def _turning(verts) -> int:
     """Turning number of the closed polygon ``verts`` in one pass.  Edge i
     runs from vertex i to vertex i + 1; the closing edge n - 1 returns to
     vertex 0.  Each check keeps its first failure and raises it after the
-    pass, in this order: a zero-length edge, a cusp (vertices 1 .. n - 1,
-    then vertex 0), an angle sum that overflows (finite coordinates so large
-    that an edge or an angle's products are infinite), an angle sum that is
-    no multiple of 2 pi."""
+    pass, in this order: a zero-length edge, an overflow (finite coordinates
+    so large that an edge or a corner's products are not finite), a cusp
+    (vertices 1 .. n - 1, then vertex 0), an angle sum that is no multiple
+    of 2 pi.  An overflowing product can pass for a cusp or a wrong angle,
+    so only those failures, never a valid curve, pay for :func:`_overflows`."""
     n = len(verts)
     if n < 3:
         raise CurveError("a closed polyline needs at least 3 vertices")
@@ -157,14 +158,29 @@ def _turning(verts) -> int:
     total += a
     if zero is not None:
         raise CurveError(f"zero-length edge at vertex {zero}")
+    turns = total / _TWO_PI
+    whole = math.isfinite(turns) and abs(turns - round(turns)) <= _TURN_TOL
+    if (cusp is not None or not whole) and _overflows(verts):
+        raise CurveError("coordinates too large: the exterior angles overflow")
     if cusp is not None:
         raise CurveError(f"cusp (exterior angle of +-pi) at vertex {cusp}")
-    if not math.isfinite(total):
-        raise CurveError("coordinates too large: the exterior angles overflow")
-    turns = total / _TWO_PI
-    if abs(turns - round(turns)) > _TURN_TOL:
+    if not whole:
         raise CurveError("exterior angles do not sum to a multiple of 2 pi")
     return round(turns)
+
+
+def _overflows(verts) -> bool:
+    """True if some corner of the closed polygon has a cross or dot product
+    of its two edges that is not finite, computed as :func:`_turning` does."""
+    isfinite = math.isfinite
+    (px, py), (x, y) = verts[-2], verts[-1]
+    ux, uy = x - px, y - py
+    for nx, ny in verts:
+        ex, ey = nx - x, ny - y
+        if not (isfinite(ux * ey - uy * ex) and isfinite(ux * ex + uy * ey)):
+            return True
+        x, y, ux, uy = nx, ny, ex, ey
+    return False
 
 
 # ---------------------------------------------------------------------------

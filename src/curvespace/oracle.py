@@ -45,7 +45,9 @@ class SearchBound(_SearchBound):
 #: acceptance battery stays well under a minute
 VERIFY_BOUND = SearchBound(max_word_length=4, max_fiber=3, max_depth=4)
 
-UNDECIDED = stbundle.UNDECIDED
+#: :func:`bounded_is_trivial`'s verdict when the box neither reaches the
+#: empty word nor certifies nontriviality
+UNDECIDED = "undecided"
 
 # hard cap on BFS states, independent of the requested bounds
 _STATE_CAP = 120_000
@@ -149,31 +151,23 @@ def _reduced_words(names_count: int, max_len: int):
         layer = nxt
 
 
-def _sort_key(el: STWord):
-    if el.residue is not None:
-        return (0, el.residue, 0)
-    return (len(el.base.letters), str(el.base), el.fiber)
-
-
 @lru_cache(maxsize=None)
 def bounded_elements(surface: SurfaceSpec, bound: SearchBound) -> tuple[STWord, ...]:
     """Every normal-form element with base length and |fiber| inside the box,
-    in (length, spelling, fiber) order."""
+    in enumeration order: base length, then shortlex on the letters (a
+    generator before its inverse, generators in presentation order), then
+    fiber."""
     reg = regime(surface)
     if reg in (Regime.SPHERE, Regime.RP2):
         order = 2 if reg is Regime.SPHERE else 4
         return tuple(STWord(surface, None, None, r) for r in range(order))
     pres = presentation(surface)
-    bases = {}
-    for letters in _reduced_words(len(pres.generators), bound.max_word_length):
-        el = st_word(surface, letters, 0)
-        if el.base.letters == letters:  # keep normal forms only
-            bases.setdefault(letters, el.base)
+    fibers = range(-bound.max_fiber, bound.max_fiber + 1)
     out = []
-    for letters, base in bases.items():
-        for m in range(-bound.max_fiber, bound.max_fiber + 1):
-            out.append(STWord(surface, base, m, None))
-    out.sort(key=_sort_key)
+    for letters in _reduced_words(len(pres.generators), bound.max_word_length):
+        base = st_word(surface, letters, 0).base
+        if base.letters == letters:  # keep normal forms only
+            out.extend(STWord(surface, base, m, None) for m in fibers)
     return tuple(out)
 
 
@@ -257,20 +251,24 @@ def verify_classification(
     cent = bounded_centralizer(surface, xi, bound)
     box = bounded_elements(surface, bound)
 
+    # a failing check reports the first offending element in box order
     if kind in (Kind.FULL_ST_GROUP, Kind.Z2, Kind.Z4):
         if len(cent) != len(box):
-            missing = next(el for el in box if el not in set(cent))
+            members = set(cent)
+            missing = next(el for el in box if el not in members)
             return VerificationOutcome(
                 False, "an element of the box fails to commute", missing
             )
         return VerificationOutcome(True, f"whole box of {len(box)} elements commutes")
 
     if kind is Kind.ORIENTATION_PRESERVING_SUBGROUP:
-        expected = tuple(el for el in box if stbundle.base_character(el) == +1)
-        if set(cent) != set(expected):
-            bad = set(cent).symmetric_difference(expected)
+        members = set(cent)
+        bad = next(
+            (el for el in box if (el in members) != (stbundle.base_character(el) == +1)), None
+        )
+        if bad is not None:
             return VerificationOutcome(
-                False, "centralizer differs from the orientation-preserving box", sorted(bad, key=_sort_key)[0]
+                False, "centralizer differs from the orientation-preserving box", bad
             )
         return VerificationOutcome(
             True, f"centralizer equals the orientation-preserving half ({len(cent)} elements)"

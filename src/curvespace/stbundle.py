@@ -29,10 +29,7 @@ from .words import (
     normalize_with_fiber,
     parse_letters,
     primitive_root,
-    SearchExhausted,
 )
-
-UNDECIDED = "undecided"
 
 _FINITE_ORDER = {Regime.SPHERE: 2, Regime.RP2: 4}
 
@@ -142,8 +139,10 @@ def st_conjugate(u: STWord, by: STWord) -> STWord:
 # conjugacy
 
 
-def st_is_conjugate(u: STWord, v: STWord):
-    """True/False, or ``UNDECIDED`` if a closed-hyperbolic search hit its cap."""
+def st_is_conjugate(u: STWord, v: STWord) -> bool:
+    """Are ``u`` and ``v`` conjugate?  Raises
+    :class:`~curvespace.words.SearchExhausted` if a closed-hyperbolic search
+    hits its cap."""
     _check_ambient(u, v)
     reg = regime(u.surface)
     if u.residue is not None:
@@ -162,10 +161,7 @@ def st_is_conjugate(u: STWord, v: STWord):
             return True
         has_reversing = any(g.character < 0 for g in u.base.ambient.generators)
         return has_reversing and u.fiber == -v.fiber
-    try:
-        return _coset_st_conjugate(u, v)
-    except SearchExhausted:
-        return UNDECIDED
+    return _coset_st_conjugate(u, v)
 
 
 def _klein_st_conjugate(u: STWord, v: STWord) -> bool:

@@ -449,7 +449,7 @@ def _klein_conjugator(pres, lu, lv) -> Word | None:
 _ORBIT_CAP = 20000
 
 
-def _cyclic_orbit(pres, letters, cap=_ORBIT_CAP) -> dict[Letters, Letters]:
+def _cyclic_orbit(pres, letters) -> dict[Letters, Letters]:
     """All reachable cyclic spellings ``s`` with conjugators ``c``:
     the input element equals ``c s c^-1``."""
     rules, swaps, _ = _dehn_tables(pres.surface)
@@ -482,7 +482,7 @@ def _cyclic_orbit(pres, letters, cap=_ORBIT_CAP) -> dict[Letters, Letters]:
                         nexts.append((core, c + extra))
         for core, conj in nexts:
             if core not in seen:
-                if len(seen) >= cap:
+                if len(seen) >= _ORBIT_CAP:
                     raise SearchExhausted("conjugacy orbit exceeded its cap")
                 seen[core] = conj
                 queue.append(core)
@@ -584,10 +584,9 @@ def _dehn_root(pres, letters) -> tuple[Word, int]:
     assert best is not None
     e, seed, c = best
     root = word(pres, c + seed + invert_letters(c))
-    # sanity: root^e really is u
+    # sanity: root^e really is u (``letters`` is already in normal form)
     power = word(pres, root.letters * e)
-    target = word(pres, letters)
-    if power.letters != target.letters:
+    if power.letters != letters:
         raise AssertionError("primitive root verification failed")
     return root, e
 

@@ -1,6 +1,7 @@
 import pytest
 
-from curvespace import SurfaceSpec, presentation, parse_word, st_parse
+from curvespace import SurfaceSpec, presentation, st_parse
+from curvespace.words import parse_word
 
 
 SPHERE = SurfaceSpec(True, 0, 0)

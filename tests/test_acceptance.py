@@ -9,31 +9,27 @@ import zlib
 
 from curvespace import (
     CurveOnSurface,
-    Kind,
-    Model,
     Polyline,
     SurfaceSpec,
-    abelianization,
-    base_character,
     classify_pi1,
-    classify_pin,
-    decompose,
-    lift,
-    multiply,
-    orientation_character,
     presentation,
-    regular_homotopy_equivalent,
+    st_parse,
+    st_presentation,
+    verify_classification,
+)
+from curvespace.surfaces import abelianization
+from curvespace.words import multiply, orientation_character, word
+from curvespace.stbundle import (
+    base_character,
+    decompose,
     st_invert,
     st_is_trivial,
     st_multiply,
-    st_parse,
-    st_presentation,
     st_text,
     st_word,
-    turning_number,
-    verify_classification,
-    word,
 )
+from curvespace.flatcurves import Model, lift, turning_number
+from curvespace.classify import Kind, classify_pin, regular_homotopy_equivalent
 
 SPHERE = SurfaceSpec(True, 0, 0)
 TORUS = SurfaceSpec(True, 1, 0)

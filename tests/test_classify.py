@@ -1,19 +1,9 @@
 import pytest
 
-from curvespace import (
-    Kind,
-    SurfaceSpec,
-    classify_pi1,
-    classify_pin,
-    regular_homotopy_equivalent,
-    st_is_trivial,
-    st_multiply,
-    st_parse,
-    st_power,
-    st_text,
-    verify_classification,
-)
+from curvespace import SurfaceSpec, classify_pi1, st_parse, verify_classification
 from curvespace.words import klein_coordinates
+from curvespace.stbundle import st_is_trivial, st_multiply, st_power, st_text
+from curvespace.classify import Kind, classify_pin, regular_homotopy_equivalent
 
 from conftest import GENUS2, GENUS3, KLEIN, NONOR3, RP2, SPHERE, TORUS, ST
 
@@ -134,7 +124,7 @@ def test_nonorientable_cases():
 
 def test_nonorientable_case_I_witness_squares_to_root_square():
     """The Z witness w = root f^l satisfies w^2 = root^2 (fiber cancels)."""
-    from curvespace import st_word
+    from curvespace.stbundle import st_word
 
     for text in ("c1", "c1 f^2", "c3 F", "c1 c2 c1"):
         xi = st_parse(text, NONOR3)
@@ -149,7 +139,7 @@ def test_nonorientable_case_I_witness_squares_to_root_square():
 def test_kbg_witnesses_satisfy_relation():
     report = classify_pi1(NONOR3, ST("c1^2", NONOR3))
     x, y = report.group.witnesses
-    from curvespace import st_invert
+    from curvespace.stbundle import st_invert
 
     rel = st_multiply(st_multiply(st_multiply(x, y), st_invert(x)), y)
     assert st_is_trivial(rel)
@@ -192,7 +182,8 @@ def test_case_labels_total_and_fixed():
         "Thm 6 III b",
     }
     rng = random.Random(3)
-    from curvespace import presentation, st_word
+    from curvespace import presentation
+    from curvespace.stbundle import st_word
 
     for surface in (SPHERE, RP2, TORUS, KLEIN, GENUS2, NONOR3, SurfaceSpec(False, 2, 1)):
         pres = presentation(surface)

@@ -1,6 +1,9 @@
 import os
+import pathlib
+import re
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -209,15 +212,55 @@ def test_cli_import_leaves_out_dataclasses():
     assert proc.stdout.split() == ["False"]
 
 
+DOCUMENTED_API = {
+    "SurfaceSpec",
+    "st_parse",
+    "classify_pi1",
+    "verify_classification",
+    "Generator",
+    "Presentation",
+    "Word",
+    "STWord",
+    "LiftDecomposition",
+    "Polyline",
+    "Crossing",
+    "CurveOnSurface",
+    "GroupDescription",
+    "ClassificationReport",
+    "SearchBound",
+    "VerificationOutcome",
+    "presentation",
+    "st_presentation",
+}
+
+
+def test_top_level_exports_are_the_documented_api():
+    import curvespace
+
+    public = {
+        name
+        for name, value in vars(curvespace).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == DOCUMENTED_API
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    library = readme.split("\n## Library\n", 1)[1]
+    assert all(f"`{name}`" in library for name in DOCUMENTED_API)
+    example = re.search(r"```python\n(.*?)```", library, re.S).group(1)
+    exec(compile(example, "README.md", "exec"), {})
+
+
 def test_tripped_search_cap_exits3_without_traceback():
     import curvespace
 
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(curvespace.__file__)))
     long_word = " ".join(["c1 c1 c2"] * 13)  # past the half-relator swap cap
+    block_word = " ".join(["a1 b1 A1 B1 a1"] * 12)  # past the conjugacy orbit cap
     surface = ["--surface", "nonorientable:3:0"]
     for argv in (
         ["classify", *surface, "--format", "structured", "--word", long_word],
         ["reghom", *surface, f"word:{long_word}", "word:c1"],
+        ["reghom", "--surface", "orientable:2:0", f"word:{block_word}", f"word:{block_word}"],
     ):
         proc = subprocess.run(
             [sys.executable, "-m", "curvespace.cli", *argv],
@@ -251,4 +294,4 @@ def test_structured_classify_roundtrips_witnesses(capsys):
         if line.startswith("witness."):
             text = line.split("=", 1)[1]
             el = curvespace.st_parse(text, surface)
-            assert curvespace.st_text(el) == text
+            assert curvespace.stbundle.st_text(el) == text

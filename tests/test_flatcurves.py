@@ -2,24 +2,18 @@ import math
 
 import pytest
 
-from curvespace import (
+from curvespace import CurveOnSurface, Polyline, classify_pi1, st_parse, verify_classification
+from curvespace.stbundle import st_is_trivial, st_multiply, st_text
+from curvespace.flatcurves import (
     CurveError,
-    CurveOnSurface,
-    Kind,
     Model,
-    Polyline,
-    classify_pi1,
+    _chart_data,
     crossing_log,
     lift,
     load_curve,
-    st_is_trivial,
-    st_multiply,
-    st_parse,
-    st_text,
     turning_number,
-    verify_classification,
 )
-from curvespace.flatcurves import _chart_data
+from curvespace.classify import Kind
 
 from conftest import KLEIN, NONOR3, RP2, SPHERE, TORUS
 
@@ -82,9 +76,14 @@ def test_regularity_rejections():
     for bad in (math.inf, math.nan):
         with pytest.raises(CurveError, match="^coordinates must be finite$"):
             turning_number(Polyline(((0, 0), (1, 0), (bad, 1))))
-    # finite, but the edges overflow
-    with pytest.raises(CurveError, match="^coordinates too large"):
-        turning_number(Polyline(((1e308, 0), (-1e308, 0), (0, 1e308))))
+    # finite, but the edges overflow; near 1e154 the corner products overflow
+    # without a NaN and once passed for a cusp at vertex 0
+    for huge in (
+        ((1e308, 0), (-1e308, 0), (0, 1e308)),
+        ((2.41e154, -3.67e153), (-6.43e153, 8.48e153), (1.57e154, -1.83e153)),
+    ):
+        with pytest.raises(CurveError, match="^coordinates too large"):
+            turning_number(Polyline(huge))
 
 
 def test_plane_lifts():

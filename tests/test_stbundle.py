@@ -2,26 +2,23 @@ import random
 
 import pytest
 
-from curvespace import (
-    TrivialWordError,
+from curvespace import presentation, st_parse, st_presentation
+from curvespace.words import TrivialWordError, Word, klein_coordinates
+from curvespace.stbundle import (
     base_character,
     decompose,
     fiber_generator,
-    presentation,
     st_conjugate,
     st_identity,
     st_invert,
     st_is_conjugate,
     st_is_trivial,
     st_multiply,
-    st_parse,
     st_power,
     st_text,
-    st_presentation,
     st_word,
 )
 from curvespace.oracle import SearchBound, bounded_is_trivial
-from curvespace.words import Word, klein_coordinates
 
 from conftest import (
     GENUS2,

@@ -1,19 +1,9 @@
 import pytest
 
-from curvespace import (
-    Generator,
-    Presentation,
-    Regime,
-    SurfaceError,
-    SurfaceSpec,
-    abelianization,
-    euler_characteristic,
-    presentation,
-    regime,
-    st_presentation,
-)
-from curvespace.oracle import SearchBound, bounded_is_trivial
+from curvespace import Generator, Presentation, SurfaceSpec, presentation, st_presentation
+from curvespace.surfaces import Regime, SurfaceError, abelianization, euler_characteristic, regime
 from curvespace.words import Word, free_reduce
+from curvespace.oracle import SearchBound, bounded_is_trivial
 
 from conftest import ALL_REGIME_SAMPLES, KLEIN, GENUS2, RP2, SPHERE, TORUS
 

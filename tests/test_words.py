@@ -2,35 +2,32 @@ import random
 
 import pytest
 
-from curvespace import (
+from curvespace import presentation, st_presentation
+from curvespace.words import (
     AmbientMismatchError,
     TrivialWordError,
-    conjugating_element,
-    invert,
-    is_conjugate,
-    is_trivial,
-    multiply,
-    orientation_character,
-    parse_word,
-    presentation,
-    primitive_root,
-    st_presentation,
-    word_text,
-)
-from curvespace.classify import KLEIN_BOTTLE_PRESENTATION
-from curvespace.oracle import SearchBound, bounded_is_trivial
-from curvespace.stbundle import st_parse, st_text, st_word
-from curvespace.words import (
     Word,
     _dehn_shorten,
     _dehn_tables,
+    conjugating_element,
     free_reduce,
+    invert,
     invert_letters,
+    is_conjugate,
+    is_trivial,
     klein_coordinates,
+    multiply,
+    orientation_character,
     parse_letters,
+    parse_word,
+    primitive_root,
     spell_klein,
     word,
+    word_text,
 )
+from curvespace.stbundle import st_parse, st_text, st_word
+from curvespace.classify import KLEIN_BOTTLE_PRESENTATION
+from curvespace.oracle import SearchBound, bounded_is_trivial
 
 from conftest import GENUS2, KLEIN, NONOR3, PUNCTURED_TORUS, RP2, TORUS, W
 
