@@ -3,11 +3,10 @@
 ``classify_pi1`` answers "what is the fundamental group of the space of
 immersed closed curves, based at this curve?" by computing the centralizer
 of the curve's tangent lift inside the tangent-bundle group.  Every answer
-carries explicit generator witnesses (or, for the whole-group and index-two
-answers, a presentation / membership predicate), so the brute-force oracle
-can check it.  ``classify_pin`` answers the same question for the higher
-homotopy groups, which only the sphere and the projective plane make
-nontrivial.
+carries explicit generator witnesses (or, for the index-two answer, a
+membership predicate), so the brute-force oracle can check it.
+``classify_pin`` answers the same question for the higher homotopy groups,
+which only the sphere and the projective plane make nontrivial.
 """
 
 from __future__ import annotations
@@ -15,14 +14,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple
 
-from .surfaces import (
-    Generator,
-    Presentation,
-    Regime,
-    SurfaceSpec,
-    regime,
-    st_presentation,
-)
+from .surfaces import Regime, SurfaceSpec, presentation, regime
 from .words import klein_coordinates, spell_klein
 from .stbundle import (
     STWord,
@@ -53,10 +45,6 @@ class Kind(Enum):
 
 _RANK = {Kind.Z: 1, Kind.ZXZ: 2, Kind.KLEIN_BOTTLE_GROUP: 2, Kind.ZXZXZ: 3}
 
-KLEIN_BOTTLE_PRESENTATION = Presentation(
-    (Generator("x", -1), Generator("y", +1)), ((1, 2, -1, 2),)
-)
-
 ORIENTATION_PRESERVING_PREDICATE = (
     "elements whose base projection preserves orientation (character +1)"
 )
@@ -65,7 +53,6 @@ ORIENTATION_PRESERVING_PREDICATE = (
 class _GroupDescription(NamedTuple):
     kind: Kind
     witnesses: tuple[STWord, ...]
-    presentation: Presentation | None
     membership: str | None
     sphere_sum_degree: int | None
 
@@ -80,7 +67,6 @@ class GroupDescription(_GroupDescription):
         cls,
         kind: Kind,
         witnesses: tuple[STWord, ...] = (),
-        presentation: Presentation | None = None,
         membership: str | None = None,
         sphere_sum_degree: int | None = None,
     ):
@@ -89,7 +75,7 @@ class GroupDescription(_GroupDescription):
         want = _RANK.get(kind)
         if want is not None and witnesses and len(witnesses) != want:
             raise ValueError(f"{kind.value} needs {want} witnesses")
-        return super().__new__(cls, kind, witnesses, presentation, membership, sphere_sum_degree)
+        return super().__new__(cls, kind, witnesses, membership, sphere_sum_degree)
 
     def label(self) -> str:
         if self.kind is Kind.SYMBOLIC_SPHERE_SUM:
@@ -154,14 +140,11 @@ class ClassificationReport(NamedTuple):
 
 
 def _full_group(surface: SurfaceSpec) -> GroupDescription:
-    pres = st_presentation(surface)
-    reg = regime(surface)
     witnesses = []
-    if reg not in (Regime.SPHERE, Regime.RP2):
-        base = pres.generators[:-1]
-        witnesses = [generator_lift(surface, g.name) for g in base]
+    if regime(surface) not in (Regime.SPHERE, Regime.RP2):
+        witnesses = [generator_lift(surface, g.name) for g in presentation(surface).generators]
     witnesses.append(fiber_generator(surface))
-    return GroupDescription(Kind.FULL_ST_GROUP, tuple(witnesses), presentation=pres)
+    return GroupDescription(Kind.FULL_ST_GROUP, tuple(witnesses))
 
 
 def classify_pi1(surface: SurfaceSpec, xi: STWord) -> ClassificationReport:
@@ -175,17 +158,11 @@ def classify_pi1(surface: SurfaceSpec, xi: STWord) -> ClassificationReport:
         return ClassificationReport(surface, source, xi, case, group, dec)
 
     if reg is Regime.SPHERE:
-        group = GroupDescription(
-            Kind.Z2, (fiber_generator(surface),), presentation=st_presentation(surface)
-        )
-        return report("Thm 1", group)
+        return report("Thm 1", GroupDescription(Kind.Z2, (fiber_generator(surface),)))
 
     if reg is Regime.RP2:
-        group = GroupDescription(
-            Kind.Z4,
-            (st_word(surface, (1,), 0),),  # the crosscap lift generates
-            presentation=st_presentation(surface),
-        )
+        # the crosscap lift generates
+        group = GroupDescription(Kind.Z4, (st_word(surface, (1,), 0),))
         return report("Thm 4", group)
 
     if reg is Regime.TORUS:
@@ -236,8 +213,6 @@ def classify_pi1(surface: SurfaceSpec, xi: STWord) -> ClassificationReport:
         if xi.fiber != 0:
             group = GroupDescription(
                 Kind.ORIENTATION_PRESERVING_SUBGROUP,
-                (),
-                presentation=st_presentation(surface),
                 membership=ORIENTATION_PRESERVING_PREDICATE,
             )
             return report("Thm 6 III a", group)
@@ -256,11 +231,7 @@ def classify_pi1(surface: SurfaceSpec, xi: STWord) -> ClassificationReport:
             Kind.ZXZ, (st_power(root, 2), fiber_generator(surface))
         )
         return report("Thm 6 II a", group, (dec.k, dec.l))
-    group = GroupDescription(
-        Kind.KLEIN_BOTTLE_GROUP,
-        (root, fiber_generator(surface)),
-        presentation=KLEIN_BOTTLE_PRESENTATION,
-    )
+    group = GroupDescription(Kind.KLEIN_BOTTLE_GROUP, (root, fiber_generator(surface)))
     return report("Thm 6 II b", group, (dec.k, dec.l))
 
 

@@ -21,28 +21,14 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .surfaces import (
-    SurfaceError,
-    SurfaceSpec,
-    presentation,
-    presentation_text,
-    st_presentation,
-)
-from .words import AmbientMismatchError, SearchExhausted, TrivialWordError, WordParseError
+from .surfaces import SurfaceSpec, presentation, presentation_text, st_presentation
+from .words import SearchExhausted, WordParseError
 from .stbundle import STWord, st_parse, st_text, decompose
-from .flatcurves import CurveError, lift, read_curve_file
+from .flatcurves import lift, read_curve_file
 from .classify import classify_pi1, classify_pin, regular_homotopy_equivalent
 from .oracle import SearchBound, VERIFY_BOUND, verify_classification
 
-_INPUT_ERRORS = (
-    SurfaceError,
-    WordParseError,
-    CurveError,
-    AmbientMismatchError,
-    TrivialWordError,
-    ValueError,
-    OSError,
-)
+_INPUT_ERRORS = (ValueError, OSError)
 
 
 def _surface(args) -> SurfaceSpec:
@@ -62,18 +48,6 @@ def _reghom_input(token: str, surface: SurfaceSpec) -> STWord:
     if token.startswith("word:"):
         return st_parse(token[len("word:") :], surface)
     return lift(read_curve_file(token), surface)
-
-
-def _bound(args) -> SearchBound | None:
-    fields = (args.bound_length, args.bound_fiber, args.bound_depth)
-    if all(v is None for v in fields):
-        return None
-    base = VERIFY_BOUND
-    return SearchBound(
-        args.bound_length if args.bound_length is not None else base.max_word_length,
-        args.bound_fiber if args.bound_fiber is not None else base.max_fiber,
-        args.bound_depth if args.bound_depth is not None else base.max_depth,
-    )
 
 
 def _emit(lines) -> None:
@@ -160,7 +134,8 @@ def _cmd_reghom(args) -> int:
 def _cmd_verify(args) -> int:
     spec = _surface(args)
     xi, _source = _element(args, spec)
-    outcome = verify_classification(spec, xi, _bound(args))
+    bound = SearchBound(args.bound_length, args.bound_fiber, VERIFY_BOUND.max_depth)
+    outcome = verify_classification(spec, xi, bound)
     if args.format == "structured":
         lines = [f"verified={'pass' if outcome.passed else 'fail'}", f"detail={outcome.detail}"]
         if outcome.counterexample is not None:
@@ -186,9 +161,8 @@ def build_parser() -> argparse.ArgumentParser:
         if curve:
             p.add_argument("curve", nargs="?", help="curve file (alternative to --word)")
         if bounds:
-            p.add_argument("--bound-length", type=int, default=None)
-            p.add_argument("--bound-fiber", type=int, default=None)
-            p.add_argument("--bound-depth", type=int, default=None)
+            p.add_argument("--bound-length", type=int, default=VERIFY_BOUND.max_word_length)
+            p.add_argument("--bound-fiber", type=int, default=VERIFY_BOUND.max_fiber)
 
     p = sub.add_parser("group", help="print the surface and tangent-bundle presentations")
     common(p)

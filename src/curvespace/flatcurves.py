@@ -196,12 +196,9 @@ def _segment_crossings(p, q, edge_index: int) -> list[tuple[float, Crossing]]:
     for axis, (a0, a1) in (("x", (p[0], q[0])), ("y", (p[1], q[1]))):
         lo, hi = min(a0, a1), max(a0, a1)
         direction = 1 if a1 > a0 else -1
-        n = math.floor(lo) + 1
-        while n < hi:
-            if n > lo:
-                t = (n - a0) / (a1 - a0)
-                out.append((t, Crossing(edge_index, axis, n, direction)))
-            n += 1
+        for n in range(math.floor(lo) + 1, math.ceil(hi)):
+            t = (n - a0) / (a1 - a0)
+            out.append((t, Crossing(edge_index, axis, n, direction)))
     out.sort(key=lambda item: item[0])
     for (t1, c1), (t2, c2) in zip(out, out[1:]):
         if t2 - t1 < 1e-9:

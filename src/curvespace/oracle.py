@@ -17,6 +17,7 @@ from .surfaces import Presentation, Regime, SurfaceSpec, presentation, regime, s
 from .words import Word, free_reduce, invert_letters
 from . import stbundle
 from .stbundle import STWord, st_multiply, st_word
+from .classify import Kind, classify_pi1
 
 
 class _SearchBound(NamedTuple):
@@ -29,8 +30,7 @@ class SearchBound(_SearchBound):
     """Caps for the brute-force searches.
 
     ``max_word_length`` bounds enumerated base words, ``max_fiber`` the fiber
-    exponents, ``max_depth`` the BFS depth for relator insertions (and the
-    witness-product depth in classification checks).
+    exponents, ``max_depth`` the BFS depth for relator insertions.
     """
 
     __slots__ = ()
@@ -215,15 +215,15 @@ class VerificationOutcome(NamedTuple):
 
 
 def _witness_products(witnesses, bound: SearchBound):
-    """Products w1^e1 ... wd^ed over the witness tuple, exponents capped so
-    that everything inside the enumeration box is reachable."""
+    """Products w1^e1 ... wd^ed over every witness, exponents capped so that
+    everything inside the enumeration box is reachable."""
     emax = bound.max_word_length + bound.max_fiber
     if not witnesses:
         return []
     surface = witnesses[0].surface
     table: dict = {}
     products = [stbundle.st_identity(surface)]
-    for w in witnesses[: bound.max_depth]:
+    for w in witnesses:
         powers = {0: stbundle.st_identity(surface)}
         for e in range(1, emax + 1):
             powers[e] = _product(table, powers[e - 1], w)
@@ -242,8 +242,6 @@ def verify_classification(
     answers must (i) commute and (ii) cover every enumerated centralizer
     element by a bounded witness product.
     """
-    from .classify import Kind, classify_pi1  # local import; classify uses us in tests
-
     bound = bound or VERIFY_BOUND
     report = classify_pi1(surface, xi)
     kind = report.group.kind

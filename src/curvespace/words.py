@@ -13,7 +13,8 @@ Normal forms by regime:
 * closed hyperbolic (orientable genus >= 2, nonorientable genus >= 3):
   free reduction, Dehn shortening of subwords longer than half a cyclically
   rotated relator, and replacement of exactly-half subwords by their
-  lexicographically smaller complements.  Together these rewrite every word
+  lexicographically smaller complements, both read from one table of
+  relator moves built once per surface.  Together these rewrite every word
   of the one-relator surface presentations to a unique shortlex-minimal form.
   The shortening pass is linear in the word's length n.  The swap phase
   costs O(L^2) per swap it tries (L the relator length) plus the O(n) copy
@@ -26,7 +27,7 @@ Words are normalized only over the surface presentations that
 presentations (handled by :mod:`curvespace.stbundle`) and ad-hoc
 presentations without a surface (handled by the oracle) raise ``ValueError``.
 
-The rewriting rules carry a fiber exponent so that the tangent-bundle module
+The relator moves carry a fiber exponent so that the tangent-bundle module
 can reuse them: the surface relator equals ``f**chi`` upstairs, so removing a
 rotated copy shifts the fiber by ``chi`` times the orientation character of
 the rotation prefix, twisted by the character of everything to the right of
@@ -164,65 +165,37 @@ def spell_klein(k: int, l: int) -> Letters:
 # Dehn rewriting for closed hyperbolic regimes
 
 
-def dehn_rules(pres: Presentation) -> dict[Letters, tuple[Letters, int, int]]:
-    """Strictly shortening rewriting rules from the (single) surface relator.
-
-    Maps LHS -> (RHS, lifted fiber exponent of the rotated relator variant,
-    orientation character of the RHS).  LHS runs over all prefixes of all
-    rotations of the relator and its inverse that are strictly longer than
-    half the relator.
-    """
-    relator = pres.relators[0]
-    chi = euler_characteristic(pres.surface)
-    L = len(relator)
-    rules: dict[Letters, tuple[Letters, int, int]] = {}
-    for delta, base in ((1, relator), (-1, invert_letters(relator))):
-        for rot in range(L):
-            variant = base[rot:] + base[:rot]
-            e = delta * chi * pres.word_character(base[:rot])
-            for cut in range(L, L // 2, -1):
-                lhs, tail = variant[:cut], variant[cut:]
-                rhs = invert_letters(tail)
-                if lhs in rules:
-                    continue
-                rules[lhs] = (rhs, e, pres.word_character(rhs))
-    return rules
-
-
-def half_swaps(pres: Presentation) -> dict[Letters, tuple[tuple[Letters, int, int], ...]]:
-    """Length-preserving relator replacements (both directions, with fiber
-    data).  Maps each half-relator LHS to (RHS, variant fiber, RHS character)
-    alternatives; inverse rotations supply the reverse direction, and both
-    halves of a relator share the same orientation character, so a swap
-    followed by its reverse restores the fiber exactly."""
-    relator = pres.relators[0]
-    chi = euler_characteristic(pres.surface)
-    L = len(relator)
-    out: dict[Letters, list] = {}
-    if L % 2:
-        return {}
-    for delta, base in ((1, relator), (-1, invert_letters(relator))):
-        for rot in range(L):
-            variant = base[rot:] + base[:rot]
-            e = delta * chi * pres.word_character(base[:rot])
-            lhs, tail = variant[: L // 2], variant[L // 2 :]
-            rhs = invert_letters(tail)
-            if lhs != rhs:
-                entry = (rhs, e, pres.word_character(rhs))
-                if entry not in out.setdefault(lhs, []):
-                    out[lhs].append(entry)
-    return {k: tuple(v) for k, v in out.items()}
-
-
 @cache
 def _dehn_tables(surface: SurfaceSpec):
-    """``dehn_rules`` and ``half_swaps`` of a closed hyperbolic surface, built
-    once per surface, and the character that all its generators share (+1 on
+    """The relator moves of a closed hyperbolic surface, built once per
+    surface, and the character that all its generators share (+1 on
     orientable surfaces, -1 for crosscaps), so that a word's character is
-    that sign to the power of its length."""
+    that sign to the power of its length.
+
+    The moves map every prefix, of length ``L`` down to ``L / 2``, of every
+    rotation of the relator and of its inverse to (the inverse of the rest of
+    that rotation, the lifted fiber exponent of the rotation, the orientation
+    character of that inverse).  A key longer than ``L / 2`` shortens a word
+    and a key of exactly ``L / 2`` swaps it for its complement; ``L`` is even
+    (``4g`` or ``2k``).  Every generator occurs twice in the relator, so no
+    two-letter subword occurs twice among these rotations and every key has
+    one move.  Both halves of a relator share one orientation character, so
+    a swap followed by its reverse restores the fiber exactly.
+    """
     pres = presentation(surface)
     (sign,) = {g.character for g in pres.generators}
-    return dehn_rules(pres), half_swaps(pres), sign
+    relator = pres.relators[0]
+    chi = euler_characteristic(surface)
+    L = len(relator)
+    moves: dict[Letters, tuple[Letters, int, int]] = {}
+    for delta, base in ((1, relator), (-1, invert_letters(relator))):
+        for rot in range(L):
+            variant = base[rot:] + base[:rot]
+            e = delta * chi * pres.word_character(base[:rot])
+            for cut in range(L, L // 2 - 1, -1):
+                rhs = invert_letters(variant[cut:])
+                moves[variant[:cut]] = (rhs, e, pres.word_character(rhs))
+    return moves, sign
 
 
 # cap on the fixed-length swap orbit explored per normalization; generous for
@@ -230,36 +203,35 @@ def _dehn_tables(surface: SurfaceSpec):
 _SWAP_ORBIT_CAP = 4096
 
 
-def _dehn_shorten(w: Letters, rules, L: int, sign: int) -> tuple[Letters, int]:
+def _dehn_shorten(w: Letters, moves, L: int, sign: int) -> tuple[Letters, int]:
     """Dehn-irreducible form of the freely reduced ``w`` and the fiber shift.
 
-    Rewrites the leftmost occurrence of a rule left-hand side, the longest one
-    at that position, until none is left, in one left-to-right pass that is
-    linear in ``len(w)``.  ``done`` holds the letters left of the cursor and
+    Rewrites the leftmost occurrence of a shortening key (one longer than
+    ``L // 2``), the longest one at that position, until none is left, in one
+    left-to-right pass that is linear in ``len(w)``.  ``done`` holds the letters left of the cursor and
     ``todo`` the rest, reversed.  A rewrite and the free cancellation it sets
     off leave every letter left of the cancellation's end as it was, so no
     window ending there can match and the scan resumes ``L - 1`` letters
-    before that end.  The first ``L // 2 + 1`` letters of a left-hand side
-    are a left-hand side themselves, so one lookup clears a position.
+    before that end.  The first ``L // 2 + 1`` letters of a key are a key
+    themselves, so one lookup clears a position.  The pushed right-hand side
+    needs no cancellation against the next letter: it is freely reduced and
+    ends with the inverse of the letter that continues the key in its
+    rotation, and were that letter next, the longer key would have matched.
     """
     lo = L // 2 + 1
     done: list[int] = []
     todo = list(reversed(w))
     shift = 0
     while len(todo) >= lo:
-        if tuple(todo[: -lo - 1 : -1]) not in rules:
+        if tuple(todo[: -lo - 1 : -1]) not in moves:
             done.append(todo.pop())
             continue
         window = tuple(todo[: -L - 1 : -1])
-        size = next(k for k in range(len(window), lo - 1, -1) if window[:k] in rules)
-        rhs, e, eps_rhs = rules[window[:size]]
+        size = next(k for k in range(len(window), lo - 1, -1) if window[:k] in moves)
+        rhs, e, eps_rhs = moves[window[:size]]
         del todo[-size:]
         shift += e * eps_rhs * sign ** len(todo)
-        for x in reversed(rhs):
-            if todo and todo[-1] == -x:
-                todo.pop()
-            else:
-                todo.append(x)
+        todo += reversed(rhs)
         while done and todo and done[-1] == -todo[-1]:
             done.pop()
             todo.pop()
@@ -285,17 +257,15 @@ def _dehn_normalize(letters, pres: Presentation) -> tuple[Letters, int]:
     canonical form; the randomized associativity suites and the brute-force
     oracle cross-check this.
     """
-    rules, swaps, sign = _dehn_tables(pres.surface)
+    moves, sign = _dehn_tables(pres.surface)
     L = len(pres.relators[0])
     half = L // 2
     lo = half + 1
     w = free_reduce(letters)
     shift = 0
     while True:
-        w, moved = _dehn_shorten(w, rules, L, sign)
+        w, moved = _dehn_shorten(w, moves, L, sign)
         shift += moved
-        if not swaps:
-            return w, shift
         # phase 2: canonicalize across the fixed-length swap orbit
         seen: dict[Letters, int] = {w: shift}
         stack = [w]
@@ -305,33 +275,30 @@ def _dehn_normalize(letters, pres: Presentation) -> tuple[Letters, int]:
             fs = seen[s]
             n = len(s)
             for i in range(n - half + 1):
-                alternatives = swaps.get(s[i : i + half])
-                if alternatives is None:
+                move = moves.get(s[i : i + half])
+                if move is None:
                     continue
+                rhs, e, eps_rhs = move
                 head, tail = s[:i], s[i + half :]
-                twist = sign ** len(tail)
+                cand_shift = fs + e * eps_rhs * sign ** len(tail)
+                cand = head + rhs + tail
                 # the starts of the shortest windows that overlap the swap
                 starts = range(max(0, i - half), min(i + half, n - half))
-                for rhs, e, eps_rhs in alternatives:
-                    cand_shift = fs + e * eps_rhs * twist
-                    cand = head + rhs + tail
-                    if (
-                        (head and head[-1] == -rhs[0])
-                        or (tail and tail[0] == -rhs[-1])
-                        or any(cand[j : j + lo] in rules for j in starts)
-                    ):
-                        restart = (free_reduce(cand), cand_shift)
-                        break
-                    if cand in seen:
-                        if seen[cand] != cand_shift:
-                            raise AssertionError("inconsistent fiber bookkeeping")
-                        continue
-                    if len(seen) >= _SWAP_ORBIT_CAP:
-                        raise SearchExhausted("half-relator swap orbit exceeded its cap")
-                    seen[cand] = cand_shift
-                    stack.append(cand)
-                if restart is not None:
+                if (
+                    (head and head[-1] == -rhs[0])
+                    or (tail and tail[0] == -rhs[-1])
+                    or any(cand[j : j + lo] in moves for j in starts)
+                ):
+                    restart = (free_reduce(cand), cand_shift)
                     break
+                if cand in seen:
+                    if seen[cand] != cand_shift:
+                        raise AssertionError("inconsistent fiber bookkeeping")
+                    continue
+                if len(seen) >= _SWAP_ORBIT_CAP:
+                    raise SearchExhausted("half-relator swap orbit exceeded its cap")
+                seen[cand] = cand_shift
+                stack.append(cand)
         if restart is not None:
             w, shift = restart
             continue
@@ -452,7 +419,7 @@ _ORBIT_CAP = 20000
 def _cyclic_orbit(pres, letters) -> dict[Letters, Letters]:
     """All reachable cyclic spellings ``s`` with conjugators ``c``:
     the input element equals ``c s c^-1``."""
-    rules, swaps, _ = _dehn_tables(pres.surface)
+    moves, _ = _dehn_tables(pres.surface)
     L = len(pres.relators[0])
     half = L // 2
     p0, s0 = cyclic_free_reduce(letters)
@@ -467,19 +434,12 @@ def _cyclic_orbit(pres, letters) -> dict[Letters, Letters]:
             rot = s[1:] + s[:1]
             nexts.append((rot, c + s[:1]))
         for i in range(n):
-            top = min(L, n - i)
-            for size in range(top, half - 1, -1):
-                seg = s[i : i + size]
-                rule = rules.get(seg)
-                if rule is not None:
-                    repl = free_reduce(s[:i] + rule[0] + s[i + size :])
+            for size in range(min(L, n - i), half - 1, -1):
+                move = moves.get(s[i : i + size])
+                if move is not None:
+                    repl = free_reduce(s[:i] + move[0] + s[i + size :])
                     extra, core = cyclic_free_reduce(repl)
                     nexts.append((core, c + extra))
-                if size == half:
-                    for rhs, _, _ in swaps.get(seg, ()):
-                        repl = free_reduce(s[:i] + rhs + s[i + size :])
-                        extra, core = cyclic_free_reduce(repl)
-                        nexts.append((core, c + extra))
         for core, conj in nexts:
             if core not in seen:
                 if len(seen) >= _ORBIT_CAP:
@@ -510,7 +470,7 @@ def _abelian_conjugacy_possible(pres, lu, lv) -> bool:
         eu[abs(x) - 1] += 1 if x > 0 else -1
     for x in lv:
         eu[abs(x) - 1] -= 1 if x > 0 else -1
-    if pres.surface is not None and not pres.surface.orientable:
+    if not pres.surface.orientable:
         # difference must be an integer multiple of (2, 2, ..., 2)
         t = eu[0]
         return all(d == t for d in eu) and t % 2 == 0
@@ -574,8 +534,6 @@ def _dehn_root(pres, letters) -> tuple[Word, int]:
     best: tuple[int, Letters, Letters] | None = None  # (exponent, root, conj)
     for s, c in orbit.items():
         n = len(s)
-        if n == 0:
-            raise TrivialWordError("the identity has no primitive root")
         for d in range(1, n + 1):
             if n % d == 0 and s == s[:d] * (n // d):
                 if best is None or n // d > best[0]:

@@ -114,6 +114,9 @@ def test_verify_classification_examples():
     assert verify_classification(TORUS, ST("a1", TORUS)).passed
     assert verify_classification(NONOR3, ST("c1^2", NONOR3)).passed
     assert not VerificationOutcome(False, "x")
+    # the products run over every witness, whatever the BFS depth
+    for surface, text in ((TORUS, "a1"), (KLEIN, "c1 c2")):
+        assert verify_classification(surface, ST(text, surface), SearchBound(3, 2, 1)).passed
 
 
 def test_verify_classification_catches_wrong_witnesses():
@@ -129,3 +132,32 @@ def test_verify_classification_catches_wrong_witnesses():
         GroupDescription(Kind.ZXZ, bad.witnesses)
     products = oracle._witness_products(bad.witnesses, SearchBound(3, 2, 4))
     assert any(st_multiply(p, xi) != st_multiply(xi, p) for p in products)
+
+
+def test_verify_classification_reports_doctored_answers(monkeypatch):
+    """Each failure branch names its fault and the first offending element
+    of the box when the classifier's answer is wrong."""
+    from curvespace import oracle
+    from curvespace.classify import GroupDescription, Kind, classify_pi1
+    from curvespace.stbundle import st_text
+
+    cases = (
+        (GENUS2, "a1", GroupDescription(Kind.FULL_ST_GROUP),
+         "an element of the box fails to commute", "b1 F^3"),
+        (NONOR3, "c1", GroupDescription(Kind.ORIENTATION_PRESERVING_SUBGROUP),
+         "centralizer differs from the orientation-preserving box", "F^3"),
+        (NONOR3, "c1", GroupDescription(Kind.Z, (ST("c2", NONOR3),)),
+         "a witness product fails to commute", "C2^7"),
+        (TORUS, "a1", GroupDescription(Kind.ZXZ, (ST("a1", TORUS), ST("f", TORUS))),
+         "a centralizer element is not a witness product", "b1 F^3"),
+        (NONOR3, "c1^2", GroupDescription(Kind.KLEIN_BOTTLE_GROUP, (ST("f", NONOR3), ST("c1", NONOR3))),
+         "witnesses fail the Klein-bottle relation", "c1^2 f^2"),
+    )
+    for surface, text, group, detail, counterexample in cases:
+        xi = ST(text, surface)
+        doctored = classify_pi1(surface, xi)._replace(group=group)
+        monkeypatch.setattr(oracle, "classify_pi1", lambda s, x: doctored)
+        outcome = verify_classification(surface, xi)
+        assert outcome.passed is False, (surface, text)
+        assert outcome.detail == detail
+        assert st_text(outcome.counterexample) == counterexample

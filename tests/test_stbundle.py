@@ -53,6 +53,8 @@ def test_commutation_laws_klein():
     v = st_multiply(ST("f", KLEIN), ST("c1", KLEIN))
     assert (klein_coordinates(v.base.letters), v.fiber) == ((1, 1), -1)
     assert v == ST("c1 F", KLEIN)
+    for surface in (KLEIN, NONOR3):
+        assert ST("f c1", surface) == ST("c1 F", surface)
 
 
 def test_sphere_residues():
@@ -111,6 +113,10 @@ def test_st_is_conjugate_examples():
     assert st_is_conjugate(ST("f", KLEIN), ST("F", KLEIN))
     assert not st_is_conjugate(ST("f", KLEIN), ST("f^2", KLEIN))
     assert not st_is_conjugate(ST("f", TORUS), ST("F", TORUS))
+    # the finite groups compare residues
+    assert not st_is_conjugate(ST("c1", RP2), ST("c1^3", RP2))
+    assert st_is_conjugate(ST("c1 f", RP2), ST("c1^3", RP2))
+    assert st_is_conjugate(ST("f", SPHERE), ST("F", SPHERE))
 
 
 def test_st_conjugacy_brute_agreement():

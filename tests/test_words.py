@@ -2,11 +2,12 @@ import random
 
 import pytest
 
-from curvespace import presentation, st_presentation
+from curvespace import Generator, Presentation, SurfaceSpec, presentation, st_presentation
 from curvespace.words import (
     AmbientMismatchError,
     TrivialWordError,
     Word,
+    _abelian_conjugacy_possible,
     _dehn_shorten,
     _dehn_tables,
     conjugating_element,
@@ -26,7 +27,6 @@ from curvespace.words import (
     word_text,
 )
 from curvespace.stbundle import st_parse, st_text, st_word
-from curvespace.classify import KLEIN_BOTTLE_PRESENTATION
 from curvespace.oracle import SearchBound, bounded_is_trivial
 
 from conftest import GENUS2, KLEIN, NONOR3, PUNCTURED_TORUS, RP2, TORUS, W
@@ -54,10 +54,11 @@ def test_relator_is_trivial_with_oracle():
 def test_words_need_a_surface_presentation():
     """Words over a tangent-bundle or a surface-less presentation are
     rejected, not normalized by the engine of the underlying surface."""
+    klein = Presentation((Generator("x", -1), Generator("y", +1)), ((1, 2, -1, 2),))
     cases = (
         (st_presentation(TORUS), (3, 1)),  # f a1, where f is not b1
         (st_presentation(GENUS2), (5, 1, 5)),  # f a1 f
-        (KLEIN_BOTTLE_PRESENTATION, (1, 2, -1, 2)),  # its own relator
+        (klein, (1, 2, -1, 2)),  # its own relator
     )
     for pres, letters in cases:
         u = Word(pres, letters)
@@ -109,6 +110,14 @@ def test_conjugacy_basics():
     lhs = multiply(multiply(t, u), invert(t))
     assert lhs.letters == v.letters
     assert bounded_is_trivial(multiply(lhs, invert(v))) is True
+    # equal abelianizations, not conjugate: mapping onto F(x, y) (genus 2:
+    # b1, b2 -> 1; nonorientable genus 4: c1, c2, c3, c4 -> x, X, y, Y)
+    # sends both pairs to the distinct cyclic words x x y y and x y x y
+    nonor4 = SurfaceSpec(False, 4, 0)
+    for surface, left, right in ((GENUS2, "a1^2 a2^2", "a1 a2 a1 a2"), (nonor4, "c1^2 c3^2", "c1 c3 c1 c3")):
+        u, v = W(left, surface), W(right, surface)
+        assert _abelian_conjugacy_possible(u.ambient, u.letters, v.letters)
+        assert conjugating_element(u, v) is None
 
 
 def test_conjugacy_oracle_search_small():
@@ -309,7 +318,7 @@ def test_dehn_pass_resumes_after_deep_cancellation():
     would hand ``a1 b1 A1 B1 a2`` with fiber -2 to the swap phase."""
     text = "a1 b1 A1 b2^13 A2 B2 a1 b1 A1 B1 a2 B2^12 B1 a2"
     assert st_text(st_parse(text, GENUS2)) == "b2 a2 B2 F^4"
-    rules, _, sign = _dehn_tables(GENUS2)
+    rules, sign = _dehn_tables(GENUS2)
     letters = parse_letters(text, presentation(GENUS2).names())
     assert _dehn_shorten(free_reduce(letters), rules, 8, sign) == (W("b2 a2 B2", GENUS2).letters, -4)
 
@@ -320,7 +329,7 @@ def test_dehn_pass_leaves_no_shortening():
     rng = random.Random(41)
     for surface in (GENUS2, NONOR3):
         pres = presentation(surface)
-        rules, _, sign = _dehn_tables(surface)
+        rules, sign = _dehn_tables(surface)
         relator = pres.relators[0]
         L = len(relator)
         pieces = [relator, invert_letters(relator)]
