@@ -248,9 +248,9 @@ def classify_pin(surface: SurfaceSpec, n: int) -> GroupDescription:
 
 
 def regular_homotopy_equivalent(surface: SurfaceSpec, u: STWord, v: STWord) -> bool:
-    """Are two tangent lifts freely homotopic in the tangent bundle?  Raises
-    :class:`~curvespace.words.SearchExhausted` if a closed-hyperbolic search
-    hits its cap."""
+    """Are two tangent lifts freely homotopic in the tangent bundle?  Decided
+    exactly on every surface, in polynomial time on the closed hyperbolic
+    ones (see :func:`curvespace.stbundle.st_is_conjugate`)."""
     if u.surface != surface or v.surface != surface:
         raise ValueError("elements do not live over the given surface")
     return st_is_conjugate(u, v)

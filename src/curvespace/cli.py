@@ -2,9 +2,8 @@
 
 Subcommands: group, classify, pin, lift, decompose, reghom, verify.
 Exit status: 0 success, 1 negative verdict (reghom false / verify fail),
-2 invalid input, 3 undecided at the search bound.  A search that trips its
-cap on any subcommand prints ``status=undecided`` on stdout and
-``undecided: <reason>`` on stderr, and exits 3.
+2 invalid input.  Every query is decided: the closed hyperbolic engine has
+no search cap, so no subcommand reports an undecided answer.
 
 Grammars (frozen):
 
@@ -22,7 +21,7 @@ import argparse
 import sys
 
 from .surfaces import SurfaceSpec, presentation, presentation_text, st_presentation
-from .words import SearchExhausted, WordParseError
+from .words import WordParseError
 from .stbundle import STWord, st_parse, st_text, decompose
 from .flatcurves import lift, read_curve_file
 from .classify import classify_pi1, classify_pin, regular_homotopy_equivalent
@@ -206,10 +205,6 @@ def main(argv=None) -> int:
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except SearchExhausted as exc:
-        print("status=undecided")
-        print(f"undecided: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -140,9 +140,10 @@ def st_conjugate(u: STWord, by: STWord) -> STWord:
 
 
 def st_is_conjugate(u: STWord, v: STWord) -> bool:
-    """Are ``u`` and ``v`` conjugate?  Raises
-    :class:`~curvespace.words.SearchExhausted` if a closed-hyperbolic search
-    hits its cap."""
+    """Are ``u`` and ``v`` conjugate?  Always decided: on free and closed
+    hyperbolic surfaces the base conjugator and primitive root come from
+    :mod:`curvespace.words` in polynomial time, and the fiber is settled by
+    the offset arithmetic of :func:`_coset_st_conjugate`."""
     _check_ambient(u, v)
     reg = regime(u.surface)
     if u.residue is not None:

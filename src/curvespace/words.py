@@ -11,15 +11,16 @@ Normal forms by regime:
   (orientation preserving) and ``h = c2^-1`` (orientation reversing),
   multiplied with ``h g = g^-1 h``; spelled back in the crosscap letters;
 * closed hyperbolic (orientable genus >= 2, nonorientable genus >= 3):
-  free reduction, Dehn shortening of subwords longer than half a cyclically
-  rotated relator, and replacement of exactly-half subwords by their
-  lexicographically smaller complements, both read from one table of
-  relator moves built once per surface.  Together these rewrite every word
-  of the one-relator surface presentations to a unique shortlex-minimal form.
-  The shortening pass is linear in the word's length n.  The swap phase
-  costs O(L^2) per swap it tries (L the relator length) plus the O(n) copy
-  of each new orbit state; the orbit itself can grow exponentially and is
-  capped;
+  free reduction and Dehn shortening of subwords longer than half a
+  cyclically rotated relator, read from one table of relator moves built
+  once per surface, then the shortlex-least word among the spellings of the
+  same length, read off a layered graph of bounded width around the word
+  (the relator band, :func:`_dehn_normalize`).  This is the unique
+  shortlex-minimal form in the one-relator surface presentations.  A pass
+  is linear in the word's length n and there are at most n / 2 of them.
+  Conjugacy and primitive roots work on the minimal-length conjugates,
+  found through the same band.  Nothing is capped: every answer is decided
+  in polynomial time;
 * projective plane: the parity of the exponent sum; sphere: the empty word.
 
 Words are normalized only over the surface presentations that
@@ -61,10 +62,6 @@ class TrivialWordError(ValueError):
 
 class WordParseError(ValueError):
     pass
-
-
-class SearchExhausted(RuntimeError):
-    """A bounded search hit its cap before deciding."""
 
 
 Letters = tuple[int, ...]
@@ -198,11 +195,6 @@ def _dehn_tables(surface: SurfaceSpec):
     return moves, sign
 
 
-# cap on the fixed-length swap orbit explored per normalization; generous for
-# desk-scale words, loud (SearchExhausted) rather than silently wrong beyond
-_SWAP_ORBIT_CAP = 4096
-
-
 def _dehn_shorten(w: Letters, moves, L: int, sign: int) -> tuple[Letters, int]:
     """Dehn-irreducible form of the freely reduced ``w`` and the fiber shift.
 
@@ -242,68 +234,258 @@ def _dehn_shorten(w: Letters, moves, L: int, sign: int) -> tuple[Letters, int]:
     return tuple(done), shift
 
 
+def _half_window(w: Letters, moves, half: int) -> bool:
+    """Does some window of ``w`` read half a relator?"""
+    return any(w[i : i + half] in moves for i in range(len(w) - half + 1))
+
+
+def _swap_normalize(letters, moves, L: int, sign: int) -> tuple[Letters, int]:
+    """Normal form and fiber shift of a word of at most ``L // 2 + 2``
+    letters: the shortlex-least word of the orbit of its Dehn form under
+    half-relator swaps, shortening again whenever a swap exposes a
+    cancellation or a key.  Exponential in the length, so it only fills the
+    band's tables."""
+    half = L // 2
+    w, shift = _dehn_shorten(free_reduce(letters), moves, L, sign)
+    if not _half_window(w, moves, half):
+        return w, shift
+    seen = {w: shift}
+    stack = [w]
+    while stack:
+        s = stack.pop()
+        for i in range(len(s) - half + 1):
+            move = moves.get(s[i : i + half])
+            if move is None:
+                continue
+            rhs, e, eps_rhs = move
+            cand = s[:i] + rhs + s[i + half :]
+            cand_shift = seen[s] + e * eps_rhs * sign ** (len(s) - i - half)
+            shorter, moved = _dehn_shorten(free_reduce(cand), moves, L, sign)
+            if len(shorter) < len(s):
+                nf, rest = _swap_normalize(shorter, moves, L, sign)
+                return nf, cand_shift + moved + rest
+            if cand not in seen:
+                seen[cand] = cand_shift
+                stack.append(cand)
+    best = min(seen, key=_lex_key)
+    return best, seen[best]
+
+
+class _Band(NamedTuple):
+    """Per-surface tables of the relator band (see :func:`_dehn_normalize`).
+
+    ``pieces`` lists the normal forms of the elements spelled by cyclic
+    subwords of the relator or its inverse, the identity first, and ``index``
+    inverts it.  ``steps`` maps ``(a, d)`` to the moves ``(y, d', s)``, in
+    shortlex letter order, with ``a^-1 d y = d' f^s`` and ``d'`` a piece; it
+    is filled on first use.  ``runs`` holds the cyclic subwords of the
+    relator and its inverse of 2 to ``L // 2 + 1`` letters.  ``ahead`` and
+    ``behind`` cache the mask sweeps of :func:`_band_live`.
+    """
+
+    moves: dict
+    sign: int
+    L: int
+    pieces: list
+    index: dict
+    steps: dict
+    runs: frozenset
+    letters: tuple
+    ahead: dict
+    behind: dict
+
+
+@cache
+def _band_tables(surface: SurfaceSpec) -> _Band:
+    moves, sign = _dehn_tables(surface)
+    pres = presentation(surface)
+    L = len(pres.relators[0])
+    half = L // 2
+    runs = frozenset(key[:cut] for key in moves if len(key) == L for cut in range(2, half + 2))
+    pieces = [()]
+    index = {(): 0}
+    for key in moves:
+        if len(key) == L:
+            # a relator subword of under L/2 letters is its own normal form,
+            # and a half relator's is the smaller of the two halves
+            halves = (key[:half], moves[key[:half]][0])
+            for nf in (*(key[:cut] for cut in range(1, half)), min(halves, key=_lex_key)):
+                if nf not in index:
+                    index[nf] = len(pieces)
+                    pieces.append(nf)
+    n = len(pres.generators)
+    letters = tuple(x for g in range(1, n + 1) for x in (g, -g))
+    return _Band(moves, sign, L, pieces, index, {}, runs, letters, {}, {})
+
+
+def _band_steps(band: _Band, a: int, d: int):
+    """The moves out of offset ``d`` at a layer whose letter is ``a``, and
+    the bit mask of their targets."""
+    out = []
+    for y in band.letters:
+        u = free_reduce((-a,) + band.pieces[d] + (y,))
+        # a word of under L/2 letters is a piece only as a relator subword
+        nf, s = (u, 0) if 2 * len(u) < band.L else _swap_normalize(u, band.moves, band.L, band.sign)
+        k = band.index.get(nf)
+        if k is not None:
+            out.append((y, k, s))
+    band.steps[a, d] = entry = (tuple(out), sum(1 << k for _, k, _ in out))
+    return entry
+
+
 def _dehn_normalize(letters, pres: Presentation) -> tuple[Letters, int]:
     """Normal form plus the accumulated fiber shift.
 
-    Phase 1 frees and Dehn-shortens the word (:func:`_dehn_shorten`, linear
-    in its length).  Phase 2 explores the orbit of the result under
-    half-relator swaps and takes the shortlex-least member, going back to
-    phase 1 whenever a swap exposes a further shortening.  Every orbit state
-    is freely reduced and Dehn-irreducible, so a swap at ``i`` can only
-    cancel at its two seams or shorten through a window that overlaps
-    ``[i, i + L/2)``: a swap costs O(L^2) for those checks plus the copy of
-    the state.  Equal-length spellings of one element are connected by such
-    swaps in the one-relator surface presentations, which makes the result a
-    canonical form; the randomized associativity suites and the brute-force
-    oracle cross-check this.
+    The word is freed and Dehn-shortened (:func:`_dehn_shorten`, linear in
+    its length) to ``w``.  If no window of ``w`` is half a relator, ``w`` is
+    its only spelling of that length and is the normal form.  Otherwise a
+    layered graph over ``w`` holds every spelling ``v`` of the same length
+    whose offsets ``w[:j]^-1 v[:j]`` are relator pieces: geodesics of one
+    element fellow-travel, so every geodesic spelling of ``w`` is a path from
+    ``(0, 1)`` to ``(n, 1)``, and a non-geodesic ``w`` is exposed by a path
+    through a free cancellation or a shortening key, which is spelled out,
+    shortened and the search restarted.  Otherwise the greedy shortlex-least
+    path is the normal form.  Each layer holds at most the ``(L - 1)^2``
+    pieces (49 on genus 2, 25 on nonorientable genus 3), so a pass is linear
+    in the length, and each restart shortens the word.
+
+    The fiber shift along a path follows ``phi <- s + eps(y) * phi`` from the
+    moves' shifts; the spelling ``v`` ends with ``w = v f^-phi``.
     """
-    moves, sign = _dehn_tables(pres.surface)
-    L = len(pres.relators[0])
+    band = _band_tables(pres.surface)
+    moves, L, sign = band.moves, band.L, band.sign
     half = L // 2
-    lo = half + 1
     w = free_reduce(letters)
     shift = 0
     while True:
         w, moved = _dehn_shorten(w, moves, L, sign)
         shift += moved
-        # phase 2: canonicalize across the fixed-length swap orbit
-        seen: dict[Letters, int] = {w: shift}
-        stack = [w]
-        restart = None
-        while stack and restart is None:
-            s = stack.pop()
-            fs = seen[s]
-            n = len(s)
-            for i in range(n - half + 1):
-                move = moves.get(s[i : i + half])
-                if move is None:
+        if not _half_window(w, moves, half):
+            return w, shift
+        v, phi, clean = _band_walk(w, band)
+        shift -= phi
+        if clean:
+            return v, shift
+        w = free_reduce(v)
+
+
+def _band_live(w: Letters, band: _Band) -> list[int]:
+    """The offsets of each layer of the band over ``w`` that lie on a path
+    from ``(0, 1)`` to ``(len(w), 1)``, as bit masks over ``band.pieces``.
+
+    A layer's successor mask depends only on its letter and its own mask, so
+    both sweeps are one table lookup per layer once the masks that occur
+    have been seen."""
+    ahead, behind = band.ahead, band.behind
+    masks = [1]
+    for a in w:
+        mask = ahead.get((a, masks[-1]))
+        if mask is None:
+            mask = ahead[a, masks[-1]] = _band_union(band, a, masks[-1])
+        masks.append(mask)
+    # sweep back, replacing each forward mask by its live part
+    after = masks[-1] = 1
+    for j in range(len(w) - 1, -1, -1):
+        key = (w[j], masks[j], after)
+        mask = behind.get(key)
+        if mask is None:
+            mask = behind[key] = sum(
+                1 << d for d in _bits(masks[j]) if _band_union(band, w[j], 1 << d) & after
+            )
+        masks[j] = after = mask
+    return masks
+
+
+def _bits(mask: int):
+    d = 0
+    while mask:
+        if mask & 1:
+            yield d
+        mask >>= 1
+        d += 1
+
+
+def _band_union(band: _Band, a: int, mask: int) -> int:
+    """The targets of the moves out of the offsets in ``mask``."""
+    out = 0
+    for d in _bits(mask):
+        entry = band.steps.get((a, d)) or _band_steps(band, a, d)
+        out |= entry[1]
+    return out
+
+
+def _band_walk(w: Letters, band: _Band) -> tuple[Letters, int, bool]:
+    """A path of the band over ``w`` with its fiber offset ``phi``: one
+    through a free cancellation or a shortening key if there is one (``clean``
+    False), else the shortlex-least one.
+
+    ``w`` itself is a path at offset 1 throughout, so a layer whose only live
+    offset is 1 pins every path to ``w``; the search for a cancellation or a
+    key and the greedy sweep only run between the first and the last layer
+    with a choice."""
+    steps = band.steps
+    n = len(w)
+    live = _band_live(w, band)
+    wide = [j for j, mask in enumerate(live) if mask & (mask - 1)]
+    if not wide:
+        return w, 0, True
+    lo, hi = wide[0] - 1, wide[-1] + 1
+    found = _dirty_moves(w, band, live, lo, min(n, hi + band.L // 2))
+    clean = found is None
+    if clean:
+        found = ([], lo, 0)
+    moves, j, d = found
+    while j < hi or d:
+        y, d, s = next(m for m in steps[w[j], d][0] if live[j + 1] >> m[1] & 1)
+        moves.append((y, s))
+        j += 1
+    phi = 0
+    for _, s in moves:
+        phi = s + band.sign * phi
+    phi *= band.sign ** (n - j)
+    v = w[:lo] + tuple(y for y, _ in moves) + w[j:]
+    return v, phi, clean
+
+
+def _dirty_moves(w, band, live, lo, hi):
+    """The moves from layer ``lo`` of a live path with a free cancellation or
+    a shortening key before layer ``hi``, with the layer and offset where
+    they stop; None if there is none.
+
+    A state is an offset and the longest suffix of the path that is a cyclic
+    subword of the relator or its inverse.  Every two-letter subword occurs
+    once among those, so a suffix that does not extend falls back to its
+    last letter and the new one."""
+    steps, runs = band.steps, band.runs
+    half = band.L // 2
+    k = 1 if lo else 0
+    while k < lo and w[lo - k - 1 : lo] in runs:
+        k += 1
+    layer = {(0, w[lo - k : lo]): None}
+    history = [layer]
+    for j in range(lo, hi):
+        after = live[j + 1]
+        nxt = {}
+        for state in layer:
+            d, run = state
+            last = run[-1] if run else 0
+            for y, k, s in steps[w[j], d][0]:
+                if not after >> k & 1:
                     continue
-                rhs, e, eps_rhs = move
-                head, tail = s[:i], s[i + half :]
-                cand_shift = fs + e * eps_rhs * sign ** len(tail)
-                cand = head + rhs + tail
-                # the starts of the shortest windows that overlap the swap
-                starts = range(max(0, i - half), min(i + half, n - half))
-                if (
-                    (head and head[-1] == -rhs[0])
-                    or (tail and tail[0] == -rhs[-1])
-                    or any(cand[j : j + lo] in moves for j in starts)
-                ):
-                    restart = (free_reduce(cand), cand_shift)
-                    break
-                if cand in seen:
-                    if seen[cand] != cand_shift:
-                        raise AssertionError("inconsistent fiber bookkeeping")
-                    continue
-                if len(seen) >= _SWAP_ORBIT_CAP:
-                    raise SearchExhausted("half-relator swap orbit exceeded its cap")
-                seen[cand] = cand_shift
-                stack.append(cand)
-        if restart is not None:
-            w, shift = restart
-            continue
-        best = min(seen, key=_lex_key)
-        return best, seen[best]
+                ext = run + (y,)
+                if y == -last or (len(ext) > half and ext in runs):
+                    moves = [(y, s)]
+                    while (back := history[-1][state]) is not None:
+                        state, y, s = back
+                        moves.append((y, s))
+                        history.pop()
+                    return moves[::-1], j + 1, k
+                if ext not in runs:
+                    ext = (last, y) if (last, y) in runs else (y,)
+                nxt.setdefault((k, ext), (state, y, s))
+        layer = nxt
+        history.append(layer)
+    return None
 
 
 def normalize_with_fiber(letters, pres: Presentation) -> tuple[Letters, int]:
@@ -409,58 +591,168 @@ def _klein_conjugator(pres, lu, lv) -> Word | None:
     return word(pres, spell_klein((k2 - k1) // 2, 0))  # conjugate by g^t
 
 
-# closed hyperbolic conjugacy: breadth-first search over the cyclic forms
-# reachable by rotations, Dehn shortenings and half-relator swaps.  States
-# carry the conjugator needed to recover the original element.
-
-_ORBIT_CAP = 20000
+# closed hyperbolic conjugacy: an element's minimal-length conjugates, as
+# normal forms x with conjugators c (the element is c x c^-1).
 
 
-def _cyclic_orbit(pres, letters) -> dict[Letters, Letters]:
-    """All reachable cyclic spellings ``s`` with conjugators ``c``:
-    the input element equals ``c s c^-1``."""
-    moves, _ = _dehn_tables(pres.surface)
-    L = len(pres.relators[0])
-    half = L // 2
-    p0, s0 = cyclic_free_reduce(letters)
-    seen: dict[Letters, Letters] = {s0: p0}
-    queue = [s0]
-    while queue:
-        s = queue.pop()
-        c = seen[s]
-        n = len(s)
-        nexts: list[tuple[Letters, Letters]] = []
-        if n:
-            rot = s[1:] + s[:1]
-            nexts.append((rot, c + s[:1]))
-        for i in range(n):
-            for size in range(min(L, n - i), half - 1, -1):
-                move = moves.get(s[i : i + size])
-                if move is not None:
-                    repl = free_reduce(s[:i] + move[0] + s[i + size :])
-                    extra, core = cyclic_free_reduce(repl)
-                    nexts.append((core, c + extra))
-        for core, conj in nexts:
-            if core not in seen:
-                if len(seen) >= _ORBIT_CAP:
-                    raise SearchExhausted("conjugacy orbit exceeded its cap")
-                seen[core] = conj
-                queue.append(core)
-    return seen
+class _Conjugates(NamedTuple):
+    """Minimal-length conjugates ``(x, c)`` of one element.  With ``rotations``
+    the list holds one form per cyclic word, and every rotation of each is a
+    minimal conjugate in normal form too; without it, it holds them all."""
+
+    forms: list[tuple[Letters, Letters]]
+    rotations: bool
+
+
+def _minimal_conjugates(pres, letters) -> _Conjugates:
+    """The minimal-length conjugates of the element with normal form
+    ``letters``.
+
+    Two minimal conjugates are joined by an annulus of relator faces one
+    face thick, so one is a rotation of a geodesic spelling of the other (a
+    chain of conjugations by the first letters of geodesic spellings, layer 1
+    of the band) or lies on the far side of a ring of faces around it (see
+    :func:`_ring_partners`).  A ring whose faces hold no half relator of
+    either side has ``L/2 - 1`` letters of each on every face; if some face
+    holds half a relator of one side, swapping it puts a spelling of that
+    side through a vertex of the other, and rotations reach it.  So a cyclic
+    word with a half-relator window (read around the cycle) needs only the
+    search along first letters, which finds every minimal conjugate (a
+    shorter one found on the way restarts it).  A cyclic word with no such
+    window is minimal, every rotation is its own only spelling of that
+    length, and its other minimal conjugates are the rotations of its ring
+    partners.
+    """
+    band = _band_tables(pres.surface)
+    half = band.L // 2
+    x, c = letters, ()
+    while True:
+        p, core = cyclic_free_reduce(x)
+        if p:
+            x, c = _dehn_normalize(core, pres)[0], c + p
+            continue
+        if not _cyclic_half_window(x, band.moves, half):
+            # a ring around such a word has at least two faces, each with
+            # L/2 - 1 letters of it
+            ring = len(x) % (half - 1) == 0 and len(x) > half
+            partners = _ring_partners(x, band, pres) if ring else []
+            partners = [(t, c + band.pieces[d]) for t, d in partners]
+            if not any(_cyclic_half_window(t, band.moves, half) for t, _ in partners):
+                return _Conjugates([(x, c), *partners], True)
+        seen = {x: c}
+        queue = [x]
+        shorter = None
+        while queue and shorter is None:
+            s = queue.pop()
+            cs = seen[s]
+            after = _band_live(s, band)[1]
+            firsts = [y for y, k, _ in band.steps[s[0], 0][0] if after >> k & 1]
+            for y in firsts:
+                t, _ = _dehn_normalize((-y,) + s + (y,), pres)
+                if len(t) < len(s):
+                    shorter = t, cs + (y,)
+                    break
+                if t not in seen:
+                    seen[t] = cs + (y,)
+                    queue.append(t)
+        if shorter is None:
+            return _Conjugates(list(seen.items()), False)
+        x, c = shorter
+
+
+def _ring_partners(x: Letters, band: _Band, pres) -> list[tuple[Letters, int]]:
+    """The normal forms ``t`` of ``d^-1 x d`` for the offsets ``d`` that start
+    a walk once around the band over the cyclic word ``x`` back to ``d``
+    without meeting offset 1: the far sides of rings of relator faces around
+    ``x``.  Offsets ``x[:k]`` and ``x[-k:]^-1`` are skipped; their walks
+    spell rotations of ``x``."""
+    half = band.L // 2
+    start = (1 << len(band.pieces)) - 2
+    for k in range(1, half + 1):
+        for r in (x[:k], invert_letters(x[-k:])):
+            # a relator subword of under L/2 letters is its own normal form,
+            # and a half relator's is itself or the other half
+            d = band.index.get(r)
+            if d is None and r in band.moves:
+                d = band.index.get(band.moves[r][0])
+            if d is not None:
+                start &= ~(1 << d)
+    return [
+        (_dehn_normalize(_closed_walk(x, band, d), pres)[0], d)
+        for d in _bits(_ring_offsets(x, band, start) & start)
+        if _ring_offsets(x, band, 1 << d) >> d & 1
+    ]
+
+
+def _cyclic_half_window(x: Letters, moves, half: int) -> bool:
+    """Does the cyclic word ``x`` read half a relator anywhere?"""
+    return _half_window((x * (half // len(x) + 2))[: len(x) + half - 1], moves, half)
+
+
+def _ring_offsets(x: Letters, band: _Band, start: int) -> int:
+    """The offsets that walks once around the band over ``x`` from the
+    offsets in the mask ``start`` reach without meeting offset 1 (such a walk
+    only spells a rotation of ``x``), by the band's shared mask table."""
+    ahead = band.ahead
+    mask = start
+    for a in x:
+        nxt = ahead.get((a, mask))
+        if nxt is None:
+            nxt = ahead[a, mask] = _band_union(band, a, mask)
+        mask = nxt & ~1
+        if not mask:
+            break
+    return mask
+
+
+def _closed_walk(x: Letters, band: _Band, d: int) -> Letters:
+    """The letters of a walk once around the band over the cyclic word ``x``
+    from offset ``d`` back to ``d`` that never meets offset 1, which must
+    exist: a spelling of ``d^-1 x d``."""
+    steps = band.steps
+    layers = []
+    here: dict = {d: None}
+    for a in x:
+        nxt: dict = {}
+        for e in here:
+            for y, k, _ in steps[a, e][0]:
+                if k:
+                    nxt.setdefault(k, (e, y))
+        layers.append(nxt)
+        here = nxt
+    out = []
+    for layer in reversed(layers):
+        d, y = layer[d]
+        out.append(y)
+    return tuple(reversed(out))
+
+
+def _cyclic_text(letters) -> str:
+    """One character per letter, so that ``str.find`` matches words."""
+    return "".join(chr(0x4000 + x) for x in letters)
 
 
 def _dehn_conjugator(pres, lu, lv) -> Word | None:
     # abelianized certificate first: exponent vectors must agree modulo the
     # relator row (zero for commutator relators, (2,...,2) for crosscaps)
+    if not lu or not lv:
+        return identity(pres) if lu == lv else None
     if not _abelian_conjugacy_possible(pres, lu, lv):
         return None
-    orbit_u = _cyclic_orbit(pres, lu)
-    orbit_v = _cyclic_orbit(pres, lv)
-    for s, cv in orbit_v.items():
-        cu = orbit_u.get(s)
-        if cu is not None:
-            return word(pres, cv + invert_letters(cu))
-    return None
+    cu = _minimal_conjugates(pres, lu)
+    cv = _minimal_conjugates(pres, lv)
+    sv, conj_v = cv.forms[0]
+    if cu.rotations != cv.rotations or len(cu.forms[0][0]) != len(sv):
+        return None
+    if cu.rotations:
+        target = _cyclic_text(sv)
+        for s, conj in cu.forms:
+            r = _cyclic_text(s + s).find(target)
+            if r >= 0:
+                return word(pres, conj_v + invert_letters(conj + s[:r]))
+        return None
+    conj = dict(cu.forms).get(sv)
+    return None if conj is None else word(pres, conj_v + invert_letters(conj))
 
 
 def _abelian_conjugacy_possible(pres, lu, lv) -> bool:
@@ -530,23 +822,45 @@ def _klein_root(pres, letters) -> tuple[Word, int]:
 
 
 def _dehn_root(pres, letters) -> tuple[Word, int]:
-    orbit = _cyclic_orbit(pres, letters)
-    best: tuple[int, Letters, Letters] | None = None  # (exponent, root, conj)
-    for s, c in orbit.items():
-        n = len(s)
-        for d in range(1, n + 1):
-            if n % d == 0 and s == s[:d] * (n // d):
-                if best is None or n // d > best[0]:
-                    best = (n // d, s[:d], c)
-                break
-    assert best is not None
-    e, seed, c = best
-    root = word(pres, c + seed + invert_letters(c))
-    # sanity: root^e really is u (``letters`` is already in normal form)
-    power = word(pres, root.letters * e)
-    if power.letters != letters:
-        raise AssertionError("primitive root verification failed")
-    return root, e
+    """An ``e``-th root of an element has a minimal conjugate ``t`` with
+    ``t^e`` a minimal conjugate ``x`` of the element, so ``t`` is spelled by
+    the first ``len(x) / e`` letters of a geodesic spelling of ``x``: a
+    layer of the band over ``x``.  Only exponents that divide ``len(x)`` and
+    the abelian invariants, and are odd on orientation-reversing elements,
+    are tried, largest first."""
+    exponents = _root_exponents(pres, letters)
+    if exponents is None:
+        return Word(pres, letters), 1
+    x, c = _minimal_conjugates(pres, letters).forms[0]
+    n = len(x)
+    band = _band_tables(pres.surface)
+    live = _band_live(x, band)
+    for e in range(n, 1, -1):
+        if n % e or not exponents(e):
+            continue
+        for d in _bits(live[n // e]):
+            t, _ = _dehn_normalize(x[: n // e] + band.pieces[d], pres)
+            if _dehn_normalize(t * e, pres)[0] == x:
+                return word(pres, c + t + invert_letters(c)), e
+    return Word(pres, letters), 1
+
+
+def _root_exponents(pres, letters) -> Callable[[int], bool] | None:
+    """A test for the exponents ``e > 1`` that the abelian invariants and the
+    orientation character allow for an ``e``-th root, or None if they allow
+    none.  ``t^e`` has exponent vector ``e`` times that of ``t``, up to a
+    multiple of the relator row ((2, ..., 2) for crosscaps)."""
+    vector = [0] * len(pres.generators)
+    for x in letters:
+        vector[abs(x) - 1] += 1 if x > 0 else -1
+    if pres.surface.orientable:
+        g = math.gcd(*vector)
+        test = lambda e: g % e == 0
+    else:
+        g = math.gcd(*(v - vector[0] for v in vector))
+        odd = len(letters) % 2 == 1  # orientation reversing: e must be odd
+        test = lambda e: g % e == 0 and (e % 2 == 1 or (not odd and vector[0] % 2 == 0))
+    return None if g == 1 else test
 
 
 # ---------------------------------------------------------------------------

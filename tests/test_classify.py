@@ -218,6 +218,13 @@ def test_regular_homotopy_examples():
     assert regular_homotopy_equivalent(KLEIN, ST("f", KLEIN), ST("f^2", KLEIN)) is False
 
 
+def test_group_description_checks_witness_count():
+    from curvespace.classify import GroupDescription
+
+    with pytest.raises(ValueError, match="ZxZ needs 2 witnesses"):
+        GroupDescription(Kind.ZXZ, (ST("c2", NONOR3),))
+
+
 def test_structured_report_fields():
     report = classify_pi1(TORUS, ST("a1", TORUS))
     lines = report.structured().splitlines()

@@ -250,17 +250,28 @@ def test_top_level_exports_are_the_documented_api():
     exec(compile(example, "README.md", "exec"), {})
 
 
-def test_tripped_search_cap_exits3_without_traceback():
+def test_block_words_past_the_old_caps_are_decided():
+    """The three block words that once tripped the swap-orbit and
+    conjugacy-orbit caps are answered, with the usual exit codes."""
     import curvespace
 
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(curvespace.__file__)))
-    long_word = " ".join(["c1 c1 c2"] * 13)  # past the half-relator swap cap
-    block_word = " ".join(["a1 b1 A1 B1 a1"] * 12)  # past the conjugacy orbit cap
+    long_word = " ".join(["c1 c1 c2"] * 13)
+    block_word = " ".join(["a1 b1 A1 B1 a1"] * 12)
     surface = ["--surface", "nonorientable:3:0"]
-    for argv in (
-        ["classify", *surface, "--format", "structured", "--word", long_word],
-        ["reghom", *surface, f"word:{long_word}", "word:c1"],
-        ["reghom", "--surface", "orientable:2:0", f"word:{block_word}", f"word:{block_word}"],
+    for argv, code, expected in (
+        (
+            ["classify", *surface, "--format", "structured", "--word", long_word],
+            0,
+            ["case=Thm 6 I", "kind=Z", "witness.1=c1^2 c2"],
+        ),
+        (["reghom", *surface, "--format", "structured", f"word:{long_word}", "word:c1"], 1, ["equivalent=false"]),
+        (
+            ["reghom", "--surface", "orientable:2:0", "--format", "structured",
+             f"word:{block_word}", f"word:{block_word}"],
+            0,
+            ["equivalent=true"],
+        ),
     ):
         proc = subprocess.run(
             [sys.executable, "-m", "curvespace.cli", *argv],
@@ -269,10 +280,10 @@ def test_tripped_search_cap_exits3_without_traceback():
             env=env,
             timeout=60,
         )
-        assert proc.returncode == 3, proc.stderr
-        assert "status=undecided" in proc.stdout.splitlines()
-        assert proc.stderr.startswith("undecided: ")
-        assert "Traceback" not in proc.stderr
+        assert proc.returncode == code, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert all(line in lines for line in expected), proc.stdout
+        assert proc.stderr == ""
 
 
 def test_structured_classify_roundtrips_witnesses(capsys):

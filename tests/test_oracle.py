@@ -119,21 +119,6 @@ def test_verify_classification_examples():
         assert verify_classification(surface, ST(text, surface), SearchBound(3, 2, 1)).passed
 
 
-def test_verify_classification_catches_wrong_witnesses():
-    """Feeding a doctored report through the product check must fail."""
-    from curvespace.classify import GroupDescription, Kind, classify_pi1
-    from curvespace import oracle
-
-    xi = ST("c1", NONOR3)
-    report = classify_pi1(NONOR3, xi)
-    # replace the witness with something that does not commute
-    bad = GroupDescription(Kind.Z, (ST("c2", NONOR3),))
-    with pytest.raises(ValueError, match="ZxZ needs 2 witnesses"):
-        GroupDescription(Kind.ZXZ, bad.witnesses)
-    products = oracle._witness_products(bad.witnesses, SearchBound(3, 2, 4))
-    assert any(st_multiply(p, xi) != st_multiply(xi, p) for p in products)
-
-
 def test_verify_classification_reports_doctored_answers(monkeypatch):
     """Each failure branch names its fault and the first offending element
     of the box when the classifier's answer is wrong."""

@@ -354,3 +354,74 @@ def test_dehn_pass_on_a_long_word_with_relator_copies():
     u = st_word(GENUS2, (1,) * n + pres.relators[0] * (n // 10), 0)
     assert u.base.letters == (1,) * n
     assert u.fiber == -2 * (n // 10)
+
+
+def _growth_coefficients(surface, length):
+    """Cannon's growth series of the one-relator surface group with relator
+    length L = 2m: (1 + 2t + ... + 2t^(m-1) + t^m) over
+    (1 - (L-2)(t + ... + t^(m-1)) + t^m), expanded to ``length``."""
+    L = len(presentation(surface).relators[0])
+    m = L // 2
+    num = [1] + [2] * (m - 1) + [1]
+    den = [1] + [-(L - 2)] * (m - 1) + [1]
+    out = []
+    for k in range(length + 1):
+        c = num[k] if k < len(num) else 0
+        c -= sum(den[i] * out[k - i] for i in range(1, min(k, m) + 1))
+        out.append(c)
+    return out
+
+
+@pytest.mark.parametrize(
+    "surface, length",
+    [(GENUS2, 5), (NONOR3, 6), (SurfaceSpec(False, 4, 0), 5), (SurfaceSpec(True, 3, 0), 4)],
+)
+def test_normal_forms_count_the_growth_series(surface, length):
+    """Distinct normal forms of all reduced words, counted by length, are the
+    coefficients of the growth series: normal forms are canonical and
+    geodesic.  Only the public ``word`` is used."""
+    pres = presentation(surface)
+    letters = [x for g in range(1, len(pres.generators) + 1) for x in (g, -g)]
+    words, frontier = [()], [()]
+    for _ in range(length):
+        frontier = [w + (x,) for w in frontier for x in letters if not w or w[-1] != -x]
+        words += frontier
+    counts = [0] * (length + 1)
+    for nf in {word(pres, w).letters for w in words}:
+        counts[len(nf)] += 1
+    assert counts == _growth_coefficients(surface, length)
+
+
+def test_block_words_are_their_own_normal_forms():
+    """Blocks whose swap orbit once grew about 2.2x per block."""
+    for surface, block in (
+        (GENUS2, (1, 2, -1, -2, 1)),
+        (GENUS2, (2, -1, -2, 1, 1)),
+        (NONOR3, (1, 1, 2)),
+        (NONOR3, (1, 2, 1)),
+    ):
+        assert word(presentation(surface), block * 200).letters == block * 200
+
+
+def test_roots_and_conjugacy_of_long_words():
+    from curvespace.stbundle import decompose, st_is_conjugate
+
+    dec = decompose(st_word(NONOR3, (1, 1, 2) * 80, 0))
+    assert (dec.root_lift.base.letters, dec.k, dec.l) == ((1, 1, 2), 80, 0)
+    # every rotation of a1 b1^2000 is a minimal conjugate
+    u = st_parse("a1 b1^2000", GENUS2)
+    dec = decompose(u)
+    assert (dec.root_lift, dec.k, dec.l) == (u, 1, 0)
+    assert st_is_conjugate(u, st_parse("b1^2000 a1", GENUS2))
+    assert not st_is_conjugate(u, st_parse("b1^2000 A1", GENUS2))
+
+
+def test_conjugacy_across_a_ring_of_relator_faces():
+    """``b1 A1 B1 B2 a1 b1`` and ``b2 a2 B2^2 A2 b1`` are the two sides of a
+    ring of two octagons; neither has a window of half a relator, so they
+    are not rotations of one spelling, and conjugation by the letter across
+    the ring (``a1``) relates them."""
+    u, v = W("b1 A1 B1 B2 a1 b1", GENUS2), W("b2 a2 B2^2 A2 b1", GENUS2)
+    assert multiply(multiply(W("a1", GENUS2), u), W("A1", GENUS2)) == v
+    t = conjugating_element(u, v)
+    assert multiply(multiply(t, u), invert(t)) == v
