@@ -11,8 +11,8 @@ which only the sphere and the projective plane make nontrivial.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from enum import Enum
-from typing import NamedTuple
 
 from .surfaces import Regime, SurfaceSpec, presentation, regime
 from .words import klein_coordinates, spell_klein
@@ -50,14 +50,9 @@ ORIENTATION_PRESERVING_PREDICATE = (
 )
 
 
-class _GroupDescription(NamedTuple):
-    kind: Kind
-    witnesses: tuple[STWord, ...]
-    membership: str | None
-    sphere_sum_degree: int | None
-
-
-class GroupDescription(_GroupDescription):
+class GroupDescription(
+    namedtuple("GroupDescription", "kind witnesses membership sphere_sum_degree")
+):
     """A named group with generator witnesses living in the tangent-bundle
     group of the classified surface."""
 
@@ -76,6 +71,10 @@ class GroupDescription(_GroupDescription):
         if want is not None and witnesses and len(witnesses) != want:
             raise ValueError(f"{kind.value} needs {want} witnesses")
         return super().__new__(cls, kind, witnesses, membership, sphere_sum_degree)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*super()._make(iterable))
 
     def label(self) -> str:
         if self.kind is Kind.SYMBOLIC_SPHERE_SUM:
@@ -107,13 +106,15 @@ class GroupDescription(_GroupDescription):
         return f"{first} (+) pi_{n + 1}(S^2)"
 
 
-class ClassificationReport(NamedTuple):
-    surface: SurfaceSpec
-    source: str
-    element: STWord
-    case: str
-    group: GroupDescription
-    decomposition: tuple[int, int] | None = None
+class ClassificationReport(
+    namedtuple("ClassificationReport", "surface source element case group decomposition",
+               defaults=(None,))
+):
+    """The answer of :func:`classify_pi1`: the element, the case of the
+    decision tree, the group, and ``(k, l)`` of the element's root-and-fiber
+    decomposition where it has one."""
+
+    __slots__ = ()
 
     def text(self) -> str:
         lines = [

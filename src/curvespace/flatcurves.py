@@ -44,10 +44,10 @@ however large the coordinates are.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from enum import Enum
 from functools import cached_property
 from itertools import chain, islice
-from typing import NamedTuple
 
 from .surfaces import Regime, SurfaceSpec, regime
 from .words import spell_klein, spell_torus, klein_product
@@ -73,26 +73,22 @@ class Model(Enum):
     KLEIN = "klein"
 
 
-class Polyline(NamedTuple):
-    vertices: tuple[tuple[float, float], ...]
+class Polyline(namedtuple("Polyline", "vertices")):
+    """A closed polyline: a tuple of ``(x, y)`` float pairs."""
+
+    __slots__ = ()
 
 
-class Crossing(NamedTuple):
-    """One transition of the developed path across a grid line."""
+class Crossing(namedtuple("Crossing", "edge axis line direction")):
+    """One transition of the developed path across a grid line: ``axis`` is
+    ``"x"`` for vertical lines and ``"y"`` for horizontal ones, ``direction``
+    is +1 rightward or upward."""
 
-    edge: int
-    axis: str  # "x" for vertical lines, "y" for horizontal lines
-    line: int
-    direction: int  # +1 rightward/upward
-
-
-class _CurveOnSurface(NamedTuple):
-    model: Model
-    polyline: Polyline
+    __slots__ = ()
 
 
-class CurveOnSurface(_CurveOnSurface):
-    # no __slots__: cached_property stores the lift data in the instance dict
+class CurveOnSurface(namedtuple("CurveOnSurface", "model polyline")):
+    """A :class:`Polyline` drawn in a :class:`Model`."""
 
     @cached_property
     def _lift_data(self):

@@ -10,8 +10,8 @@ Results are deterministic: fixed enumeration order, fixed tie-breaks.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from functools import lru_cache
-from typing import NamedTuple
 
 from .surfaces import Presentation, Regime, SurfaceSpec, presentation, regime, smith_diagonal
 from .words import Word, free_reduce, invert_letters
@@ -20,13 +20,7 @@ from .stbundle import STWord, st_multiply, st_word
 from .classify import Kind, classify_pi1
 
 
-class _SearchBound(NamedTuple):
-    max_word_length: int
-    max_fiber: int
-    max_depth: int
-
-
-class SearchBound(_SearchBound):
+class SearchBound(namedtuple("SearchBound", "max_word_length max_fiber max_depth")):
     """Caps for the brute-force searches.
 
     ``max_word_length`` bounds enumerated base words, ``max_fiber`` the fiber
@@ -39,6 +33,10 @@ class SearchBound(_SearchBound):
         if max_word_length < 1 or max_depth < 1 or max_fiber < 0:
             raise ValueError("bounds must be positive (fiber may be zero)")
         return super().__new__(cls, max_word_length, max_fiber, max_depth)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*super()._make(iterable))
 
 
 #: default bounds for :func:`verify_classification`, sized so that the full
@@ -205,10 +203,13 @@ def bounded_centralizer(
 # classification verification
 
 
-class VerificationOutcome(NamedTuple):
-    passed: bool
-    detail: str
-    counterexample: STWord | None = None
+class VerificationOutcome(
+    namedtuple("VerificationOutcome", "passed detail counterexample", defaults=(None,))
+):
+    """Whether a check passed, what it found, and the offending element if
+    there is one; true exactly when the check passed."""
+
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.passed

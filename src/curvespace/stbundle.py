@@ -16,7 +16,7 @@ here.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .surfaces import Regime, SurfaceSpec, presentation, regime
 from .words import (
@@ -34,13 +34,12 @@ from .words import (
 _FINITE_ORDER = {Regime.SPHERE: 2, Regime.RP2: 4}
 
 
-class STWord(NamedTuple):
-    """Normal-form element of the tangent-bundle fundamental group."""
+class STWord(namedtuple("STWord", "surface base fiber residue", defaults=(None,))):
+    """Normal-form element of the tangent-bundle fundamental group: a base
+    :class:`Word` and a fiber exponent, or, on the sphere and the projective
+    plane, ``base`` and ``fiber`` None and the element's ``residue``."""
 
-    surface: SurfaceSpec
-    base: Word | None
-    fiber: int | None
-    residue: int | None = None
+    __slots__ = ()
 
     def __str__(self) -> str:
         return st_text(self)
@@ -211,13 +210,11 @@ def _coset_st_conjugate(u: STWord, v: STWord) -> bool:
 # the canonical root-and-fiber decomposition
 
 
-class LiftDecomposition(NamedTuple):
+class LiftDecomposition(namedtuple("LiftDecomposition", "root_lift k l")):
     """``element = root_lift**k * f**l`` with the root primitive downstairs
     and its lift fixed at fiber zero."""
 
-    root_lift: STWord
-    k: int
-    l: int
+    __slots__ = ()
 
     def recompose(self) -> STWord:
         return st_multiply(

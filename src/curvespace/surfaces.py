@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import math
 import re
+from collections import namedtuple
 from enum import Enum
 from functools import cache
-from typing import NamedTuple
 
 
 class SurfaceError(ValueError):
@@ -35,13 +35,7 @@ class Regime(Enum):
     PUNCTURED = "punctured"
 
 
-class _SurfaceSpec(NamedTuple):
-    orientable: bool
-    genus: int
-    punctures: int
-
-
-class SurfaceSpec(_SurfaceSpec):
+class SurfaceSpec(namedtuple("SurfaceSpec", "orientable genus punctures")):
     """Orientability + genus + punctures.  Immutable and hashable."""
 
     __slots__ = ()
@@ -54,6 +48,12 @@ class SurfaceSpec(_SurfaceSpec):
         if not orientable and genus < 1:
             raise SurfaceError("a nonorientable surface needs at least one crosscap")
         return super().__new__(cls, orientable, genus, punctures)
+
+    @classmethod
+    def _make(cls, iterable):
+        # the base checks the length and the constructor the values;
+        # _replace builds through _make, so it validates too
+        return cls(*super()._make(iterable))
 
     @classmethod
     def parse(cls, text: str) -> "SurfaceSpec":
@@ -93,12 +93,7 @@ def regime(spec: SurfaceSpec) -> Regime:
     return Regime.CLOSED_NONORIENTABLE_HYPERBOLIC
 
 
-class _Generator(NamedTuple):
-    name: str
-    character: int
-
-
-class Generator(_Generator):
+class Generator(namedtuple("Generator", "name character")):
     """A group generator together with its orientation character (+1 or -1)."""
 
     __slots__ = ()
@@ -108,21 +103,25 @@ class Generator(_Generator):
             raise ValueError("character must be +1 or -1")
         return super().__new__(cls, name, character)
 
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*super()._make(iterable))
 
-class Presentation(NamedTuple):
-    """A finite presentation.
+
+class Presentation(
+    namedtuple("Presentation", "generators relators surface lifted", defaults=(None, False))
+):
+    """A finite presentation: a tuple of :class:`Generator` and a tuple of
+    relators.
 
     Letters of relators (and of words over this presentation) are nonzero
     integers: ``+(i+1)`` is generator ``i``, negative means its inverse.
-    ``surface`` and ``lifted`` tag presentations produced by
-    :func:`presentation` / :func:`st_presentation` so that word operations can
-    pick the right normal-form engine.
+    ``surface`` (a :class:`SurfaceSpec` or None) and ``lifted`` tag
+    presentations produced by :func:`presentation` / :func:`st_presentation`
+    so that word operations can pick the right normal-form engine.
     """
 
-    generators: tuple[Generator, ...]
-    relators: tuple[tuple[int, ...], ...]
-    surface: SurfaceSpec | None = None
-    lifted: bool = False
+    __slots__ = ()
 
     def names(self) -> tuple[str, ...]:
         return tuple(g.name for g in self.generators)

@@ -39,8 +39,9 @@ from __future__ import annotations
 
 import math
 import re
+from collections import namedtuple
+from collections.abc import Callable
 from functools import cache
-from typing import Callable, NamedTuple
 
 from .surfaces import (
     Presentation,
@@ -67,11 +68,11 @@ class WordParseError(ValueError):
 Letters = tuple[int, ...]
 
 
-class Word(NamedTuple):
-    """A group element over ``ambient``, stored as its normal-form letters."""
+class Word(namedtuple("Word", "ambient letters")):
+    """A group element over the :class:`Presentation` ``ambient``, stored as
+    its normal-form letters."""
 
-    ambient: Presentation
-    letters: Letters
+    __slots__ = ()
 
     def __str__(self) -> str:
         return self.ambient.spell(self.letters)
@@ -271,9 +272,11 @@ def _swap_normalize(letters, moves, L: int, sign: int) -> tuple[Letters, int]:
     return best, seen[best]
 
 
-class _Band(NamedTuple):
+class _Band(namedtuple("_Band", "moves sign L pieces index steps runs letters ahead behind")):
     """Per-surface tables of the relator band (see :func:`_dehn_normalize`).
 
+    ``moves`` and ``sign`` are those of :func:`_dehn_tables`, ``L`` is the
+    relator's length and ``letters`` every generator and its inverse.
     ``pieces`` lists the normal forms of the elements spelled by cyclic
     subwords of the relator or its inverse, the identity first, and ``index``
     inverts it.  ``steps`` maps ``(a, d)`` to the moves ``(y, d', s)``, in
@@ -283,16 +286,7 @@ class _Band(NamedTuple):
     ``behind`` cache the mask sweeps of :func:`_band_live`.
     """
 
-    moves: dict
-    sign: int
-    L: int
-    pieces: list
-    index: dict
-    steps: dict
-    runs: frozenset
-    letters: tuple
-    ahead: dict
-    behind: dict
+    __slots__ = ()
 
 
 @cache
@@ -595,13 +589,12 @@ def _klein_conjugator(pres, lu, lv) -> Word | None:
 # normal forms x with conjugators c (the element is c x c^-1).
 
 
-class _Conjugates(NamedTuple):
+class _Conjugates(namedtuple("_Conjugates", "forms rotations")):
     """Minimal-length conjugates ``(x, c)`` of one element.  With ``rotations``
     the list holds one form per cyclic word, and every rotation of each is a
     minimal conjugate in normal form too; without it, it holds them all."""
 
-    forms: list[tuple[Letters, Letters]]
-    rotations: bool
+    __slots__ = ()
 
 
 def _minimal_conjugates(pres, letters) -> _Conjugates:
@@ -867,7 +860,7 @@ def _root_exponents(pres, letters) -> Callable[[int], bool] | None:
 # the engine table
 
 
-class _Engine(NamedTuple):
+class _Engine(namedtuple("_Engine", "normalize conjugator root")):
     """How one regime normalizes, conjugates and takes roots.
 
     ``normalize(letters, pres)`` returns the normal-form letters and the
@@ -877,9 +870,7 @@ class _Engine(NamedTuple):
     None on the finite groups, where primitive roots are undefined.
     """
 
-    normalize: Callable[[Letters, Presentation], tuple[Letters, int]]
-    conjugator: Callable[[Presentation, Letters, Letters], Word | None]
-    root: Callable[[Presentation, Letters], tuple[Word, int]] | None
+    __slots__ = ()
 
 
 def _rp2_normalize(letters, pres) -> tuple[Letters, int]:

@@ -200,16 +200,18 @@ def test_non_finite_curve_exits2_without_traceback(tmp_path):
 def test_cli_import_leaves_out_dataclasses():
     import curvespace
 
+    # -S: no site module, so nothing it preloads can hide an import
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(curvespace.__file__)))
+    probe = "import curvespace.cli, sys; print('dataclasses' in sys.modules, 'typing' in sys.modules)"
     proc = subprocess.run(
-        [sys.executable, "-c", "import curvespace.cli, sys; print('dataclasses' in sys.modules)"],
+        [sys.executable, "-S", "-c", probe],
         capture_output=True,
         text=True,
         env=env,
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False"]
+    assert proc.stdout.split() == ["False", "False"]
 
 
 DOCUMENTED_API = {

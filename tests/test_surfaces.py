@@ -1,11 +1,18 @@
+import copy
+import pickle
+
 import pytest
 
+import curvespace
 from curvespace import Generator, Presentation, SurfaceSpec, presentation, st_presentation
 from curvespace.surfaces import Regime, SurfaceError, abelianization, euler_characteristic, regime
 from curvespace.words import Word, free_reduce
-from curvespace.oracle import SearchBound, bounded_is_trivial
+from curvespace.stbundle import decompose
+from curvespace.flatcurves import Crossing, CurveOnSurface, Model, Polyline, lift
+from curvespace.classify import GroupDescription, Kind, classify_pi1
+from curvespace.oracle import SearchBound, VerificationOutcome, bounded_is_trivial
 
-from conftest import ALL_REGIME_SAMPLES, KLEIN, GENUS2, RP2, SPHERE, TORUS
+from conftest import ALL_REGIME_SAMPLES, KLEIN, GENUS2, RP2, SPHERE, ST, TORUS, W
 
 
 def test_regime_table():
@@ -29,8 +36,57 @@ def test_spec_validation():
         Generator("g", 2)
     spec = SurfaceSpec(True, 2)
     assert repr(spec) == "SurfaceSpec(orientable=True, genus=2, punctures=0)"
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: SurfaceSpec(True, 2)._replace(genus=-1),
+        lambda: SurfaceSpec(False, 1)._replace(genus=0),
+        lambda: SearchBound()._replace(max_word_length=0),
+        lambda: Generator("a1", 1)._replace(character=5),
+        lambda: GroupDescription(Kind.Z)._replace(witnesses=(ST("a1", GENUS2),) * 2),
+        lambda: SurfaceSpec._make((True, 0, -1)),
+    ],
+    ids=["genus", "crosscaps", "bound", "character", "rank", "make"],
+)
+def test_replace_and_make_validate(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def _curve():
+    curve = CurveOnSurface(Model.PLANE, Polyline(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))))
+    lift(curve, TORUS)  # caches the lift data in the instance dict
+    return curve
+
+
+RECORDS = {
+    "SurfaceSpec": lambda: SurfaceSpec(True, 2),
+    "Generator": lambda: Generator("c1", -1),
+    "Presentation": lambda: presentation(GENUS2),
+    "Word": lambda: W("a1 b1 A2", GENUS2),
+    "STWord": lambda: ST("a1 f^3", GENUS2),
+    "LiftDecomposition": lambda: decompose(ST("a1^2 f", GENUS2)),
+    "Polyline": lambda: Polyline(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))),
+    "Crossing": lambda: Crossing(0, "x", 1, +1),
+    "CurveOnSurface": _curve,
+    "GroupDescription": lambda: GroupDescription(Kind.Z, (ST("a1", GENUS2),)),
+    "ClassificationReport": lambda: classify_pi1(GENUS2, ST("a1", GENUS2)),
+    "SearchBound": lambda: SearchBound(),
+    "VerificationOutcome": lambda: VerificationOutcome(True, "ok"),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_value_records_behave_as_records(name):
+    record = RECORDS[name]()
+    assert type(record) is getattr(curvespace, name)
+    for twin in (pickle.loads(pickle.dumps(record)), copy.copy(record)):
+        assert type(twin) is type(record) and twin == record
+    assert repr(record).startswith(name + "(")
     with pytest.raises(AttributeError):
-        spec.genus = 3
+        setattr(record, record._fields[0], None)
 
 
 def test_parse_roundtrip():

@@ -26,7 +26,7 @@ from curvespace.words import (
     word,
     word_text,
 )
-from curvespace.stbundle import st_parse, st_text, st_word
+from curvespace.stbundle import decompose, st_parse, st_text, st_word
 from curvespace.oracle import SearchBound, bounded_is_trivial
 
 from conftest import GENUS2, KLEIN, NONOR3, PUNCTURED_TORUS, RP2, TORUS, W
@@ -253,6 +253,19 @@ def test_primitive_root_is_primitive():
         root, k = primitive_root(u)
         again, k2 = primitive_root(root)
         assert k2 == 1 and again.letters == root.letters
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="_dehn_root assumes an e-th root of a minimal x has |x| / e letters; on "
+    "nonorientable genus 3 a power of a minimal word can be shorter than e |x|",
+)
+def test_primitive_root_of_a_square_that_is_not_geodesic():
+    x = W("C3 c1^2 c2 c3^2 C1", NONOR3)
+    square = multiply(x, x)
+    assert (len(x), len(square)) == (7, 12)
+    assert primitive_root(square) == (x, 2)
+    assert decompose(st_parse(f"{x} {x}", NONOR3)).k == 2
 
 
 def test_normal_form_laws_random():
