@@ -81,6 +81,15 @@ class Word(namedtuple("Word", "ambient letters")):
         """The number of letters, not of fields."""
         return len(self.letters)
 
+    @classmethod
+    def _make(cls, iterable):
+        # the base checks len(), which counts letters here, not fields;
+        # _replace builds through _make
+        result = tuple.__new__(cls, iterable)
+        if tuple.__len__(result) != 2:
+            raise TypeError(f"Expected 2 arguments, got {tuple.__len__(result)}")
+        return result
+
 
 # ---------------------------------------------------------------------------
 # letter-sequence primitives

@@ -85,6 +85,8 @@ def test_value_records_behave_as_records(name):
     for twin in (pickle.loads(pickle.dumps(record)), copy.copy(record)):
         assert type(twin) is type(record) and twin == record
     assert repr(record).startswith(name + "(")
+    for twin in (record._replace(), type(record)._make(tuple(record))):
+        assert type(twin) is type(record) and twin == record
     with pytest.raises(AttributeError):
         setattr(record, record._fields[0], None)
 
