@@ -7,7 +7,8 @@ no search cap, so no subcommand reports an undecided answer.
 
 Grammars (frozen):
 
-* surface: ``<orientable|nonorientable>:<genus>:<punctures>``
+* surface: ``<orientable|nonorientable>:<genus>:<punctures>``, at most 64
+  generators
 * word: lowercase generator names (``a1 b1 c2 z1`` and the fiber letter
   ``f``), uppercase for inverses, ``^`` for powers, tokens separated by
   spaces, ``1`` for the empty word

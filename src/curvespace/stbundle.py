@@ -23,12 +23,11 @@ from .words import (
     AmbientMismatchError,
     TrivialWordError,
     Word,
-    conjugating_element,
+    _engine,
     invert_letters,
     klein_coordinates,
     normalize_with_fiber,
     parse_letters,
-    primitive_root,
 )
 
 _FINITE_ORDER = {Regime.SPHERE: 2, Regime.RP2: 4}
@@ -110,17 +109,23 @@ def st_invert(u: STWord) -> STWord:
 
 
 def st_power(u: STWord, e: int) -> STWord:
-    """``u**e`` by repeated squaring: O(log |e|) products.  Normal forms are
-    canonical, so any bracketing of the product gives the same element."""
+    """``u**e`` by repeated squaring: O(log |e|) products, none for
+    ``e = 1``.  Normal forms are canonical, so any bracketing of the product
+    gives the same element."""
     if e < 0:
         return st_power(st_invert(u), -e)
-    acc = st_identity(u.surface)
+    if e == 0:
+        return st_identity(u.surface)
+    while not e & 1:
+        u = st_multiply(u, u)
+        e >>= 1
+    acc = u
+    e >>= 1
     while e:
+        u = st_multiply(u, u)
         if e & 1:
             acc = st_multiply(acc, u)
         e >>= 1
-        if e:
-            u = st_multiply(u, u)
     return acc
 
 
@@ -178,14 +183,19 @@ def _klein_st_conjugate(u: STWord, v: STWord) -> bool:
 def _coset_st_conjugate(u: STWord, v: STWord) -> bool:
     """Conjugacy on free and closed hyperbolic surfaces, where the base
     centralizer is the cyclic group on the primitive root.  Free groups have
-    no relator, so there d0 = c_rho = 0 below."""
-    v0 = conjugating_element(u.base, v.base)
+    no relator, so there d0 = c_rho = 0 below.
+
+    The bases of ``u`` and ``v`` and the engine's answers are normal forms,
+    which normalize with no fiber shift, so they go to the engine and are
+    lifted at fiber zero as they are."""
+    pres = u.base.ambient
+    engine = _engine(pres)
+    v0 = engine.conjugator(pres, u.base.letters, v.base.letters)
     if v0 is None:
         return False
-    pres = u.base.ambient
-    rho, _ = primitive_root(u.base)
-    w0 = st_word(u.surface, u.base.letters, 0)
-    lift = lambda t: st_word(u.surface, t.letters, 0)
+    rho, _ = engine.root(pres, u.base.letters)
+    w0 = STWord(u.surface, u.base, 0)
+    lift = lambda t: STWord(u.surface, t, 0)
     conj_v0 = st_conjugate(w0, lift(v0))
     conj_rho = st_conjugate(w0, lift(rho))
     assert conj_v0.base == v.base and conj_rho.base == u.base
@@ -230,8 +240,11 @@ def decompose(xi: STWord) -> LiftDecomposition:
         raise TrivialWordError(
             "the base class is trivial; the element is a pure fiber power"
         )
-    root, k = primitive_root(xi.base)
-    root_lift = st_word(xi.surface, root.letters, 0)
+    # the base is a normal form and so is the root: the engine takes it and
+    # the root lifts at fiber zero as it is
+    pres = xi.base.ambient
+    root, k = _engine(pres).root(pres, xi.base.letters)
+    root_lift = STWord(xi.surface, root, 0)
     power = st_power(root_lift, k)
     if power.base != xi.base:
         raise AssertionError("root power does not reproduce the base")

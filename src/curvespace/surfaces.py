@@ -35,6 +35,14 @@ class Regime(Enum):
     PUNCTURED = "punctured"
 
 
+#: most generators a surface's presentation may have: :func:`presentation`
+#: builds them all at once and the closed hyperbolic engine's relator moves
+#: grow with the cube of the relator's length, so this bounds the time and
+#: memory a surface can take (genus 32 orientable and 64 crosscaps, with
+#: 128-letter relators, build their moves in well under a second)
+_MAX_GENERATORS = 64
+
+
 class SurfaceSpec(namedtuple("SurfaceSpec", "orientable genus punctures")):
     """Orientability + genus + punctures.  Immutable and hashable."""
 
@@ -47,6 +55,11 @@ class SurfaceSpec(namedtuple("SurfaceSpec", "orientable genus punctures")):
             raise SurfaceError("puncture count must be nonnegative")
         if not orientable and genus < 1:
             raise SurfaceError("a nonorientable surface needs at least one crosscap")
+        generators = (2 if orientable else 1) * genus + max(punctures - 1, 0)
+        if generators > _MAX_GENERATORS:
+            raise SurfaceError(
+                f"the surface has {generators} generators; at most {_MAX_GENERATORS} are supported"
+            )
         return super().__new__(cls, orientable, genus, punctures)
 
     @classmethod

@@ -41,7 +41,7 @@ import math
 import re
 from collections import namedtuple
 from collections.abc import Callable
-from functools import cache
+from functools import cache, lru_cache
 
 from .surfaces import (
     Presentation,
@@ -400,12 +400,12 @@ def _band_live(w: Letters, band: _Band) -> list[int]:
 
 
 def _bits(mask: int):
-    d = 0
+    """The set bits of ``mask``, lowest first, one step per set bit: a mask
+    spans all ``(L - 1)^2`` pieces and is mostly zeros."""
     while mask:
-        if mask & 1:
-            yield d
-        mask >>= 1
-        d += 1
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _band_union(band: _Band, a: int, mask: int) -> int:
@@ -929,37 +929,73 @@ _TOKEN = re.compile(r"([A-Za-z]+[0-9]*)(?:\^(-?[0-9]+))?$")
 _MAX_WORD_LETTERS = 1_000_000
 
 
+def _token_power(token: str, names: tuple[str, ...]) -> tuple[int, int]:
+    """The generator number of a token other than ``1`` and its signed
+    power."""
+    m = _TOKEN.fullmatch(token)
+    if not m:
+        raise WordParseError(f"bad token {token!r}")
+    name, power = m.group(1), int(m.group(2) or 1)
+    sign = 1
+    if name[0].isupper():
+        sign = -1
+        name = name.lower()
+    try:
+        idx = names.index(name) + 1
+    except ValueError:
+        raise WordParseError(f"unknown generator {name!r}") from None
+    return idx, sign * power
+
+
+@lru_cache(maxsize=128)
+def _letter_table(names: tuple[str, ...]) -> dict[str, int]:
+    """The signed letter of each token that spells one letter: every name
+    and its uppercase inverse, each read by :func:`_token_power`, so the
+    table answers as the general path does.  Built once per name tuple."""
+    table = {}
+    for name in names:
+        for token in (name, name.upper()):
+            try:
+                idx, power = _token_power(token, names)
+            except WordParseError:
+                continue
+            if abs(power) == 1:
+                table[token] = idx * power
+    return table
+
+
+def _check_length(length: int) -> None:
+    if length > _MAX_WORD_LETTERS:
+        raise WordParseError(f"the word expands to more than {_MAX_WORD_LETTERS} letters")
+
+
 def parse_letters(text: str, names: tuple[str, ...]) -> Letters:
     """Parse the word grammar over the given generator names.
 
     Lowercase names, uppercase = inverse, ``^`` powers, juxtaposition with
     spaces, and ``1`` for the empty word.  A word whose powers add up to
     more than ``_MAX_WORD_LETTERS`` letters is rejected before it is spelled
-    out.
+    out.  Tokens of one letter are looked up in a table built once per name
+    tuple; the rest go through the token grammar.
     """
+    table = _letter_table(names)
     out: list[int] = []
-    length = 0
     for token in text.split():
+        letter = table.get(token)
+        if letter is not None:
+            out.append(letter)
+            continue
+        # a table token adds one letter and cannot fail otherwise, so the
+        # length is checked before the next token that can fail, and at the
+        # end: the first error in token order is the one raised
+        _check_length(len(out))
         if token == "1":
             continue
-        m = _TOKEN.fullmatch(token)
-        if not m:
-            raise WordParseError(f"bad token {token!r}")
-        name, power = m.group(1), int(m.group(2) or 1)
-        sign = 1
-        if name[0].isupper():
-            sign = -1
-            name = name.lower()
-        try:
-            idx = names.index(name) + 1
-        except ValueError:
-            raise WordParseError(f"unknown generator {name!r}") from None
-        total = sign * power
+        idx, total = _token_power(token, names)
         if total:
-            length += abs(total)
-            if length > _MAX_WORD_LETTERS:
-                raise WordParseError(f"the word expands to more than {_MAX_WORD_LETTERS} letters")
+            _check_length(len(out) + abs(total))
             out += [idx if total > 0 else -idx] * abs(total)
+    _check_length(len(out))
     return tuple(out)
 
 

@@ -163,6 +163,9 @@ def test_invalid_inputs_exit2(capsys):
     # 2 * 10^6 letters: over the cap on a word's expanded length
     code, _, err = run(capsys, "classify", "--surface", "orientable:1:0", "--word", "a1^2000000")
     assert code == 2 and "more than 1000000 letters" in err
+    # over the cap on a surface's generators, so no presentation is built
+    code, _, err = run(capsys, "classify", "--surface", "orientable:99999999999:0", "--word", "a1")
+    assert code == 2 and "at most 64 are supported" in err
 
 
 def test_non_finite_curve_exits2_without_traceback(tmp_path):
@@ -195,6 +198,29 @@ def test_non_finite_curve_exits2_without_traceback(tmp_path):
         assert proc.returncode == 2, proc.stderr
         assert message in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+def test_largest_closed_surfaces_classify():
+    """The largest closed surfaces under the generator cap have 128-letter
+    relators; a child builds their presentation and relator tables and
+    classifies a word on them within the timeout."""
+    import curvespace
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(curvespace.__file__)))
+    for surface, text, case in (
+        ("orientable:32:0", "a1 b1 a2 A1 B1 A2 b31 a32 b32", "case=Thm 3 I"),
+        ("nonorientable:64:0", "c1 c2 c3 C1 C2 C3 c62 c63 c64", "case=Thm 6 I"),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "curvespace.cli", "classify", "--surface", surface,
+             "--word", text, "--format", "structured"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[0] == case
 
 
 def test_cli_import_leaves_out_dataclasses():

@@ -3,7 +3,17 @@ import random
 import pytest
 
 from curvespace import presentation, st_parse, st_presentation
-from curvespace.words import TrivialWordError, Word, klein_coordinates
+from curvespace.words import (
+    TrivialWordError,
+    Word,
+    conjugating_element,
+    invert,
+    klein_coordinates,
+    multiply,
+    normalize_with_fiber,
+    primitive_root,
+    word,
+)
 from curvespace.stbundle import (
     base_character,
     decompose,
@@ -21,6 +31,7 @@ from curvespace.stbundle import (
 from curvespace.oracle import SearchBound, bounded_is_trivial
 
 from conftest import (
+    ALL_REGIME_SAMPLES,
     GENUS2,
     KLEIN,
     NONOR3,
@@ -230,6 +241,30 @@ def test_decompose_errors():
         decompose(ST("f", SPHERE))
 
 
+def test_normal_forms_normalize_with_no_fiber_shift():
+    """``decompose`` and ``st_is_conjugate`` lift an element's base, its
+    conjugators and its root at fiber zero without normalizing them again.
+    That holds because each is its own normal form with no fiber shift:
+    normal forms of random words, and the conjugators and roots the engines
+    return for them, on every regime."""
+    rng = random.Random(29)
+    for surface in ALL_REGIME_SAMPLES:
+        pres = presentation(surface)
+        n = len(pres.generators)
+
+        def random_word(length):
+            return word(pres, [rng.randrange(1, n + 1) * rng.choice((1, -1)) for _ in range(length if n else 0)])
+
+        for _ in range(120):
+            u, t = random_word(rng.randrange(13)), random_word(rng.randrange(5))
+            v = multiply(multiply(t, u), invert(t))
+            found = [u, v, conjugating_element(u, v)]
+            if u.letters and surface not in (SPHERE, RP2):
+                found.append(primitive_root(u)[0])
+            for w in found:
+                assert normalize_with_fiber(w.letters, pres) == (w.letters, 0), (surface, w.letters)
+
+
 def test_inverse_and_associativity_random():
     rng = random.Random(41)
     for surface in (SPHERE, RP2, TORUS, KLEIN, GENUS2, NONOR3, PUNCTURED_NONOR):
@@ -263,14 +298,17 @@ def test_power():
     assert st_power(u, 4) == ST("c1^4", NONOR3)
     assert st_power(u, -2) == st_invert(st_multiply(u, u))
     assert st_power(u, 0) == st_identity(NONOR3)
-    # odd and negative exponents against one product per factor
-    for surface, text in ((GENUS2, "a1 b2 f"), (NONOR3, "c1 c2 F^2"), (KLEIN, "c1 f")):
-        v = ST(text, surface)
-        for e in (1, 3, 5, 7, 13, -1, -3, -6, -11):
+    # every exponent from -6 to 6, and some longer odd ones, against one
+    # product per factor on every regime
+    rng = random.Random(53)
+    cases = [(GENUS2, ST("a1 b2 f", GENUS2)), (NONOR3, ST("c1 c2 F^2", NONOR3)), (KLEIN, ST("c1 f", KLEIN))]
+    cases += [(s, rand_element(s, rng)) for s in ALL_REGIME_SAMPLES for _ in range(3)]
+    for surface, v in cases:
+        for e in (*range(-6, 7), 7, 13, -11):
             ref = st_identity(surface)
             for _ in range(abs(e)):
                 ref = st_multiply(ref, v if e > 0 else st_invert(v))
-            assert st_power(v, e) == ref, (surface, text, e)
+            assert st_power(v, e) == ref, (surface, st_text(v), e)
     # a long power: quadratic when each factor renormalized the product
     d = decompose(ST("a1^4000", GENUS2))
     assert st_text(d.root_lift) == "a1" and (d.k, d.l) == (4000, 0)

@@ -34,6 +34,15 @@ def test_spec_validation():
         SurfaceSpec.parse("orientable:2")
     with pytest.raises(ValueError, match="character must be"):
         Generator("g", 2)
+    # at most 64 generators: 2 per handle, 1 per crosscap, 1 per puncture
+    # past the first
+    for orientable, genus, punctures in ((True, 32, 0), (False, 64, 0), (True, 0, 65), (False, 63, 2)):
+        assert len(presentation(SurfaceSpec(orientable, genus, punctures)).generators) == 64
+    for text in ("orientable:33:0", "nonorientable:65:0", "orientable:0:66", "orientable:99999999999:0"):
+        with pytest.raises(SurfaceError, match="at most 64"):
+            SurfaceSpec.parse(text)
+    with pytest.raises(SurfaceError, match="at most 64"):
+        SurfaceSpec(True, 32)._replace(punctures=2)
     spec = SurfaceSpec(True, 2)
     assert repr(spec) == "SurfaceSpec(orientable=True, genus=2, punctures=0)"
 

@@ -7,6 +7,7 @@ from curvespace.words import (
     AmbientMismatchError,
     TrivialWordError,
     Word,
+    WordParseError,
     _abelian_conjugacy_possible,
     _dehn_shorten,
     _dehn_tables,
@@ -297,6 +298,83 @@ def test_parse_and_spell_roundtrip():
         u = parse_word(text, presentation(GENUS2))
         again = parse_word(word_text(u), presentation(GENUS2))
         assert u.letters == again.letters
+
+
+def _reference_letters(text, names, cap=1_000_000):
+    """The word grammar read by hand, token by token, with no regular
+    expression and nothing from the words module but the error class."""
+    ascii_letters = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
+    out = []
+    for token in text.split():
+        if token == "1":
+            continue
+        name, caret, power_text = token.partition("^")
+        digits = power_text[1:] if power_text.startswith("-") else power_text
+        k = 0
+        while k < len(name) and name[k] in ascii_letters:
+            k += 1
+        well_formed = (
+            k > 0
+            and all(c in "0123456789" for c in name[k:])
+            and (not caret or (digits != "" and all(c in "0123456789" for c in digits)))
+        )
+        if not well_formed:
+            raise WordParseError(f"bad token {token!r}")
+        power = int(power_text) if caret else 1
+        if name[0] in ascii_letters[:26]:
+            name, power = name.lower(), -power
+        if name not in names:
+            raise WordParseError(f"unknown generator {name!r}")
+        letter = names.index(name) + 1
+        if len(out) + abs(power) > cap:
+            raise WordParseError(f"the word expands to more than {cap} letters")
+        out += [letter if power > 0 else -letter] * abs(power)
+    return tuple(out)
+
+
+def _parsed(parse, text, names):
+    try:
+        return parse(text, names)
+    except WordParseError as exc:
+        return f"error: {exc}"
+
+
+def test_letter_table_parses_as_the_grammar():
+    """Seeded random token streams over the names of every regime plus the
+    fiber letter: ``parse_letters`` gives the hand-read letters, or the same
+    error text, whether a token is one letter or takes the general path."""
+    rng = random.Random(23)
+    odd_tokens = (
+        "1", "q9", "x", "a99", "c0", "F2", "aB1", "A1b", "1a", "a1^", "^2", "a1^^2",
+        "a1^\u0663", "\u0663", "a1^+2", "a1^-", "-a1", "a1^-0", "a1^007", "b1^-3",
+    )
+    surfaces = (SurfaceSpec(True, 0, 0), RP2, TORUS, KLEIN, GENUS2, NONOR3, SurfaceSpec(True, 1, 2))
+    for surface in surfaces:
+        names = presentation(surface).names() + ("f",)
+        pool = [*names, *(n.upper() for n in names), *odd_tokens]
+        pool += [f"{n}^{e}" for n in names for e in (0, 1, -1, 2, -4)]
+        for _ in range(2000):
+            tokens = [rng.choice(pool) for _ in range(rng.randrange(9))]
+            text = " ".join(tokens) if rng.random() < 0.8 else "  ".join(tokens) + "\n"
+            assert _parsed(parse_letters, text, names) == _parsed(_reference_letters, text, names), text
+    # near the letter cap, which error comes first depends on token order
+    names = presentation(GENUS2).names()
+    pool = ("a1^999998", "A1^500000", "b1", "B1^2", "1", "q9", "a1^")
+    for _ in range(40):
+        text = " ".join(rng.choice(pool) for _ in range(rng.randrange(1, 6)))
+        assert _parsed(parse_letters, text, names) == _parsed(_reference_letters, text, names), text
+    # one-letter tokens up to and past the cap, then a token that fails
+    for text in (
+        "a1^999999 b1 b1 q9",
+        "a1^999999 b1 q9 b1",
+        "a1^999999 B1 1",
+        "a1^999999 B1 B1 1",
+    ):
+        assert _parsed(parse_letters, text, names) == _parsed(_reference_letters, text, names), text
+    assert parse_letters("a1 " * 1_000_000, names) == (1,) * 1_000_000
+    too_long = "error: the word expands to more than 1000000 letters"
+    assert _parsed(parse_letters, "b1 " * 1_000_001, names) == too_long
+    assert _parsed(parse_letters, "b1 " * 1_000_001 + "q9", names) == too_long
 
 
 def test_is_trivial_oracle_agreement_sweep():
