@@ -111,11 +111,6 @@ def _validated(curve: CurveOnSurface):
     return _chart_data(curve)
 
 
-def turning_number(p: Polyline) -> int:
-    """Sum of signed exterior angles over two pi, for plane-model polylines."""
-    return CurveOnSurface(Model.PLANE, p)._lift_data[1]
-
-
 def _turning(verts) -> int:
     """Turning number of the closed polygon ``verts`` in one pass.  Edge i
     runs from vertex i to vertex i + 1; the closing edge n - 1 returns to

@@ -13,7 +13,15 @@ import math
 from collections import namedtuple
 from functools import lru_cache
 
-from .surfaces import Presentation, Regime, SurfaceSpec, presentation, regime, smith_diagonal
+from .surfaces import (
+    Presentation,
+    Regime,
+    SurfaceSpec,
+    exponent_vector,
+    presentation,
+    regime,
+    smith_diagonal,
+)
 from .words import Word, free_reduce, invert_letters
 from . import stbundle
 from .stbundle import STWord, st_multiply, st_word
@@ -61,13 +69,6 @@ def _relator_variants(pres: Presentation) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(variants))
 
 
-def _exponent_vector(pres: Presentation, letters) -> tuple[int, ...]:
-    v = [0] * len(pres.generators)
-    for x in letters:
-        v[abs(x) - 1] += 1 if x > 0 else -1
-    return tuple(v)
-
-
 def _abelian_certificate_nontrivial(u: Word) -> bool:
     """True if the abelianization already shows ``u != 1``.
 
@@ -78,13 +79,13 @@ def _abelian_certificate_nontrivial(u: Word) -> bool:
     """
     pres = u.ambient
     n = len(pres.generators)
-    rows = [_exponent_vector(pres, rel) for rel in pres.relators]
+    rows = [exponent_vector(pres, rel) for rel in pres.relators]
 
     def invariants(matrix):
         nonzero = [d for d in smith_diagonal(matrix, n) if d]
         return len(nonzero), math.prod(nonzero)
 
-    return invariants(rows) != invariants(rows + [_exponent_vector(pres, u.letters)])
+    return invariants(rows) != invariants(rows + [exponent_vector(pres, u.letters)])
 
 
 def bounded_is_trivial(u: Word, bound: SearchBound = SearchBound()):

@@ -71,7 +71,7 @@ class SurfaceSpec(namedtuple("SurfaceSpec", "orientable genus punctures")):
     @classmethod
     def parse(cls, text: str) -> "SurfaceSpec":
         """Parse the CLI form ``<orientable|nonorientable>:<genus>:<punctures>``."""
-        m = re.fullmatch(r"(orientable|nonorientable):(\d+):(\d+)", text.strip())
+        m = re.fullmatch(r"(orientable|nonorientable):([0-9]+):([0-9]+)", text.strip())
         if not m:
             raise SurfaceError(
                 f"bad surface {text!r}; expected e.g. 'orientable:2:0'"
@@ -337,16 +337,19 @@ def smith_diagonal(rows: list[list[int]], ncols: int) -> list[int]:
     return diag
 
 
+def exponent_vector(pres: Presentation, letters) -> tuple[int, ...]:
+    """The signed number of times each generator of ``pres`` occurs in
+    ``letters``: the word's image in the abelianized free group."""
+    v = [0] * len(pres.generators)
+    for x in letters:
+        v[abs(x) - 1] += 1 if x > 0 else -1
+    return tuple(v)
+
+
 def abelianization(pres: Presentation) -> tuple[int, tuple[int, ...]]:
     """(free rank, torsion orders > 1) of the abelianized presented group."""
     n = len(pres.generators)
-    rows = []
-    for rel in pres.relators:
-        row = [0] * n
-        for x in rel:
-            row[abs(x) - 1] += 1 if x > 0 else -1
-        rows.append(row)
-    diag = smith_diagonal(rows, n)
+    diag = smith_diagonal([exponent_vector(pres, rel) for rel in pres.relators], n)
     rank = n - sum(1 for d in diag if d != 0)
     torsion = tuple(sorted(d for d in diag if d > 1))
     return rank, torsion

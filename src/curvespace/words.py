@@ -18,6 +18,10 @@ Normal forms by regime:
   (the relator band, :func:`_dehn_normalize`).  This is the unique
   shortlex-minimal form in the one-relator surface presentations.  A pass
   is linear in the word's length n and there are at most n / 2 of them.
+  The band's move table is filled by rule, not by search: a Dehn-reduced
+  word of at most ``L / 2 + 2`` letters is geodesic, a relator subword of
+  fewer than ``L / 2`` letters is its element's only geodesic spelling, and
+  a half relator's only other one is its complement (:func:`_band_steps`).
   Conjugacy and primitive roots work on the minimal-length conjugates,
   found through the same band.  Nothing is capped: every answer is decided
   in polynomial time;
@@ -48,6 +52,7 @@ from .surfaces import (
     Regime,
     SurfaceSpec,
     euler_characteristic,
+    exponent_vector,
     presentation,
     regime,
 )
@@ -125,16 +130,6 @@ def _lex_key(letters) -> tuple:
 
 # ---------------------------------------------------------------------------
 # torus and Klein-bottle exponent engines
-
-
-def torus_exponents(letters) -> tuple[int, int]:
-    p = q = 0
-    for x in letters:
-        if abs(x) == 1:
-            p += 1 if x > 0 else -1
-        else:
-            q += 1 if x > 0 else -1
-    return p, q
 
 
 def spell_torus(p: int, q: int) -> Letters:
@@ -249,38 +244,6 @@ def _half_window(w: Letters, moves, half: int) -> bool:
     return any(w[i : i + half] in moves for i in range(len(w) - half + 1))
 
 
-def _swap_normalize(letters, moves, L: int, sign: int) -> tuple[Letters, int]:
-    """Normal form and fiber shift of a word of at most ``L // 2 + 2``
-    letters: the shortlex-least word of the orbit of its Dehn form under
-    half-relator swaps, shortening again whenever a swap exposes a
-    cancellation or a key.  Exponential in the length, so it only fills the
-    band's tables."""
-    half = L // 2
-    w, shift = _dehn_shorten(free_reduce(letters), moves, L, sign)
-    if not _half_window(w, moves, half):
-        return w, shift
-    seen = {w: shift}
-    stack = [w]
-    while stack:
-        s = stack.pop()
-        for i in range(len(s) - half + 1):
-            move = moves.get(s[i : i + half])
-            if move is None:
-                continue
-            rhs, e, eps_rhs = move
-            cand = s[:i] + rhs + s[i + half :]
-            cand_shift = seen[s] + e * eps_rhs * sign ** (len(s) - i - half)
-            shorter, moved = _dehn_shorten(free_reduce(cand), moves, L, sign)
-            if len(shorter) < len(s):
-                nf, rest = _swap_normalize(shorter, moves, L, sign)
-                return nf, cand_shift + moved + rest
-            if cand not in seen:
-                seen[cand] = cand_shift
-                stack.append(cand)
-    best = min(seen, key=_lex_key)
-    return best, seen[best]
-
-
 class _Band(namedtuple("_Band", "moves sign L pieces index steps runs letters ahead behind")):
     """Per-surface tables of the relator band (see :func:`_dehn_normalize`).
 
@@ -290,9 +253,11 @@ class _Band(namedtuple("_Band", "moves sign L pieces index steps runs letters ah
     subwords of the relator or its inverse, the identity first, and ``index``
     inverts it.  ``steps`` maps ``(a, d)`` to the moves ``(y, d', s)``, in
     shortlex letter order, with ``a^-1 d y = d' f^s`` and ``d'`` a piece; it
-    is filled on first use.  ``runs`` holds the cyclic subwords of the
-    relator and its inverse of 2 to ``L // 2 + 1`` letters.  ``ahead`` and
-    ``behind`` cache the mask sweeps of :func:`_band_live`.
+    is filled on first use, by Dehn shortening and at most one half-relator
+    swap, which is exact because ``a^-1 d y`` has at most ``L // 2 + 2``
+    letters (see :func:`_band_steps`).  ``runs`` holds the cyclic subwords
+    of the relator and its inverse of 2 to ``L // 2 + 1`` letters.
+    ``ahead`` and ``behind`` cache the mask sweeps of :func:`_band_live`.
     """
 
     __slots__ = ()
@@ -323,13 +288,29 @@ def _band_tables(surface: SurfaceSpec) -> _Band:
 
 def _band_steps(band: _Band, a: int, d: int):
     """The moves out of offset ``d`` at a layer whose letter is ``a``, and
-    the bit mask of their targets."""
+    the bit mask of their targets.
+
+    The word ``a^-1 d y`` can cancel only at its two ends, since pieces are
+    freely reduced.  Its normal form is read by rule, not by search.  It has
+    at most ``L // 2 + 2`` letters, and a Dehn-reduced word that short is
+    geodesic, so Dehn shortening brings it to its geodesic length.  A word of
+    more than ``L // 2`` letters is then no piece.  A relator subword of
+    fewer than ``L // 2`` letters is its element's only geodesic spelling,
+    so it is its own normal form.  A half relator's only other geodesic
+    spelling is its complement, so the shortlex-lesser of the two is."""
+    moves, L, half = band.moves, band.L, band.L // 2
+    piece = band.pieces[d]
+    body = piece[1:] if piece[:1] == (a,) else (-a,) + piece
     out = []
     for y in band.letters:
-        u = free_reduce((-a,) + band.pieces[d] + (y,))
-        # a word of under L/2 letters is a piece only as a relator subword
-        nf, s = (u, 0) if 2 * len(u) < band.L else _swap_normalize(u, band.moves, band.L, band.sign)
-        k = band.index.get(nf)
+        u = body[:-1] if body[-1:] == (-y,) else body + (y,)
+        s = 0
+        if 2 * len(u) >= L:
+            u, s = _dehn_shorten(u, moves, L, band.sign)
+            move = moves.get(u) if len(u) == half else None
+            if move is not None and _lex_key(move[0]) < _lex_key(u):
+                u, s = move[0], s + move[1] * move[2]
+        k = band.index.get(u)
         if k is not None:
             out.append((y, k, s))
     band.steps[a, d] = entry = (tuple(out), sum(1 << k for _, k, _ in out))
@@ -532,20 +513,7 @@ def invert(u: Word) -> Word:
     return word(u.ambient, invert_letters(u.letters))
 
 
-def is_trivial(u: Word) -> bool:
-    nf, _ = normalize_with_fiber(u.letters, u.ambient)
-    return nf == ()
-
-
-def orientation_character(u: Word) -> int:
-    return u.ambient.word_character(u.letters)
-
-
 # -- conjugacy --------------------------------------------------------------
-
-
-def is_conjugate(u: Word, v: Word) -> bool:
-    return conjugating_element(u, v) is not None
 
 
 def conjugating_element(u: Word, v: Word) -> Word | None:
@@ -758,12 +726,7 @@ def _dehn_conjugator(pres, lu, lv) -> Word | None:
 
 
 def _abelian_conjugacy_possible(pres, lu, lv) -> bool:
-    n = len(pres.generators)
-    eu = [0] * n
-    for x in lu:
-        eu[abs(x) - 1] += 1 if x > 0 else -1
-    for x in lv:
-        eu[abs(x) - 1] -= 1 if x > 0 else -1
+    eu = [p - q for p, q in zip(exponent_vector(pres, lu), exponent_vector(pres, lv))]
     if not pres.surface.orientable:
         # difference must be an integer multiple of (2, 2, ..., 2)
         t = eu[0]
@@ -793,7 +756,7 @@ def primitive_root(u: Word) -> tuple[Word, int]:
 
 
 def _torus_root(pres, letters) -> tuple[Word, int]:
-    p, q = torus_exponents(letters)
+    p, q = exponent_vector(pres, letters)
     d = math.gcd(abs(p), abs(q))
     return word(pres, spell_torus(p // d, q // d)), d
 
@@ -852,9 +815,7 @@ def _root_exponents(pres, letters) -> Callable[[int], bool] | None:
     orientation character allow for an ``e``-th root, or None if they allow
     none.  ``t^e`` has exponent vector ``e`` times that of ``t``, up to a
     multiple of the relator row ((2, ..., 2) for crosscaps)."""
-    vector = [0] * len(pres.generators)
-    for x in letters:
-        vector[abs(x) - 1] += 1 if x > 0 else -1
+    vector = exponent_vector(pres, letters)
     if pres.surface.orientable:
         g = math.gcd(*vector)
         test = lambda e: g % e == 0
@@ -893,7 +854,7 @@ _ENGINES = {
     Regime.SPHERE: _Engine(lambda letters, pres: ((), 0), _equal_conjugator, None),
     Regime.RP2: _Engine(_rp2_normalize, _equal_conjugator, None),
     Regime.TORUS: _Engine(
-        lambda letters, pres: (spell_torus(*torus_exponents(letters)), 0),
+        lambda letters, pres: (spell_torus(*exponent_vector(pres, letters)), 0),
         _equal_conjugator,
         _torus_root,
     ),
@@ -1001,7 +962,3 @@ def parse_letters(text: str, names: tuple[str, ...]) -> Letters:
 
 def parse_word(text: str, pres: Presentation) -> Word:
     return word(pres, parse_letters(text, pres.names()))
-
-
-def word_text(u: Word) -> str:
-    return u.ambient.spell(u.letters)

@@ -18,7 +18,7 @@ from curvespace import (
     verify_classification,
 )
 from curvespace.surfaces import abelianization
-from curvespace.words import multiply, orientation_character, word
+from curvespace.words import multiply, word
 from curvespace.stbundle import (
     base_character,
     decompose,
@@ -28,7 +28,7 @@ from curvespace.stbundle import (
     st_text,
     st_word,
 )
-from curvespace.flatcurves import Model, lift, turning_number
+from curvespace.flatcurves import Model, lift
 from curvespace.classify import Kind, classify_pin, regular_homotopy_equivalent
 
 SPHERE = SurfaceSpec(True, 0, 0)
@@ -220,7 +220,8 @@ def test_criterion_4_algebra_property_suite():
                 # orientation character is a homomorphism
                 u = word(pres, tuple(rng.choice([1, -1]) * rng.randrange(1, n + 1) for _ in range(rng.randrange(5))))
                 v = word(pres, tuple(rng.choice([1, -1]) * rng.randrange(1, n + 1) for _ in range(rng.randrange(5))))
-                assert orientation_character(multiply(u, v)) == orientation_character(u) * orientation_character(v), where
+                uv = multiply(u, v)
+                assert pres.word_character(uv.letters) == pres.word_character(u.letters) * pres.word_character(v.letters), where
             # twist law: w f^m = f^(eps(w) m) w
             w = _random_element(surface, rng, 5, maxfib=0)
             m = rng.randrange(-3, 4)
@@ -270,8 +271,8 @@ def test_criterion_5_presentation_sanity():
 
 
 def test_criterion_6_curve_ingestion():
-    assert turning_number(SQUARE) == 1
-    assert turning_number(Polyline(tuple(reversed(SQUARE.vertices)))) == -1
+    assert lift(CurveOnSurface(Model.PLANE, SQUARE), TORUS).fiber == 1
+    assert lift(CurveOnSurface(Model.PLANE, Polyline(tuple(reversed(SQUARE.vertices)))), TORUS).fiber == -1
     fig8 = CurveOnSurface(Model.PLANE, FIGURE_EIGHT)
     for surface in (TORUS, NONOR3):
         el = lift(fig8, surface)

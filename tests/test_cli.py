@@ -168,6 +168,11 @@ def test_invalid_inputs_exit2(capsys):
     assert code == 2 and "at most 64 are supported" in err
 
 
+def test_non_ascii_digits_in_a_surface_exit2(capsys):
+    code, out, err = run(capsys, "group", "--surface", "orientable:\u0662:0")
+    assert code == 2 and "bad surface" in err and not out
+
+
 def test_non_finite_curve_exits2_without_traceback(tmp_path):
     import curvespace
 

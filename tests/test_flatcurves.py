@@ -11,7 +11,6 @@ from curvespace.flatcurves import (
     crossing_log,
     lift,
     load_curve,
-    turning_number,
 )
 from curvespace.classify import Kind
 
@@ -26,6 +25,12 @@ FIGURE_EIGHT = Polyline(
 
 def plane_curve(poly):
     return CurveOnSurface(Model.PLANE, poly)
+
+
+def turning_number(poly):
+    """The turning number of a plane polyline: the fiber exponent of its lift
+    to the torus, where the fiber class has infinite order."""
+    return lift(plane_curve(poly), TORUS).fiber
 
 
 def rotate(poly, k):

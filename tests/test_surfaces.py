@@ -47,6 +47,14 @@ def test_spec_validation():
     assert repr(spec) == "SurfaceSpec(orientable=True, genus=2, punctures=0)"
 
 
+def test_surface_grammar_takes_ascii_digits_only():
+    """Genus and punctures are ASCII digits, as powers are in the word
+    grammar: an Arabic-Indic two (U+0662) is no genus 2."""
+    for text in ("orientable:\u0662:0", "nonorientable:3:\u0660", "orientable:\uff12:0"):
+        with pytest.raises(SurfaceError, match="bad surface"):
+            SurfaceSpec.parse(text)
+
+
 @pytest.mark.parametrize(
     "build",
     [
