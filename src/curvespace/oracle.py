@@ -58,6 +58,12 @@ UNDECIDED = "undecided"
 # hard cap on BFS states, independent of the requested bounds
 _STATE_CAP = 120_000
 
+#: most (reduced base word, fiber) candidates that an element box, and most
+#: products that a list of witnesses, may enumerate: both are held in memory
+#: whole, so this bounds the time and memory of a verification (genus 3 at
+#: the default bounds enumerates 122,983 candidates, in about 1.5 s)
+_MAX_ENUMERATION = 200_000
+
 
 @lru_cache(maxsize=None)
 def _relator_variants(pres: Presentation) -> tuple[tuple[int, ...], ...]:
@@ -139,7 +145,8 @@ def _reduced_words(names_count: int, max_len: int):
         -i for i in range(1, names_count + 1)
     ]
     alphabet.sort(key=lambda x: (abs(x), 0 if x > 0 else 1))
-    for _ in range(max_len):
+    # with no generators every layer past the empty word is empty
+    for _ in range(max_len if alphabet else 0):
         nxt = []
         for w in layer:
             for a in alphabet:
@@ -162,12 +169,35 @@ def bounded_elements(surface: SurfaceSpec, bound: SearchBound) -> tuple[STWord, 
         return tuple(STWord(surface, None, None, r) for r in range(order))
     pres = presentation(surface)
     fibers = range(-bound.max_fiber, bound.max_fiber + 1)
+    _check_enumeration(_box_candidates(len(pres.generators), bound), "box elements", bound)
     out = []
     for letters in _reduced_words(len(pres.generators), bound.max_word_length):
         base = st_word(surface, letters, 0).base
         if base.letters == letters:  # keep normal forms only
             out.extend(STWord(surface, base, m, None) for m in fibers)
     return tuple(out)
+
+
+def _box_candidates(generators: int, bound: SearchBound) -> int:
+    """How many (reduced word, fiber) pairs :func:`bounded_elements`
+    enumerates over ``generators`` generators, counted only until the count
+    passes ``_MAX_ENUMERATION``."""
+    fibers = 2 * bound.max_fiber + 1
+    words, layer = 1, 2 * generators
+    for _ in range(bound.max_word_length):
+        if not layer or words * fibers > _MAX_ENUMERATION:
+            break
+        words += layer
+        layer *= 2 * generators - 1
+    return words * fibers
+
+
+def _check_enumeration(count: int, what: str, bound: SearchBound) -> None:
+    if count > _MAX_ENUMERATION:
+        raise ValueError(
+            f"bounds of base length {bound.max_word_length} and fiber {bound.max_fiber} ask for "
+            f"more than {_MAX_ENUMERATION} {what}; lower them"
+        )
 
 
 def _product(table: dict, u: STWord, v: STWord) -> STWord:
@@ -222,6 +252,7 @@ def _witness_products(witnesses, bound: SearchBound):
     emax = bound.max_word_length + bound.max_fiber
     if not witnesses:
         return []
+    _check_enumeration((2 * emax + 1) ** len(witnesses), "witness products", bound)
     surface = witnesses[0].surface
     table: dict = {}
     products = [stbundle.st_identity(surface)]

@@ -36,10 +36,11 @@ class Regime(Enum):
 
 
 #: most generators a surface's presentation may have: :func:`presentation`
-#: builds them all at once and the closed hyperbolic engine's relator moves
-#: grow with the cube of the relator's length, so this bounds the time and
-#: memory a surface can take (genus 32 orientable and 64 crosscaps, with
-#: 128-letter relators, build their moves in well under a second)
+#: builds them all at once, and the closed hyperbolic engine's relator
+#: pieces (the offsets of its relator band) grow with the square of the
+#: relator's length, so this bounds the time and memory a surface can take
+#: (genus 32 orientable and 64 crosscaps, with 128-letter relators, build
+#: their tables in well under a second and 6 MB)
 _MAX_GENERATORS = 64
 
 

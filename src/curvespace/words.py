@@ -12,8 +12,8 @@ Normal forms by regime:
   multiplied with ``h g = g^-1 h``; spelled back in the crosscap letters;
 * closed hyperbolic (orientable genus >= 2, nonorientable genus >= 3):
   free reduction and Dehn shortening of subwords longer than half a
-  cyclically rotated relator, read from one table of relator moves built
-  once per surface, then the shortlex-least word among the spellings of the
+  cyclically rotated relator, found through one relator index built once
+  per surface, then the shortlex-least word among the spellings of the
   same length, read off a layered graph of bounded width around the word
   (the relator band, :func:`_dehn_normalize`).  This is the unique
   shortlex-minimal form in the one-relator surface presentations.  A pass
@@ -33,10 +33,11 @@ presentations (handled by :mod:`curvespace.stbundle`) and ad-hoc
 presentations without a surface (handled by the oracle) raise ``ValueError``.
 
 The relator moves carry a fiber exponent so that the tangent-bundle module
-can reuse them: the surface relator equals ``f**chi`` upstairs, so removing a
-rotated copy shifts the fiber by ``chi`` times the orientation character of
-the rotation prefix, twisted by the character of everything to the right of
-the replacement.
+can reuse them: the surface relator equals ``f**chi`` upstairs, so replacing
+the first part of a rotation of the relator (or of its inverse, ``-chi``) by
+the inverse of the rest shifts the fiber by that times the orientation
+character of the rotation prefix, twisted by the character of the
+replacement and of everything to its right.
 """
 
 from __future__ import annotations
@@ -167,67 +168,102 @@ def spell_klein(k: int, l: int) -> Letters:
 # Dehn rewriting for closed hyperbolic regimes
 
 
-@cache
-def _dehn_tables(surface: SurfaceSpec):
-    """The relator moves of a closed hyperbolic surface, built once per
-    surface, and the character that all its generators share (+1 on
-    orientable surfaces, -1 for crosscaps), so that a word's character is
-    that sign to the power of its length.
+class _Band(namedtuple("_Band", "cycles at sign chi L pieces index steps letters ahead behind")):
+    """Per-surface tables of the closed hyperbolic engine.
 
-    The moves map every prefix, of length ``L`` down to ``L / 2``, of every
-    rotation of the relator and of its inverse to (the inverse of the rest of
-    that rotation, the lifted fiber exponent of the rotation, the orientation
-    character of that inverse).  A key longer than ``L / 2`` shortens a word
-    and a key of exactly ``L / 2`` swaps it for its complement; ``L`` is even
-    (``4g`` or ``2k``).  Every generator occurs twice in the relator, so no
-    two-letter subword occurs twice among these rotations and every key has
-    one move.  Both halves of a relator share one orientation character, so
-    a swap followed by its reverse restores the fiber exactly.
+    The relator index: ``cycles`` holds the relator (side 0) and its inverse
+    (side 1), each written out twice, so every cyclic subword is a slice
+    ``cycles[side][start : start + size]``, ``start < L``.  Every generator
+    occurs twice in the relator, so no two-letter subword occurs twice and
+    the first two letters of a cyclic subword fix its place; ``at`` maps the
+    first 2 and the first ``L // 2`` letters of each rotation to ``(side,
+    start)``, ``4L`` keys.  ``L`` is even (``4g`` or ``2k``), ``chi`` is the
+    Euler characteristic, ``sign`` the character that all generators share
+    (+1 on orientable surfaces, -1 for crosscaps) and ``letters`` every
+    generator and its inverse.  The relator band (:func:`_dehn_normalize`):
+    ``pieces`` lists the normal forms of the elements spelled by cyclic
+    subwords, the identity first, and ``index`` inverts it.  ``steps`` maps
+    ``(a, d)`` to the moves ``(y, d', s)``, in shortlex letter order, with
+    ``a^-1 d y = d' f^s`` and ``d'`` a piece, filled on first use by
+    :func:`_band_steps`; ``ahead`` and ``behind`` cache :func:`_band_live`.
     """
+
+    __slots__ = ()
+
+
+@cache
+def _band_tables(surface: SurfaceSpec) -> _Band:
     pres = presentation(surface)
     (sign,) = {g.character for g in pres.generators}
     relator = pres.relators[0]
-    chi = euler_characteristic(surface)
     L = len(relator)
-    moves: dict[Letters, tuple[Letters, int, int]] = {}
-    for delta, base in ((1, relator), (-1, invert_letters(relator))):
-        for rot in range(L):
-            variant = base[rot:] + base[:rot]
-            e = delta * chi * pres.word_character(base[:rot])
-            for cut in range(L, L // 2 - 1, -1):
-                rhs = invert_letters(variant[cut:])
-                moves[variant[:cut]] = (rhs, e, pres.word_character(rhs))
-    return moves, sign
+    half = L // 2
+    cycles = (relator * 2, invert_letters(relator) * 2)
+    letters = tuple(x for g in range(1, len(pres.generators) + 1) for x in (g, -g))
+    band = _Band(cycles, {}, sign, euler_characteristic(surface), L, [()], {(): 0}, {}, letters, {}, {})
+    for side, cycle in enumerate(cycles):
+        for start in range(L):
+            band.at[cycle[start : start + 2]] = band.at[cycle[start : start + half]] = (side, start)
+            # a relator subword of under L/2 letters is its own normal form,
+            # and a half relator's is the smaller of the two halves
+            halves = (cycle[start : start + half], _half_swap(band, cycle[start : start + half])[0])
+            for nf in (*(cycle[start : start + cut] for cut in range(1, half)), min(halves, key=_lex_key)):
+                if nf not in band.index:
+                    band.index[nf] = len(band.pieces)
+                    band.pieces.append(nf)
+    return band
 
 
-def _dehn_shorten(w: Letters, moves, L: int, sign: int) -> tuple[Letters, int]:
+def _relator_move(band: _Band, side: int, start: int, size: int) -> tuple[Letters, int]:
+    """The inverse of the rest of the rotation that ``cycles[side][start :
+    start + size]`` begins, and the fiber shift of that move when nothing
+    follows it (see the module docstring)."""
+    rhs = invert_letters(band.cycles[side][start + size : start + band.L])
+    return rhs, (1 - 2 * side) * band.chi * band.sign ** (start + band.L - size)
+
+
+def _half_swap(band: _Band, u: Letters) -> tuple[Letters, int] | None:
+    """The other half of the relator that ``u`` is half of, with the fiber
+    shift of the swap, or None.  Both halves share one orientation
+    character, so a swap followed by its reverse restores the fiber."""
+    place = band.at.get(u) if len(u) == band.L // 2 else None
+    return None if place is None else _relator_move(band, *place, band.L // 2)
+
+
+def _dehn_shorten(w: Letters, band: _Band) -> tuple[Letters, int]:
     """Dehn-irreducible form of the freely reduced ``w`` and the fiber shift.
 
-    Rewrites the leftmost occurrence of a shortening key (one longer than
-    ``L // 2``), the longest one at that position, until none is left, in one
-    left-to-right pass that is linear in ``len(w)``.  ``done`` holds the letters left of the cursor and
-    ``todo`` the rest, reversed.  A rewrite and the free cancellation it sets
-    off leave every letter left of the cancellation's end as it was, so no
-    window ending there can match and the scan resumes ``L - 1`` letters
-    before that end.  The first ``L // 2 + 1`` letters of a key are a key
-    themselves, so one lookup clears a position.  The pushed right-hand side
-    needs no cancellation against the next letter: it is freely reduced and
-    ends with the inverse of the letter that continues the key in its
-    rotation, and were that letter next, the longer key would have matched.
+    Rewrites the leftmost cyclic subword of the relator or its inverse that
+    is longer than ``L // 2``, the longest one at that position, until none
+    is left, in one left-to-right pass that is linear in ``len(w)``.
+    ``done`` holds the letters left of the cursor and ``todo`` the rest,
+    reversed.  A rewrite and the free cancellation it sets off leave every
+    letter left of the cancellation's end as it was, so no window ending
+    there can match and the scan resumes ``L - 1`` letters before that end.
+    The index names the one rotation that the next ``L // 2`` letters can
+    start, so one lookup clears a position, or finds the subword.  The pushed
+    right-hand side needs no cancellation against the next letter: it ends
+    with the inverse of the letter that continues the subword in its
+    rotation, and were that letter next, the longer subword would match.
     """
-    lo = L // 2 + 1
+    cycles, at, L = band.cycles, band.at, band.L
+    half = L // 2
     done: list[int] = []
     todo = list(reversed(w))
     shift = 0
-    while len(todo) >= lo:
-        if tuple(todo[: -lo - 1 : -1]) not in moves:
+    while len(todo) > half:
+        window = tuple(todo[: -half - 1 : -1])
+        size = half
+        if window in at:
+            side, start = at[window]
+            while size < min(L, len(todo)) and todo[-size - 1] == cycles[side][start + size]:
+                size += 1
+        if size == half:
             done.append(todo.pop())
             continue
-        window = tuple(todo[: -L - 1 : -1])
-        size = next(k for k in range(len(window), lo - 1, -1) if window[:k] in moves)
-        rhs, e, eps_rhs = moves[window[:size]]
         del todo[-size:]
-        shift += e * eps_rhs * sign ** len(todo)
+        rhs, e = _relator_move(band, side, start, size)
+        shift += e * band.sign ** len(todo)
         todo += reversed(rhs)
         while done and todo and done[-1] == -todo[-1]:
             done.pop()
@@ -239,51 +275,10 @@ def _dehn_shorten(w: Letters, moves, L: int, sign: int) -> tuple[Letters, int]:
     return tuple(done), shift
 
 
-def _half_window(w: Letters, moves, half: int) -> bool:
+def _half_window(w: Letters, band: _Band) -> bool:
     """Does some window of ``w`` read half a relator?"""
-    return any(w[i : i + half] in moves for i in range(len(w) - half + 1))
-
-
-class _Band(namedtuple("_Band", "moves sign L pieces index steps runs letters ahead behind")):
-    """Per-surface tables of the relator band (see :func:`_dehn_normalize`).
-
-    ``moves`` and ``sign`` are those of :func:`_dehn_tables`, ``L`` is the
-    relator's length and ``letters`` every generator and its inverse.
-    ``pieces`` lists the normal forms of the elements spelled by cyclic
-    subwords of the relator or its inverse, the identity first, and ``index``
-    inverts it.  ``steps`` maps ``(a, d)`` to the moves ``(y, d', s)``, in
-    shortlex letter order, with ``a^-1 d y = d' f^s`` and ``d'`` a piece; it
-    is filled on first use, by Dehn shortening and at most one half-relator
-    swap, which is exact because ``a^-1 d y`` has at most ``L // 2 + 2``
-    letters (see :func:`_band_steps`).  ``runs`` holds the cyclic subwords
-    of the relator and its inverse of 2 to ``L // 2 + 1`` letters.
-    ``ahead`` and ``behind`` cache the mask sweeps of :func:`_band_live`.
-    """
-
-    __slots__ = ()
-
-
-@cache
-def _band_tables(surface: SurfaceSpec) -> _Band:
-    moves, sign = _dehn_tables(surface)
-    pres = presentation(surface)
-    L = len(pres.relators[0])
-    half = L // 2
-    runs = frozenset(key[:cut] for key in moves if len(key) == L for cut in range(2, half + 2))
-    pieces = [()]
-    index = {(): 0}
-    for key in moves:
-        if len(key) == L:
-            # a relator subword of under L/2 letters is its own normal form,
-            # and a half relator's is the smaller of the two halves
-            halves = (key[:half], moves[key[:half]][0])
-            for nf in (*(key[:cut] for cut in range(1, half)), min(halves, key=_lex_key)):
-                if nf not in index:
-                    index[nf] = len(pieces)
-                    pieces.append(nf)
-    n = len(pres.generators)
-    letters = tuple(x for g in range(1, n + 1) for x in (g, -g))
-    return _Band(moves, sign, L, pieces, index, {}, runs, letters, {}, {})
+    at, half = band.at, band.L // 2
+    return any(w[i : i + half] in at for i in range(len(w) - half + 1))
 
 
 def _band_steps(band: _Band, a: int, d: int):
@@ -298,7 +293,7 @@ def _band_steps(band: _Band, a: int, d: int):
     fewer than ``L // 2`` letters is its element's only geodesic spelling,
     so it is its own normal form.  A half relator's only other geodesic
     spelling is its complement, so the shortlex-lesser of the two is."""
-    moves, L, half = band.moves, band.L, band.L // 2
+    L = band.L
     piece = band.pieces[d]
     body = piece[1:] if piece[:1] == (a,) else (-a,) + piece
     out = []
@@ -306,10 +301,10 @@ def _band_steps(band: _Band, a: int, d: int):
         u = body[:-1] if body[-1:] == (-y,) else body + (y,)
         s = 0
         if 2 * len(u) >= L:
-            u, s = _dehn_shorten(u, moves, L, band.sign)
-            move = moves.get(u) if len(u) == half else None
-            if move is not None and _lex_key(move[0]) < _lex_key(u):
-                u, s = move[0], s + move[1] * move[2]
+            u, s = _dehn_shorten(u, band)
+            swap = _half_swap(band, u)
+            if swap is not None and _lex_key(swap[0]) < _lex_key(u):
+                u, s = swap[0], s + swap[1]
         k = band.index.get(u)
         if k is not None:
             out.append((y, k, s))
@@ -337,14 +332,12 @@ def _dehn_normalize(letters, pres: Presentation) -> tuple[Letters, int]:
     moves' shifts; the spelling ``v`` ends with ``w = v f^-phi``.
     """
     band = _band_tables(pres.surface)
-    moves, L, sign = band.moves, band.L, band.sign
-    half = L // 2
     w = free_reduce(letters)
     shift = 0
     while True:
-        w, moved = _dehn_shorten(w, moves, L, sign)
+        w, moved = _dehn_shorten(w, band)
         shift += moved
-        if not _half_window(w, moves, half):
+        if not _half_window(w, band):
             return w, shift
         v, phi, clean = _band_walk(w, band)
         shift -= phi
@@ -436,37 +429,43 @@ def _dirty_moves(w, band, live, lo, hi):
     a shortening key before layer ``hi``, with the layer and offset where
     they stop; None if there is none.
 
-    A state is an offset and the longest suffix of the path that is a cyclic
-    subword of the relator or its inverse.  Every two-letter subword occurs
-    once among those, so a suffix that does not extend falls back to its
-    last letter and the new one."""
-    steps, runs = band.steps, band.runs
+    A state is an offset, the path's last letter and the place ``(side,
+    start, size)`` of the longest suffix of two or more letters that is a
+    cyclic subword of the relator or its inverse, or None.  Two letters fix
+    a place, so a suffix that does not extend falls back to its last letter
+    and the new one."""
+    steps, cycles, at = band.steps, band.cycles, band.at
     half = band.L // 2
-    k = 1 if lo else 0
-    while k < lo and w[lo - k - 1 : lo] in runs:
-        k += 1
-    layer = {(0, w[lo - k : lo]): None}
+    last = w[lo - 1] if lo else 0
+    run = at.get(w[max(lo - 2, 0) : lo])
+    if run is not None:
+        (side, start), size = run, 2
+        while size < lo and cycles[side][start - 1] == w[lo - size - 1]:
+            start, size = (start - 1) % band.L, size + 1
+        run = (side, start, size)
+    layer = {(0, last, run): None}
     history = [layer]
     for j in range(lo, hi):
         after = live[j + 1]
         nxt = {}
         for state in layer:
-            d, run = state
-            last = run[-1] if run else 0
+            d, last, run = state
             for y, k, s in steps[w[j], d][0]:
                 if not after >> k & 1:
                     continue
-                ext = run + (y,)
-                if y == -last or (len(ext) > half and ext in runs):
+                if run is not None and cycles[run[0]][run[1] + run[2]] == y:
+                    ext = (run[0], run[1], run[2] + 1)
+                else:
+                    ext = at.get((last, y))
+                    ext = None if ext is None else (*ext, 2)
+                if y == -last or (ext is not None and ext[2] > half):
                     moves = [(y, s)]
                     while (back := history[-1][state]) is not None:
                         state, y, s = back
                         moves.append((y, s))
                         history.pop()
                     return moves[::-1], j + 1, k
-                if ext not in runs:
-                    ext = (last, y) if (last, y) in runs else (y,)
-                nxt.setdefault((k, ext), (state, y, s))
+                nxt.setdefault((k, y, ext), (state, y, s))
         layer = nxt
         history.append(layer)
     return None
@@ -601,13 +600,13 @@ def _minimal_conjugates(pres, letters) -> _Conjugates:
         if p:
             x, c = _dehn_normalize(core, pres)[0], c + p
             continue
-        if not _cyclic_half_window(x, band.moves, half):
+        if not _cyclic_half_window(x, band):
             # a ring around such a word has at least two faces, each with
             # L/2 - 1 letters of it
             ring = len(x) % (half - 1) == 0 and len(x) > half
             partners = _ring_partners(x, band, pres) if ring else []
             partners = [(t, c + band.pieces[d]) for t, d in partners]
-            if not any(_cyclic_half_window(t, band.moves, half) for t, _ in partners):
+            if not any(_cyclic_half_window(t, band) for t, _ in partners):
                 return _Conjugates([(x, c), *partners], True)
         seen = {x: c}
         queue = [x]
@@ -643,8 +642,8 @@ def _ring_partners(x: Letters, band: _Band, pres) -> list[tuple[Letters, int]]:
             # a relator subword of under L/2 letters is its own normal form,
             # and a half relator's is itself or the other half
             d = band.index.get(r)
-            if d is None and r in band.moves:
-                d = band.index.get(band.moves[r][0])
+            if d is None and (swap := _half_swap(band, r)) is not None:
+                d = band.index.get(swap[0])
             if d is not None:
                 start &= ~(1 << d)
     return [
@@ -654,9 +653,10 @@ def _ring_partners(x: Letters, band: _Band, pres) -> list[tuple[Letters, int]]:
     ]
 
 
-def _cyclic_half_window(x: Letters, moves, half: int) -> bool:
+def _cyclic_half_window(x: Letters, band: _Band) -> bool:
     """Does the cyclic word ``x`` read half a relator anywhere?"""
-    return _half_window((x * (half // len(x) + 2))[: len(x) + half - 1], moves, half)
+    half = band.L // 2
+    return _half_window((x * (half // len(x) + 2))[: len(x) + half - 1], band)
 
 
 def _ring_offsets(x: Letters, band: _Band, start: int) -> int:

@@ -228,6 +228,33 @@ def test_largest_closed_surfaces_classify():
         assert proc.stdout.splitlines()[0] == case
 
 
+def test_verify_past_the_enumeration_cap_exits2():
+    """verify counts the box's candidates and the witness products before it
+    enumerates them, and bounds past the cap exit 2 at once; without the cap
+    these ran for seconds to minutes, took up to gigabytes or died of
+    MemoryError.  A surface with no generators has a box of one base word
+    whatever its length bound."""
+    import curvespace
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(curvespace.__file__)))
+    for argv, code, message in (
+        (["orientable:2:0", "--word", "a1", "--bound-length", "6"], 2, "box elements"),
+        (["orientable:1:0", "--word", "a1", "--bound-fiber", "100"], 2, "witness products"),
+        (["orientable:8:0", "--word", "a1"], 2, "box elements"),
+        (["orientable:32:0", "--word", "a1"], 2, "box elements"),
+        (["orientable:0:1", "--word", "f", "--bound-length", "1000000000"], 0, ""),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "curvespace.cli", "verify", "--surface", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=20,
+        )
+        assert proc.returncode == code, proc.stderr
+        assert message in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_cli_import_leaves_out_dataclasses():
     import curvespace
 

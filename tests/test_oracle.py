@@ -6,6 +6,9 @@ from curvespace.stbundle import st_invert, st_multiply, st_power
 from curvespace.oracle import (
     UNDECIDED,
     VerificationOutcome,
+    _MAX_ENUMERATION,
+    _box_candidates,
+    _reduced_words,
     bounded_centralizer,
     bounded_elements,
     bounded_is_trivial,
@@ -41,6 +44,18 @@ def test_finite_regime_element_tables():
 
     assert len(bounded_elements(SPHERE, SearchBound())) == 2
     assert len(bounded_elements(RP2, SearchBound())) == 4
+
+
+def test_box_candidates_count_the_enumeration():
+    """The count that the enumeration cap reads is the number of (reduced
+    word, fiber) pairs that bounded_elements walks through, and it stops
+    soon after the cap however large the bounds."""
+    for generators in range(4):
+        for length in range(1, 5):
+            walked = sum(1 for _ in _reduced_words(generators, length))
+            assert _box_candidates(generators, SearchBound(length, 2, 1)) == 5 * walked
+    huge = _box_candidates(64, SearchBound(10**9, 3, 1))
+    assert _MAX_ENUMERATION < huge < 200 * _MAX_ENUMERATION
 
 
 def test_sphere_centralizer_is_everything():

@@ -1,8 +1,10 @@
 import random
+import tracemalloc
 
 import pytest
 
 from curvespace import Generator, Presentation, SurfaceSpec, presentation, st_presentation
+from curvespace.surfaces import euler_characteristic
 from curvespace.words import (
     AmbientMismatchError,
     TrivialWordError,
@@ -12,9 +14,8 @@ from curvespace.words import (
     _band_steps,
     _band_tables,
     _dehn_shorten,
-    _dehn_tables,
-    _half_window,
     _lex_key,
+    _relator_move,
     conjugating_element,
     free_reduce,
     invert,
@@ -420,18 +421,88 @@ def test_dehn_pass_resumes_after_deep_cancellation():
     would hand ``a1 b1 A1 B1 a2`` with fiber -2 to the swap phase."""
     text = "a1 b1 A1 b2^13 A2 B2 a1 b1 A1 B1 a2 B2^12 B1 a2"
     assert st_text(st_parse(text, GENUS2)) == "b2 a2 B2 F^4"
-    rules, sign = _dehn_tables(GENUS2)
     letters = parse_letters(text, presentation(GENUS2).names())
-    assert _dehn_shorten(free_reduce(letters), rules, 8, sign) == (W("b2 a2 B2", GENUS2).letters, -4)
+    band = _band_tables(GENUS2)
+    assert _dehn_shorten(free_reduce(letters), band) == (W("b2 a2 B2", GENUS2).letters, -4)
+
+
+def _prefix_moves(surface):
+    """The relator moves by definition: every prefix, of ``L`` down to
+    ``L / 2`` letters, of every rotation of the relator and of its inverse,
+    mapped to the inverse of the rest of the rotation, the lifted fiber
+    exponent of the rotation (``+-chi`` times the character of the rotated
+    prefix) and the character of that inverse."""
+    pres = presentation(surface)
+    relator = pres.relators[0]
+    chi = euler_characteristic(surface)
+    L = len(relator)
+    moves = {}
+    for delta, base in ((1, relator), (-1, invert_letters(relator))):
+        for rot in range(L):
+            variant = base[rot:] + base[:rot]
+            e = delta * chi * pres.word_character(base[:rot])
+            for cut in range(L, L // 2 - 1, -1):
+                rhs = invert_letters(variant[cut:])
+                moves[variant[:cut]] = (rhs, e, pres.word_character(rhs))
+    return moves
+
+
+def test_relator_index_is_the_prefix_table():
+    """A word of 2 to ``L`` letters is a cyclic subword of the relator or its
+    inverse exactly when the slice that the index names for its first two
+    letters spells it, checked on every such subword and every one-letter
+    change of each; a word of ``L / 2`` letters is a key exactly when it is
+    such a subword; and the index's moves are those of the prefix table."""
+    for surface in (GENUS2, GENUS3, NONOR3, SurfaceSpec(False, 4, 0)):
+        pres = presentation(surface)
+        band = _band_tables(surface)
+        relator = pres.relators[0]
+        L = len(relator)
+        rotations = [base[r:] + base[:r] for base in (relator, invert_letters(relator)) for r in range(L)]
+        subwords = {rot[:size] for rot in rotations for size in range(2, L + 1)}
+        assert len(band.at) == 4 * L
+
+        def found(u):
+            place = band.at.get(u[:2])
+            return place is not None and band.cycles[place[0]][place[1] : place[1] + len(u)] == u
+
+        for u in subwords:
+            assert found(u), (surface, u)
+            for i in range(len(u)):
+                for x in band.letters:
+                    v = u[:i] + (x,) + u[i + 1 :]
+                    assert found(v) == (v in subwords), (surface, v)
+                    if len(v) == L // 2:
+                        assert (v in band.at) == (v in subwords), (surface, v)
+        for key, (rhs, e, eps_rhs) in _prefix_moves(surface).items():
+            side, start = band.at[key[:2]]
+            assert _relator_move(band, side, start, len(key)) == (rhs, e * eps_rhs), (surface, key)
+
+
+def test_relator_index_memory_on_the_largest_surface():
+    """The closed hyperbolic tables of a surface with a 128-letter relator
+    trace under 12 MB while they are built; a table of all relator prefixes
+    took about 38 MB."""
+    surface = SurfaceSpec(True, 32, 0)
+    presentation(surface)
+    tracemalloc.start()
+    try:
+        _band_tables.__wrapped__(surface)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20, peak
 
 
 def test_dehn_pass_leaves_no_shortening():
-    """No window of the pass's output is a rule left-hand side, on words
-    built from relator pieces so that rewrites cascade."""
+    """No window of the pass's output is a left-hand side of the prefix
+    table that shortens, on words built from relator pieces so that
+    rewrites cascade."""
     rng = random.Random(41)
     for surface in (GENUS2, NONOR3):
         pres = presentation(surface)
-        rules, sign = _dehn_tables(surface)
+        rules = _prefix_moves(surface)
+        band = _band_tables(surface)
         relator = pres.relators[0]
         L = len(relator)
         pieces = [relator, invert_letters(relator)]
@@ -441,7 +512,7 @@ def test_dehn_pass_leaves_no_shortening():
             for _ in range(rng.randrange(1, 12)):
                 piece = rng.choice(pieces)
                 letters += piece[: rng.randrange(1, L + 1)]
-            w, _ = _dehn_shorten(free_reduce(letters), rules, L, sign)
+            w, _ = _dehn_shorten(free_reduce(letters), band)
             assert w == free_reduce(w)
             for i in range(len(w)):
                 for size in range(L // 2 + 1, L + 1):
@@ -500,15 +571,29 @@ def test_normal_forms_count_the_growth_series(surface, length):
     assert counts == _growth_coefficients(surface, length)
 
 
+def _definition_shorten(letters, moves, L, sign):
+    """Dehn shortening by definition: rewrite the leftmost key of more than
+    ``L // 2`` letters, the longest one there, and free-reduce, until none is
+    left.  Quadratic in the length."""
+    w, shift = free_reduce(letters), 0
+    while True:
+        sizes = ((i, size) for i in range(len(w)) for size in range(min(L, len(w) - i), L // 2, -1))
+        hit = next(((i, size) for i, size in sizes if w[i : i + size] in moves), None)
+        if hit is None:
+            return w, shift
+        i, size = hit
+        rhs, e, eps_rhs = moves[w[i : i + size]]
+        shift += e * eps_rhs * sign ** (len(w) - i - size)
+        w = free_reduce(w[:i] + rhs + w[i + size :])
+
+
 def _swap_orbit_normal_form(letters, moves, L, sign):
     """Normal form and fiber shift of a word of at most ``L // 2 + 2``
     letters by definition: the shortlex-least word of the orbit of its Dehn
     form under half-relator swaps, shortening again whenever a swap exposes a
     cancellation or a key.  Exponential in the length."""
     half = L // 2
-    w, shift = _dehn_shorten(free_reduce(letters), moves, L, sign)
-    if not _half_window(w, moves, half):
-        return w, shift
+    w, shift = _definition_shorten(letters, moves, L, sign)
     seen = {w: shift}
     stack = [w]
     while stack:
@@ -520,7 +605,7 @@ def _swap_orbit_normal_form(letters, moves, L, sign):
             rhs, e, eps_rhs = move
             cand = s[:i] + rhs + s[i + half :]
             cand_shift = seen[s] + e * eps_rhs * sign ** (len(s) - i - half)
-            shorter, moved = _dehn_shorten(free_reduce(cand), moves, L, sign)
+            shorter, moved = _definition_shorten(cand, moves, L, sign)
             if len(shorter) < len(s):
                 nf, rest = _swap_orbit_normal_form(shorter, moves, L, sign)
                 return nf, cand_shift + moved + rest
@@ -538,12 +623,13 @@ def test_move_table_is_the_swap_orbit_minimum():
     surfaces = (GENUS2, GENUS3, SurfaceSpec(True, 4, 0), NONOR3, SurfaceSpec(False, 4, 0), SurfaceSpec(False, 5, 0))
     for surface in surfaces:
         band = _band_tables(surface)
+        moves = _prefix_moves(surface)
         for a in band.letters:
             for d, piece in enumerate(band.pieces):
                 out = []
                 for y in band.letters:
                     u = free_reduce((-a,) + piece + (y,))
-                    nf, s = _swap_orbit_normal_form(u, band.moves, band.L, band.sign)
+                    nf, s = _swap_orbit_normal_form(u, moves, band.L, band.sign)
                     k = band.index.get(nf)
                     if k is not None:
                         out.append((y, k, s))
