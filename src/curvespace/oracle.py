@@ -15,7 +15,6 @@ from functools import lru_cache
 
 from .surfaces import (
     Presentation,
-    Regime,
     SurfaceSpec,
     exponent_vector,
     presentation,
@@ -163,9 +162,8 @@ def bounded_elements(surface: SurfaceSpec, bound: SearchBound) -> tuple[STWord, 
     in enumeration order: base length, then shortlex on the letters (a
     generator before its inverse, generators in presentation order), then
     fiber."""
-    reg = regime(surface)
-    if reg in (Regime.SPHERE, Regime.RP2):
-        order = 2 if reg is Regime.SPHERE else 4
+    order = stbundle._FINITE_ORDER.get(regime(surface))
+    if order:
         return tuple(STWord(surface, None, None, r) for r in range(order))
     pres = presentation(surface)
     fibers = range(-bound.max_fiber, bound.max_fiber + 1)
@@ -219,9 +217,11 @@ def _product(table: dict, u: STWord, v: STWord) -> STWord:
 
 
 def bounded_centralizer(
-    surface: SurfaceSpec, xi: STWord, bound: SearchBound = SearchBound()
+    surface: SurfaceSpec, xi: STWord, bound: SearchBound = VERIFY_BOUND
 ) -> tuple[STWord, ...]:
-    """All bounded elements commuting with ``xi``, deterministically ordered."""
+    """All bounded elements commuting with ``xi``, deterministically ordered.
+    The default box is ``VERIFY_BOUND``: ``SearchBound()`` passes the
+    enumeration cap on closed hyperbolic surfaces."""
     table: dict = {}
     out = []
     for el in bounded_elements(surface, bound):

@@ -12,7 +12,6 @@ orientation), and, for closed surfaces, the surface relator set equal to
 
 from __future__ import annotations
 
-import math
 import re
 from collections import namedtuple
 from enum import Enum
@@ -273,69 +272,43 @@ def smith_diagonal(rows: list[list[int]], ncols: int) -> list[int]:
     """Diagonal of the Smith normal form of the integer matrix ``rows``.
 
     Returns the invariant factors d_1 | d_2 | ... (nonnegative), padded with
-    zeros up to min(#rows, ncols).  Small matrices only; classic pivoting.
+    zeros up to min(#rows, ncols).  Each step takes an entry ``p`` of least
+    magnitude as the pivot and clears its column and its row by floor
+    division.  If a remainder is left, the least magnitude has dropped and
+    the step repeats.  If some entry is not a multiple of ``p``, its row is
+    added to the pivot row, whose reduction leaves such a remainder.
+    Otherwise ``|p|`` is recorded and its row and column are deleted.  Every
+    recorded pivot divides all the entries left, so the factors come out in
+    divisibility order.  Small matrices only.
     """
     m = [list(r) for r in rows]
-    nrows = len(m)
     diag: list[int] = []
-    r = c = 0
-    while r < nrows and c < ncols:
-        # find a nonzero pivot
-        pr = pc = -1
-        for i in range(r, nrows):
-            for j in range(c, ncols):
-                if m[i][j] != 0:
-                    pr, pc = i, j
-                    break
-            if pr >= 0:
-                break
-        if pr < 0:
-            break
-        m[r], m[pr] = m[pr], m[r]
-        for row in m:
-            row[c], row[pc] = row[pc], row[c]
-        # clear row and column with gcd steps
-        while True:
-            again = False
-            for i in range(r + 1, nrows):
-                while m[i][c] != 0:
-                    q = m[i][c] // m[r][c]
-                    for j in range(c, ncols):
-                        m[i][j] -= q * m[r][j]
-                    if m[i][c] != 0:
-                        m[r], m[i] = m[i], m[r]
-                        again = True
-            for j in range(c + 1, ncols):
-                while m[r][j] != 0:
-                    q = m[r][j] // m[r][c]
-                    for i in range(r, nrows):
-                        m[i][j] -= q * m[i][c]
-                    if m[r][j] != 0:
-                        for i in range(nrows):
-                            m[i][c], m[i][j] = m[i][j], m[i][c]
-                        again = True
-            if not again:
-                break
-        diag.append(abs(m[r][c]))
-        r += 1
-        c += 1
-    # enforce divisibility d_i | d_{i+1}
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(diag) - 1):
-            a, b = diag[i], diag[i + 1]
-            if a and b % a != 0:
-                g = math.gcd(a, b)
-                diag[i], diag[i + 1] = g, a * b // g
-                changed = True
-            elif a == 0 and b != 0:
-                diag[i], diag[i + 1] = b, 0
-                changed = True
-    while r < min(nrows, ncols):
-        diag.append(0)
-        r += 1
-    return diag
+    size = min(len(m), ncols)
+    while True:
+        entries = [(abs(x), i, j) for i, row in enumerate(m) for j, x in enumerate(row) if x]
+        if not entries:
+            return diag + [0] * (size - len(diag))
+        _, i, j = min(entries)
+        pivot, rest = m[i], m[:i] + m[i + 1 :]
+        p = pivot[j]
+        for row in rest:
+            q = row[j] // p
+            if q:
+                row[:] = [x - q * y for x, y in zip(row, pivot)]
+        for k, q in enumerate([x // p for x in pivot]):
+            if q and k != j:
+                for row in m:
+                    row[k] -= q * row[j]
+        if any(pivot[:j] + pivot[j + 1 :]) or any(row[j] for row in rest):
+            continue
+        bad = next((row for row in rest if any(x % p for x in row)), None)
+        if bad is None:
+            diag.append(abs(p))
+            m = [row[:j] + row[j + 1 :] for row in rest]
+        else:
+            # the pivot row plus ``bad``, reduced by the pivot's column
+            pivot[:] = [x % p for x in bad]
+            pivot[j] = p
 
 
 def exponent_vector(pres: Presentation, letters) -> tuple[int, ...]:

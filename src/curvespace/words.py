@@ -125,6 +125,16 @@ def cyclic_free_reduce(letters) -> tuple[Letters, Letters]:
     return w[:i], w[i:j]
 
 
+def _rotation(s: Letters, t: Letters) -> int | None:
+    """The least ``r`` with ``s[r:] + s[:r] == t``, or None.  Each letter is
+    spelled as one character, so that ``str.find`` matches words."""
+    if len(s) != len(t):
+        return None
+    text, target = ("".join([chr(0x4000 + x) for x in w]) for w in (s + s, t))
+    r = text.find(target)
+    return None if r < 0 else r
+
+
 def _lex_key(letters) -> tuple:
     return tuple((abs(x), 0 if x > 0 else 1) for x in letters)
 
@@ -532,17 +542,11 @@ def _equal_conjugator(pres, lu, lv) -> Word | None:
 def _free_conjugator(pres, lu, lv) -> Word | None:
     pu, su = cyclic_free_reduce(lu)
     pv, sv = cyclic_free_reduce(lv)
-    if len(su) != len(sv):
+    r = _rotation(su, sv)
+    if r is None:
         return None
-    if not su:
-        return identity(pres)
-    doubled = su + su
-    for r in range(len(su)):
-        if doubled[r : r + len(su)] == sv:
-            # v = pv * rot_r(su) * pv^-1 and rot_r(su) = su[:r]^-1 su su[:r]
-            t = pv + invert_letters(su[:r]) + invert_letters(pu)
-            return word(pres, t)
-    return None
+    # v = pv * rot_r(su) * pv^-1 and rot_r(su) = su[:r]^-1 su su[:r]
+    return word(pres, pv + invert_letters(su[:r]) + invert_letters(pu))
 
 
 def _klein_conjugator(pres, lu, lv) -> Word | None:
@@ -630,11 +634,15 @@ def _minimal_conjugates(pres, letters) -> _Conjugates:
 
 
 def _ring_partners(x: Letters, band: _Band, pres) -> list[tuple[Letters, int]]:
-    """The normal forms ``t`` of ``d^-1 x d`` for the offsets ``d`` that start
-    a walk once around the band over the cyclic word ``x`` back to ``d``
-    without meeting offset 1: the far sides of rings of relator faces around
-    ``x``.  Offsets ``x[:k]`` and ``x[-k:]^-1`` are skipped; their walks
-    spell rotations of ``x``."""
+    """The ring partners of the cyclic word ``x``, each with its offset ``d``:
+    the normal forms ``t`` of ``d^-1 x d``, the minimal conjugates on the far
+    sides of rings of relator faces around ``x``.
+
+    The offsets ``d`` are those that start a walk once around the band over
+    ``x`` back to ``d`` without meeting offset 1 (:func:`_ring_offsets`).
+    Such a walk spells ``d^-1 x d``, and normal forms are canonical, so
+    ``t`` is the normal form of that product.  Offsets ``x[:k]`` and
+    ``x[-k:]^-1`` are skipped; their walks spell rotations of ``x``."""
     half = band.L // 2
     start = (1 << len(band.pieces)) - 2
     for k in range(1, half + 1):
@@ -647,7 +655,7 @@ def _ring_partners(x: Letters, band: _Band, pres) -> list[tuple[Letters, int]]:
             if d is not None:
                 start &= ~(1 << d)
     return [
-        (_dehn_normalize(_closed_walk(x, band, d), pres)[0], d)
+        (_dehn_normalize(invert_letters(band.pieces[d]) + x + band.pieces[d], pres)[0], d)
         for d in _bits(_ring_offsets(x, band, start) & start)
         if _ring_offsets(x, band, 1 << d) >> d & 1
     ]
@@ -675,33 +683,6 @@ def _ring_offsets(x: Letters, band: _Band, start: int) -> int:
     return mask
 
 
-def _closed_walk(x: Letters, band: _Band, d: int) -> Letters:
-    """The letters of a walk once around the band over the cyclic word ``x``
-    from offset ``d`` back to ``d`` that never meets offset 1, which must
-    exist: a spelling of ``d^-1 x d``."""
-    steps = band.steps
-    layers = []
-    here: dict = {d: None}
-    for a in x:
-        nxt: dict = {}
-        for e in here:
-            for y, k, _ in steps[a, e][0]:
-                if k:
-                    nxt.setdefault(k, (e, y))
-        layers.append(nxt)
-        here = nxt
-    out = []
-    for layer in reversed(layers):
-        d, y = layer[d]
-        out.append(y)
-    return tuple(reversed(out))
-
-
-def _cyclic_text(letters) -> str:
-    """One character per letter, so that ``str.find`` matches words."""
-    return "".join(chr(0x4000 + x) for x in letters)
-
-
 def _dehn_conjugator(pres, lu, lv) -> Word | None:
     # abelianized certificate first: exponent vectors must agree modulo the
     # relator row (zero for commutator relators, (2,...,2) for crosscaps)
@@ -712,13 +693,12 @@ def _dehn_conjugator(pres, lu, lv) -> Word | None:
     cu = _minimal_conjugates(pres, lu)
     cv = _minimal_conjugates(pres, lv)
     sv, conj_v = cv.forms[0]
-    if cu.rotations != cv.rotations or len(cu.forms[0][0]) != len(sv):
+    if cu.rotations != cv.rotations:
         return None
     if cu.rotations:
-        target = _cyclic_text(sv)
         for s, conj in cu.forms:
-            r = _cyclic_text(s + s).find(target)
-            if r >= 0:
+            r = _rotation(s, sv)
+            if r is not None:
                 return word(pres, conj_v + invert_letters(conj + s[:r]))
         return None
     conj = dict(cu.forms).get(sv)

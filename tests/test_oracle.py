@@ -5,6 +5,7 @@ from curvespace.words import Word, word
 from curvespace.stbundle import st_invert, st_multiply, st_power
 from curvespace.oracle import (
     UNDECIDED,
+    VERIFY_BOUND,
     VerificationOutcome,
     _MAX_ENUMERATION,
     _box_candidates,
@@ -62,6 +63,19 @@ def test_sphere_centralizer_is_everything():
     for text in ("1", "f"):
         cent = bounded_centralizer(SPHERE, ST(text, SPHERE))
         assert len(cent) == 2
+
+
+def test_default_centralizer_box_fits_closed_hyperbolic_surfaces():
+    """The default box is VERIFY_BOUND, under the enumeration cap on closed
+    hyperbolic surfaces.  f is central over orientation-preserving bases and
+    inverted by reversing ones (odd words in the crosscaps)."""
+    cent = bounded_centralizer(GENUS2, ST("f", GENUS2))
+    assert cent == bounded_elements(GENUS2, VERIFY_BOUND)
+    assert len(cent) == 22_351
+    box = bounded_elements(NONOR3, VERIFY_BOUND)
+    cent = bounded_centralizer(NONOR3, ST("f", NONOR3))
+    assert cent == tuple(el for el in box if len(el.base.letters) % 2 == 0)
+    assert 0 < len(cent) < len(box)
 
 
 def test_torus_centralizer_is_the_box():

@@ -1,11 +1,22 @@
 import copy
+import math
 import pickle
+import random
+from itertools import combinations
 
 import pytest
 
 import curvespace
 from curvespace import Generator, Presentation, SurfaceSpec, presentation, st_presentation
-from curvespace.surfaces import Regime, SurfaceError, abelianization, euler_characteristic, regime
+from curvespace.surfaces import (
+    Regime,
+    SurfaceError,
+    abelianization,
+    euler_characteristic,
+    exponent_vector,
+    regime,
+    smith_diagonal,
+)
 from curvespace.words import Word, free_reduce
 from curvespace.stbundle import decompose
 from curvespace.flatcurves import Crossing, CurveOnSurface, Model, Polyline, lift
@@ -189,6 +200,53 @@ def test_abelianization_small_cases():
     assert abelianization(st_presentation(SPHERE)) == (0, (2,))
     assert abelianization(st_presentation(RP2)) == (0, (4,))
     assert abelianization(st_presentation(TORUS)) == (3, ())
+
+
+def _determinant(matrix):
+    """Laplace expansion along the first row."""
+    if not matrix:
+        return 1
+    return sum(
+        (-1) ** j * x * _determinant([row[:j] + row[j + 1 :] for row in matrix[1:]])
+        for j, x in enumerate(matrix[0])
+        if x
+    )
+
+
+def _determinantal_diagonal(rows, ncols):
+    """The invariant factors as ``d_k = D_k / D_(k-1)``, where ``D_k`` is the
+    gcd of all k x k minors; once every k x k minor vanishes, so do all
+    larger ones, and the factors from there on are 0."""
+    diag, previous = [], 1
+    for k in range(1, min(len(rows), ncols) + 1):
+        divisor = 0
+        for picked in combinations(rows, k):
+            for cols in combinations(range(ncols), k):
+                divisor = math.gcd(divisor, _determinant([[row[j] for j in cols] for row in picked]))
+        diag.append(divisor // previous if divisor else 0)
+        previous = divisor or 1
+    return diag
+
+
+def test_smith_diagonal_by_determinantal_divisors():
+    """Seeded random integer matrices of up to 4 x 4, with zero rows, columns
+    and entries, and the relator matrices of the surface and tangent-bundle
+    presentations of genus at most 3."""
+    rng = random.Random(53)
+    cases = []
+    for _ in range(2000):
+        nrows, ncols, size = rng.randint(0, 4), rng.randint(1, 4), rng.choice((1, 2, 6, 30))
+        rows = [[rng.randint(-size, size) if rng.random() < 0.7 else 0 for _ in range(ncols)] for _ in range(nrows)]
+        cases.append((rows, ncols))
+    for orientable in (True, False):
+        for genus in range(0 if orientable else 1, 4):
+            for punctures in (0, 1, 2):
+                surface = SurfaceSpec(orientable, genus, punctures)
+                for pres in (presentation(surface), st_presentation(surface)):
+                    rows = [list(exponent_vector(pres, rel)) for rel in pres.relators]
+                    cases.append((rows, len(pres.generators)))
+    for rows, ncols in cases:
+        assert smith_diagonal(rows, ncols) == _determinantal_diagonal(rows, ncols), rows
 
 
 def test_klein_st_presentation_matches_product_form():

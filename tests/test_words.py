@@ -16,6 +16,7 @@ from curvespace.words import (
     _dehn_shorten,
     _lex_key,
     _relator_move,
+    _rotation,
     conjugating_element,
     free_reduce,
     invert,
@@ -687,3 +688,41 @@ def test_conjugacy_across_a_ring_of_relator_faces():
     assert multiply(multiply(W("a1", GENUS2), u), W("A1", GENUS2)) == v
     t = conjugating_element(u, v)
     assert multiply(multiply(t, u), invert(t)) == v
+
+
+def _sliced_rotation(s, t):
+    """The least ``r`` with ``s[r:] + s[:r] == t``, by comparing every slice
+    of ``s + s``; the empty word is its own rotation 0."""
+    if len(s) != len(t):
+        return None
+    doubled = s + s
+    for r in range(len(s) or 1):
+        if doubled[r : r + len(s)] == t:
+            return r
+    return None
+
+
+def test_rotation_is_the_least_one():
+    """``_rotation`` against a slice scan: seeded random words over one to
+    three letters (so that many are periodic), their rotations with and
+    without a changed or added letter, ``(a b)^k``, ``a^k`` and the empty
+    word."""
+    rng = random.Random(37)
+    cases = [((), ()), ((), (1,)), ((1,), ()), ((1, 2), (1, 2, 1)), ((64,), (-64,))]
+    for k in range(1, 8):
+        cases += [((1,) * k, (1,) * k), ((1, 2) * k, (2, 1) * k), ((1, 2) * k, (1, 2) * k)]
+        cases += [((1, 2) * k, (1, 2) * (k - 1) + (2, 2)), ((-3, 1) * k, (1, -3) * k)]
+    for _ in range(5000):
+        alphabet = rng.sample((1, -1, 2, -2, 64, -64), rng.randint(1, 3))
+        block = tuple(rng.choice(alphabet) for _ in range(rng.randint(0, 4)))
+        s = block * rng.randint(1, 4)
+        r = rng.randint(0, len(s))
+        t = s[r:] + s[:r]
+        if t and rng.random() < 0.3:
+            i = rng.randrange(len(t))
+            t = t[:i] + (rng.choice(alphabet),) + t[i + 1 :]
+        if rng.random() < 0.1:
+            t += (rng.choice(alphabet),)
+        cases.append((s, t))
+    for s, t in cases:
+        assert _rotation(s, t) == _sliced_rotation(s, t), (s, t)
