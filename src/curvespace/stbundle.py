@@ -8,14 +8,18 @@ and 4) and only a residue is stored: the fiber class has order 2 in both,
 and on the projective plane the lift of the crosscap generator is a residue-1
 element whose square is the fiber class.
 
-Base normalization inside the closed hyperbolic regimes shifts the fiber
-whenever a relator copy is removed (the surface relator equals ``f**chi``
-upstairs); the bookkeeping lives in :mod:`curvespace.words` and is reused
-here.
+Base normalization shifts the fiber whenever a relator copy is removed on
+the closed hyperbolic regimes (the surface relator equals ``f**chi``
+upstairs) and whenever ``c1^2`` is removed on the projective plane; the
+bookkeeping lives in :mod:`curvespace.words` and is reused here, so every
+regime normalizes through one path.  Conjugacy is decided by one rule from
+the data that each regime's engine supplies: a base conjugator and the
+generators of the base centralizer (:func:`st_is_conjugate`).
 """
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 
 from .surfaces import Regime, SurfaceSpec, presentation, regime
@@ -25,7 +29,6 @@ from .words import (
     Word,
     _engine,
     invert_letters,
-    klein_coordinates,
     normalize_with_fiber,
     parse_letters,
 )
@@ -46,23 +49,14 @@ class STWord(namedtuple("STWord", "surface base fiber residue", defaults=(None,)
 
 def st_word(surface: SurfaceSpec, base_letters, fiber: int) -> STWord:
     """Normalizing constructor: the element spelled by ``base_letters``
-    times ``f**fiber``."""
-    reg = regime(surface)
-    if reg is Regime.SPHERE:
-        if tuple(base_letters):
-            raise ValueError("the sphere has no base generators")
-        return STWord(surface, None, None, fiber % 2)
-    if reg is Regime.RP2:
-        res = 0
-        for x in base_letters:
-            if abs(x) != 1:
-                raise ValueError("projective-plane base letters must be c1")
-            res += 1 if x > 0 else -1
-        # the fiber class is the square of the crosscap lift: residue 2
-        return STWord(surface, None, None, (res + 2 * fiber) % 4)
+    times ``f**fiber``.  A finite group's residue counts the normal form's
+    letter (the crosscap lift, 1) and the fiber class (half the order)."""
     pres = presentation(surface)
     nf, shift = normalize_with_fiber(tuple(base_letters), pres)
-    return STWord(surface, Word(pres, nf), fiber + shift, None)
+    order = _FINITE_ORDER.get(regime(surface))
+    if order is None:
+        return STWord(surface, Word(pres, nf), fiber + shift, None)
+    return STWord(surface, None, None, (len(nf) + order // 2 * (fiber + shift)) % order)
 
 
 def st_identity(surface: SurfaceSpec) -> STWord:
@@ -144,76 +138,47 @@ def st_conjugate(u: STWord, by: STWord) -> STWord:
 
 
 def st_is_conjugate(u: STWord, v: STWord) -> bool:
-    """Are ``u`` and ``v`` conjugate?  Always decided: on free and closed
-    hyperbolic surfaces the base conjugator and primitive root come from
-    :mod:`curvespace.words` in polynomial time, and the fiber is settled by
-    the offset arithmetic of :func:`_coset_st_conjugate`."""
+    """Are ``u`` and ``v`` conjugate?  Always decided, in polynomial time.
+
+    Where the group is abelian (sphere, projective plane, torus) conjugate
+    means equal.  Elsewhere, conjugating ``(w, m)`` by ``(t, n)`` gives
+    ``(t w t^-1, d_t + eps(t) (m + n (eps(w) - 1)))``, ``d_t`` the fiber
+    shift of normalizing ``t w t^-1``.  The conjugators of ``w`` onto the
+    base ``w'`` of ``v = (w', m')`` are the engine's ``v0`` times the
+    centralizer of ``w``, whose generators ``z`` and ``f`` act on the fiber
+    by ``x -> d_z + eps(z) x`` and ``x -> x + eps(w) - 1``: translations by
+    multiples of ``step`` and, if some ``z`` reverses orientation, the
+    reflection ``x -> mirror - x`` composed with them.  So ``v`` is
+    conjugate to ``u`` iff ``eps(v0) (m' - d_v0)`` is ``m`` or ``mirror -
+    m`` modulo ``step``."""
     _check_ambient(u, v)
-    reg = regime(u.surface)
-    if u.residue is not None:
-        return u.residue == v.residue
-    if reg is Regime.TORUS:
-        return u == v
-    if reg is Regime.KLEIN:
-        return _klein_st_conjugate(u, v)
-    ub, vb = u.base.letters, v.base.letters
-    if (not ub) != (not vb):
-        return False
-    if not ub:
-        # pure fiber powers: conjugation can only flip the exponent, and a
-        # flip needs an orientation-reversing element downstairs
-        if u.fiber == v.fiber:
-            return True
-        has_reversing = any(g.character < 0 for g in u.base.ambient.generators)
-        return has_reversing and u.fiber == -v.fiber
-    return _coset_st_conjugate(u, v)
-
-
-def _klein_st_conjugate(u: STWord, v: STWord) -> bool:
-    k1, l1 = klein_coordinates(u.base.letters)
-    k2, l2 = klein_coordinates(v.base.letters)
-    m1, m2 = u.fiber, v.fiber
-    if l1 != l2:
-        return False
-    if l1 % 2 == 0:
-        return (k2, m2) in ((k1, m1), (-k1, -m1))
-    return (k2 - k1) % 2 == 0 and (m2 - m1) % 2 == 0
-
-
-def _coset_st_conjugate(u: STWord, v: STWord) -> bool:
-    """Conjugacy on free and closed hyperbolic surfaces, where the base
-    centralizer is the cyclic group on the primitive root.  Free groups have
-    no relator, so there d0 = c_rho = 0 below.
-
-    The bases of ``u`` and ``v`` and the engine's answers are normal forms,
-    which normalize with no fiber shift, so they go to the engine and are
-    lifted at fiber zero as they are."""
-    pres = u.base.ambient
+    pres = presentation(u.surface)
     engine = _engine(pres)
-    v0 = engine.conjugator(pres, u.base.letters, v.base.letters)
+    if engine.centralizer is None:
+        return u == v
+    w = u.base.letters
+    v0 = engine.conjugator(pres, w, v.base.letters)
     if v0 is None:
         return False
-    rho, _ = engine.root(pres, u.base.letters)
-    w0 = STWord(u.surface, u.base, 0)
-    lift = lambda t: STWord(u.surface, t, 0)
-    conj_v0 = st_conjugate(w0, lift(v0))
-    conj_rho = st_conjugate(w0, lift(rho))
-    assert conj_v0.base == v.base and conj_rho.base == u.base
-    d0, c_rho = conj_v0.fiber, conj_rho.fiber
-    eps_v0 = pres.word_character(v0.letters)
-    eps_rho = pres.word_character(rho.letters)
-    eps_w = base_character(u)
-    m, mp = u.fiber, v.fiber
-    # conjugating (w, m) by (v0 rho^j, n) gives fiber
-    #   eps(v0) * conj_rho^j(m + n (eps(w) - 1)) + d0
-    # with conj_rho(x) = eps(rho) x + c_rho.
-    if eps_w == +1:
-        if eps_rho == +1:
-            diff = mp - d0 - eps_v0 * m
-            return diff == 0 if c_rho == 0 else diff % c_rho == 0
-        return mp in (d0 + eps_v0 * m, d0 + eps_v0 * (c_rho - m))
-    # eps_w == -1 forces eps_rho == -1; f^n contributes arbitrary even shifts
-    return (mp - d0 - eps_v0 * m) % 2 == 0 or (mp - d0 - eps_v0 * (c_rho - m)) % 2 == 0
+
+    def shift(t, image):
+        # w and the engine's answers are normal forms, lifted at fiber zero
+        nf, d = engine.normalize(t + w + invert_letters(t), pres)
+        assert nf == image, "the conjugator does not conjugate to the expected base"
+        return d
+
+    step, mirror = pres.word_character(w) - 1, None
+    for z in engine.centralizer(pres, w):
+        d = shift(z, w)
+        if pres.word_character(z) > 0:
+            step = math.gcd(step, d)
+        elif mirror is None:
+            mirror = d
+        else:
+            step = math.gcd(step, d - mirror)
+    x = pres.word_character(v0.letters) * (v.fiber - shift(v0.letters, v.base.letters))
+    targets = (u.fiber,) if mirror is None else (u.fiber, mirror - u.fiber)
+    return any((x - y) % step == 0 if step else x == y for y in targets)
 
 
 # ---------------------------------------------------------------------------

@@ -197,6 +197,27 @@ def test_chart_rejections():
         )
 
 
+def test_chart_rejections_by_message():
+    for verts, message in (
+        # the last vertex closes up horizontally, but not by a deck
+        # transformation of the start point
+        (((0.5, 0.5), (0.9, 0.7), (1.5, 0.6)), "endpoint is not a deck image of the start point"),
+        # the closing edge turns straight back along the first one
+        (((0.5, 0.5), (0.8, 0.6), (1.8, 0.6), (1.5, 0.5)), "cusp .* at the basepoint$"),
+    ):
+        with pytest.raises(CurveError, match=message):
+            lift(CurveOnSurface(Model.TORUS, Polyline(verts)), TORUS)
+    # on the Klein bottle the glide flips the first edge before the corner
+    klein = CurveOnSurface(Model.KLEIN, Polyline(((0.5, 0.5), (0.8, 0.6), (1.8, 0.4), (1.5, 0.5))))
+    with pytest.raises(CurveError, match="cusp .* at the basepoint$"):
+        lift(klein, KLEIN)
+    # a valid torus-model curve, lifted on the Klein bottle
+    loop = CurveOnSurface(Model.TORUS, Polyline(((0.5, 0.5), (1.2, 0.6), (1.5, 0.5))))
+    assert st_text(lift(loop, TORUS)) == "a1"
+    with pytest.raises(CurveError, match="torus-model curves need the torus"):
+        lift(loop, KLEIN)
+
+
 def test_curve_file_parsing():
     curve = load_curve("# a comment\nmodel=plane\n0,0 # origin\n1,0\n1,1\n0,1\n")
     assert curve.model is Model.PLANE

@@ -2,19 +2,23 @@ import random
 
 import pytest
 
-from curvespace import presentation, st_parse, st_presentation
+from curvespace import SurfaceSpec, presentation, st_parse, st_presentation
+from curvespace.surfaces import Regime, regime
 from curvespace.words import (
     TrivialWordError,
     Word,
+    _engine,
     conjugating_element,
     invert,
     klein_coordinates,
     multiply,
     normalize_with_fiber,
     primitive_root,
+    spell_klein,
     word,
 )
 from curvespace.stbundle import (
+    STWord,
     base_character,
     decompose,
     fiber_generator,
@@ -33,6 +37,7 @@ from curvespace.oracle import SearchBound, bounded_is_trivial
 from conftest import (
     ALL_REGIME_SAMPLES,
     GENUS2,
+    GENUS3,
     KLEIN,
     NONOR3,
     PUNCTURED_NONOR,
@@ -242,11 +247,10 @@ def test_decompose_errors():
 
 
 def test_normal_forms_normalize_with_no_fiber_shift():
-    """``decompose`` and ``st_is_conjugate`` lift an element's base, its
-    conjugators and its root at fiber zero without normalizing them again.
-    That holds because each is its own normal form with no fiber shift:
-    normal forms of random words, and the conjugators and roots the engines
-    return for them, on every regime."""
+    """``decompose`` lifts an element's base and its root at fiber zero
+    without normalizing them again.  That holds because each is its own
+    normal form with no fiber shift: normal forms of random words, and the
+    conjugators and roots the engines return for them, on every regime."""
     rng = random.Random(29)
     for surface in ALL_REGIME_SAMPLES:
         pres = presentation(surface)
@@ -312,3 +316,126 @@ def test_power():
     # a long power: quadratic when each factor renormalized the product
     d = decompose(ST("a1^4000", GENUS2))
     assert st_text(d.root_lift) == "a1" and (d.k, d.l) == (4000, 0)
+
+
+def test_st_word_checks_its_letters():
+    """Letter 0 and letters past the last generator are rejected on every
+    regime, as ``word`` rejects them, instead of being read as some other
+    generator or failing later."""
+    for surface in ALL_REGIME_SAMPLES + (GENUS3,):
+        n = len(presentation(surface).generators)
+        for x in (0, n + 1, -n - 1):
+            with pytest.raises(ValueError, match=f"letter {x} outside the generator range"):
+                st_word(surface, (1,) * n + (x,), 0)
+
+
+def _reference_is_conjugate(u, v):
+    """Tangent-bundle conjugacy on the Klein bottle, free and closed
+    hyperbolic surfaces, stated apart from the one rule of
+    :func:`st_is_conjugate`: a closed form in Klein coordinates, a pure
+    fiber case, and the coset of the primitive root split case by case on
+    the orientation characters, with three tangent-bundle products per
+    fiber offset."""
+    if regime(u.surface) is Regime.KLEIN:
+        (k1, l1), (k2, l2) = klein_coordinates(u.base.letters), klein_coordinates(v.base.letters)
+        m1, m2 = u.fiber, v.fiber
+        if l1 != l2:
+            return False
+        if l1 % 2 == 0:
+            return (k2, m2) in ((k1, m1), (-k1, -m1))
+        return (k2 - k1) % 2 == 0 and (m2 - m1) % 2 == 0
+    ub, vb = u.base.letters, v.base.letters
+    if (not ub) != (not vb):
+        return False
+    if not ub:
+        # pure fiber powers: conjugation can only flip the exponent, and a
+        # flip needs an orientation-reversing element downstairs
+        has_reversing = any(g.character < 0 for g in u.base.ambient.generators)
+        return u.fiber == v.fiber or (has_reversing and u.fiber == -v.fiber)
+    pres = u.base.ambient
+    v0 = conjugating_element(u.base, v.base)
+    if v0 is None:
+        return False
+    rho, _ = primitive_root(u.base)
+    w0 = STWord(u.surface, u.base, 0)
+    conj_v0 = st_conjugate(w0, STWord(u.surface, v0, 0))
+    conj_rho = st_conjugate(w0, STWord(u.surface, rho, 0))
+    assert conj_v0.base == v.base and conj_rho.base == u.base
+    d0, c_rho = conj_v0.fiber, conj_rho.fiber
+    eps_v0 = pres.word_character(v0.letters)
+    eps_rho = pres.word_character(rho.letters)
+    m, mp = u.fiber, v.fiber
+    # conjugating (w, m) by (v0 rho^j, n) gives fiber
+    #   eps(v0) * conj_rho^j(m + n (eps(w) - 1)) + d0
+    # with conj_rho(x) = eps(rho) x + c_rho
+    if base_character(u) == +1:
+        if eps_rho == +1:
+            diff = mp - d0 - eps_v0 * m
+            return diff == 0 if c_rho == 0 else diff % c_rho == 0
+        return mp in (d0 + eps_v0 * m, d0 + eps_v0 * (c_rho - m))
+    # eps(w) == -1 forces eps(rho) == -1; f^n contributes any even shift
+    return (mp - d0 - eps_v0 * m) % 2 == 0 or (mp - d0 - eps_v0 * (c_rho - m)) % 2 == 0
+
+
+def test_one_conjugacy_rule_matches_the_case_split():
+    """The rule from the base conjugator and the base centralizer answers as
+    the per-regime case split did, on constructed conjugates (of elements
+    and of their powers) at several fiber offsets, pure fiber powers and
+    unrelated pairs."""
+    rng = random.Random(1515)
+    for text in (
+        "nonorientable:2:0", "orientable:2:0", "nonorientable:3:0", "nonorientable:4:0",
+        "orientable:1:2", "nonorientable:2:1", "nonorientable:3:2",
+    ):
+        surface = SurfaceSpec.parse(text)
+        verdicts = set()
+        for trial in range(40):
+            u = rand_element(surface, rng, maxlen=7)
+            if trial % 8 == 0:
+                u = st_word(surface, (), u.fiber)
+            base = st_power(u, rng.choice((1, 1, 2, -3)))
+            pairs = [(u, rand_element(surface, rng, maxlen=7)), (u, st_word(surface, (), -u.fiber))]
+            t = rand_element(surface, rng, maxlen=8)
+            for offset in (0, 1, -1, 2, -2, 3):
+                pairs.append((base, st_multiply(st_conjugate(base, t), st_word(surface, (), offset))))
+            for a, b in pairs:
+                verdict = st_is_conjugate(a, b)
+                assert verdict == _reference_is_conjugate(a, b), (text, st_text(a), st_text(b))
+                verdicts.add(verdict)
+        assert verdicts == {True, False}, text
+
+
+def test_centralizer_generators_commute_with_their_element():
+    rng = random.Random(33)
+    for surface in (KLEIN, GENUS2, NONOR3, PUNCTURED_TORUS, PUNCTURED_NONOR):
+        pres = presentation(surface)
+        n = len(pres.generators)
+        centralizer = _engine(pres).centralizer
+        elements = [word(pres, ())]
+        for _ in range(60):
+            letters = [rng.randrange(1, n + 1) * rng.choice((1, -1)) for _ in range(rng.randrange(1, 9))]
+            elements.append(word(pres, letters))
+        if surface == KLEIN:
+            elements += [word(pres, spell_klein(k, l)) for k in range(-3, 4) for l in range(-4, 5)]
+        for w in elements:
+            zs = centralizer(pres, w.letters)
+            assert zs
+            for z in zs:
+                z = word(pres, z)
+                assert multiply(z, w) == multiply(w, z), (surface, str(w), str(z))
+    for surface in (SPHERE, RP2, TORUS):
+        assert _engine(presentation(surface)).centralizer is None
+
+
+def test_projective_plane_normalizes_with_the_fiber_shift():
+    """``c1^2`` is the fiber class upstairs, so ``c1^e`` normalizes to
+    ``c1^(e mod 2)`` with fiber shift ``e // 2``, and ``c1^k f^m`` is the
+    residue ``k + 2 m`` mod 4."""
+    pres = presentation(RP2)
+    for e in range(-7, 8):
+        letters = (1,) * e if e >= 0 else (-1,) * -e
+        assert normalize_with_fiber(letters, pres) == (((1,) if e % 2 else ()), e // 2)
+    for k in range(-5, 6):
+        for m in range(-3, 4):
+            letters = (1,) * k if k >= 0 else (-1,) * -k
+            assert st_word(RP2, letters, m).residue == (k + 2 * m) % 4
