@@ -96,10 +96,12 @@ def _abelian_certificate_nontrivial(u: Word) -> bool:
 def bounded_is_trivial(u: Word, bound: SearchBound = SearchBound()):
     """True / False / ``UNDECIDED``.
 
-    BFS over free reduction plus insertion of rotated relator copies.  True
-    when the empty word is reached; a definite False needs an abelianization
-    certificate; otherwise the verdict is undecided at this bound.  Never
-    answers False for a word that is actually trivial.
+    A definite False needs an abelianization certificate, which is asked
+    first: the BFS can never reach the empty word from a word it certifies.
+    Otherwise BFS over free reduction plus insertion of rotated relator
+    copies answers True when the empty word is reached, and the verdict is
+    undecided at this bound when the layers or ``_STATE_CAP`` states run
+    out.  Never answers False for a word that is actually trivial.
     """
     start = free_reduce(u.letters)
     if not start:
@@ -108,6 +110,8 @@ def bounded_is_trivial(u: Word, bound: SearchBound = SearchBound()):
     variants = _relator_variants(pres)
     if not variants:
         return False  # free group: free reduction is a complete decision
+    if _abelian_certificate_nontrivial(u):
+        return False
     cap_len = bound.max_word_length + max(len(v) for v in variants)
     seen = {start}
     frontier = [start]
@@ -121,14 +125,12 @@ def bounded_is_trivial(u: Word, bound: SearchBound = SearchBound()):
                         return True
                     if len(cand) <= cap_len and cand not in seen:
                         if len(seen) >= _STATE_CAP:
-                            break
+                            return UNDECIDED
                         seen.add(cand)
                         nxt.append(cand)
         if not nxt:
             break
         frontier = nxt
-    if _abelian_certificate_nontrivial(u):
-        return False
     return UNDECIDED
 
 

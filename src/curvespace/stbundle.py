@@ -13,16 +13,16 @@ the closed hyperbolic regimes (the surface relator equals ``f**chi``
 upstairs) and whenever ``c1^2`` is removed on the projective plane; the
 bookkeeping lives in :mod:`curvespace.words` and is reused here, so every
 regime normalizes through one path.  Conjugacy is decided by one rule from
-the data that each regime's engine supplies: a base conjugator and the
-generators of the base centralizer (:func:`st_is_conjugate`).
+the data that each regime's engine supplies: a base conjugator and, on
+nonorientable surfaces, the base class's primitive root
+(:func:`st_is_conjugate`).
 """
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 
-from .surfaces import Regime, SurfaceSpec, presentation, regime
+from .surfaces import Regime, SurfaceSpec, euler_characteristic, presentation, regime
 from .words import (
     AmbientMismatchError,
     TrivialWordError,
@@ -140,22 +140,26 @@ def st_conjugate(u: STWord, by: STWord) -> STWord:
 def st_is_conjugate(u: STWord, v: STWord) -> bool:
     """Are ``u`` and ``v`` conjugate?  Always decided, in polynomial time.
 
-    Where the group is abelian (sphere, projective plane, torus) conjugate
-    means equal.  Elsewhere, conjugating ``(w, m)`` by ``(t, n)`` gives
-    ``(t w t^-1, d_t + eps(t) (m + n (eps(w) - 1)))``, ``d_t`` the fiber
-    shift of normalizing ``t w t^-1``.  The conjugators of ``w`` onto the
-    base ``w'`` of ``v = (w', m')`` are the engine's ``v0`` times the
-    centralizer of ``w``, whose generators ``z`` and ``f`` act on the fiber
-    by ``x -> d_z + eps(z) x`` and ``x -> x + eps(w) - 1``: translations by
-    multiples of ``step`` and, if some ``z`` reverses orientation, the
-    reflection ``x -> mirror - x`` composed with them.  So ``v`` is
-    conjugate to ``u`` iff ``eps(v0) (m' - d_v0)`` is ``m`` or ``mirror -
-    m`` modulo ``step``."""
+    Where the group is abelian (sphere, projective plane, torus, disk and
+    annulus) conjugate means equal.  Elsewhere, conjugating ``(w, m)`` by
+    ``(t, n)`` gives ``(t w t^-1, d_t + eps(t) (m + n (eps(w) - 1)))``,
+    ``d_t`` the fiber shift of normalizing ``t w t^-1``.  The conjugators of
+    ``w`` onto the base ``w'`` of ``v = (w', m')`` are the engine's ``v0``
+    times the centralizer of ``w``, and ``f`` translates the fiber by
+    multiples of ``step = 1 - eps(w)``.  Off the identity the centralizer is
+    cyclic on the primitive root ``r`` (on the Klein bottle it may also hold
+    ``g`` and ``h^2``, which shift by zero as every Klein-bottle element
+    does).  An orientation-preserving ``r`` commutes with ``f`` and so with
+    the lift of its power ``w``: ``d_r = 0``.  A reversing ``r`` is the
+    reflection ``x -> mirror - x`` with ``mirror = d_r``.  At ``w = 1`` every
+    ``d_z`` is 0, and ``mirror`` is 0 where some generator reverses
+    orientation.  So ``v`` is conjugate to ``u`` iff ``eps(v0) (m' - d_v0)``
+    is ``m`` or ``mirror - m`` modulo ``step``."""
     _check_ambient(u, v)
+    if u.residue is not None or (u.surface.orientable and euler_characteristic(u.surface) >= 0):
+        return u == v
     pres = presentation(u.surface)
     engine = _engine(pres)
-    if engine.centralizer is None:
-        return u == v
     w = u.base.letters
     v0 = engine.conjugator(pres, w, v.base.letters)
     if v0 is None:
@@ -167,15 +171,14 @@ def st_is_conjugate(u: STWord, v: STWord) -> bool:
         assert nf == image, "the conjugator does not conjugate to the expected base"
         return d
 
-    step, mirror = pres.word_character(w) - 1, None
-    for z in engine.centralizer(pres, w):
-        d = shift(z, w)
-        if pres.word_character(z) > 0:
-            step = math.gcd(step, d)
-        elif mirror is None:
-            mirror = d
-        else:
-            step = math.gcd(step, d - mirror)
+    mirror = None
+    if not u.surface.orientable and not w:
+        mirror = 0
+    elif not u.surface.orientable:
+        root = engine.root(pres, w)[0].letters
+        if pres.word_character(root) < 0:
+            mirror = shift(root, w)
+    step = 1 - pres.word_character(w)
     x = pres.word_character(v0.letters) * (v.fiber - shift(v0.letters, v.base.letters))
     targets = (u.fiber,) if mirror is None else (u.fiber, mirror - u.fiber)
     return any((x - y) % step == 0 if step else x == y for y in targets)

@@ -2,8 +2,7 @@
 
 Each regime has one engine, and the table ``_ENGINES`` is the only place
 where a regime picks its algorithm.  An engine normalizes letters (with the
-fiber shift described below), finds conjugators, finds primitive roots and
-spans centralizers.
+fiber shift described below), finds conjugators and finds primitive roots.
 Normal forms by regime:
 
 * free (punctured surfaces): free reduction;
@@ -813,38 +812,14 @@ def _root_exponents(pres, letters) -> Callable[[int], bool] | None:
 # the engine table
 
 
-def _generator_letters(pres) -> tuple[Letters, ...]:
-    return tuple((g,) for g in range(1, len(pres.generators) + 1))
-
-
-def _cyclic_centralizer(pres, letters) -> tuple[Letters, ...]:
-    """The centralizer in a free or closed hyperbolic surface group: the
-    whole group at the identity, else cyclic on the primitive root."""
-    return (_engine(pres).root(pres, letters)[0].letters,) if letters else _generator_letters(pres)
-
-
-def _klein_centralizer(pres, letters) -> tuple[Letters, ...]:
-    k, l = klein_coordinates(letters)
-    if l % 2:
-        return (spell_klein(k, 1),)  # (g^k h)^l = g^k h^l
-    if k:
-        return (spell_klein(1, 0), spell_klein(0, 2))  # g and the central h^2
-    return _generator_letters(pres)  # h^l is central
-
-
-class _Engine(namedtuple("_Engine", "normalize conjugator root centralizer")):
-    """How one regime normalizes, conjugates, takes roots and spans
-    centralizers.
+class _Engine(namedtuple("_Engine", "normalize conjugator root")):
+    """How one regime normalizes, conjugates and takes roots.
 
     ``normalize(letters, pres)`` returns the normal-form letters and the
-    fiber shift; ``conjugator(pres, lu, lv)``, ``root(pres, letters)`` and
-    ``centralizer(pres, letters)`` take normal-form letters (``root`` only
-    nontrivial ones).  The first two answer as :func:`conjugating_element`
-    and :func:`primitive_root` do, and ``centralizer`` gives the letters of
-    generators of the element's centralizer.  ``root`` is None on the finite
-    groups, where primitive roots are undefined, and ``centralizer`` is None
-    where the tangent-bundle group is abelian (sphere, projective plane and
-    torus)."""
+    fiber shift; ``conjugator(pres, lu, lv)`` and ``root(pres, letters)``
+    take normal-form letters (``root`` only nontrivial ones) and answer as
+    :func:`conjugating_element` and :func:`primitive_root` do.  ``root`` is
+    None on the finite groups, where primitive roots are undefined."""
 
     __slots__ = ()
 
@@ -855,26 +830,18 @@ def _rp2_normalize(letters, pres) -> tuple[Letters, int]:
     return ((1,) if exp % 2 else ()), exp // 2
 
 
-_DEHN_ENGINE = _Engine(_dehn_normalize, _dehn_conjugator, _dehn_root, _cyclic_centralizer)
+_DEHN_ENGINE = _Engine(_dehn_normalize, _dehn_conjugator, _dehn_root)
 
 _ENGINES = {
-    Regime.SPHERE: _Engine(lambda letters, pres: ((), 0), _equal_conjugator, None, None),
-    Regime.RP2: _Engine(_rp2_normalize, _equal_conjugator, None, None),
+    Regime.SPHERE: _Engine(lambda letters, pres: ((), 0), _equal_conjugator, None),
+    Regime.RP2: _Engine(_rp2_normalize, _equal_conjugator, None),
     Regime.TORUS: _Engine(
-        lambda letters, pres: (spell_torus(*exponent_vector(pres, letters)), 0),
-        _equal_conjugator,
-        _torus_root,
-        None,
+        lambda letters, pres: (spell_torus(*exponent_vector(pres, letters)), 0), _equal_conjugator, _torus_root
     ),
     Regime.KLEIN: _Engine(
-        lambda letters, pres: (spell_klein(*klein_coordinates(letters)), 0),
-        _klein_conjugator,
-        _klein_root,
-        _klein_centralizer,
+        lambda letters, pres: (spell_klein(*klein_coordinates(letters)), 0), _klein_conjugator, _klein_root
     ),
-    Regime.PUNCTURED: _Engine(
-        lambda letters, pres: (free_reduce(letters), 0), _free_conjugator, _free_root, _cyclic_centralizer
-    ),
+    Regime.PUNCTURED: _Engine(lambda letters, pres: (free_reduce(letters), 0), _free_conjugator, _free_root),
     Regime.CLOSED_ORIENTABLE_HYPERBOLIC: _DEHN_ENGINE,
     Regime.CLOSED_NONORIENTABLE_HYPERBOLIC: _DEHN_ENGINE,
 }
