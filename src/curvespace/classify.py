@@ -14,14 +14,12 @@ from __future__ import annotations
 from collections import namedtuple
 from enum import Enum
 
-from .surfaces import Regime, SurfaceSpec, presentation, regime
-from .words import klein_coordinates, spell_klein
+from .surfaces import Regime, SurfaceSpec, regime
+from .words import SurfaceRecord, klein_coordinates, spell_klein, surface_record
 from .stbundle import (
     STWord,
     base_character,
     decompose,
-    fiber_generator,
-    generator_lift,
     st_is_conjugate,
     st_is_trivial,
     st_power,
@@ -140,44 +138,36 @@ class ClassificationReport(
         return "\n".join(lines)
 
 
-def _full_group(surface: SurfaceSpec) -> GroupDescription:
-    witnesses = []
-    if regime(surface) not in (Regime.SPHERE, Regime.RP2):
-        witnesses = [generator_lift(surface, g.name) for g in presentation(surface).generators]
-    witnesses.append(fiber_generator(surface))
-    return GroupDescription(Kind.FULL_ST_GROUP, tuple(witnesses))
+def _full_group(rec: SurfaceRecord) -> GroupDescription:
+    # the lift of every generator and the fiber; never asked on the finite
+    # groups, whose answers are cyclic
+    return GroupDescription(Kind.FULL_ST_GROUP, rec.lifts + (rec.fiber,))
 
 
 def classify_pi1(surface: SurfaceSpec, xi: STWord) -> ClassificationReport:
     """Centralizer of the tangent lift, as a named group with witnesses."""
     if xi.surface != surface:
         raise ValueError("element does not live over the given surface")
-    reg = regime(surface)
+    rec = surface_record(surface)
+    reg = rec.regime
+    f = rec.fiber
     source = st_text(xi)
 
     def report(case, group, dec=None):
         return ClassificationReport(surface, source, xi, case, group, dec)
 
     if reg is Regime.SPHERE:
-        return report("Thm 1", GroupDescription(Kind.Z2, (fiber_generator(surface),)))
+        return report("Thm 1", GroupDescription(Kind.Z2, (f,)))
 
     if reg is Regime.RP2:
         # the crosscap lift generates
-        group = GroupDescription(Kind.Z4, (st_word(surface, (1,), 0),))
-        return report("Thm 4", group)
+        return report("Thm 4", GroupDescription(Kind.Z4, rec.lifts))
 
     if reg is Regime.TORUS:
         if st_is_trivial(xi):
-            return report("Thm 2", _full_group(surface))
-        group = GroupDescription(
-            Kind.ZXZXZ,
-            (
-                generator_lift(surface, "a1"),
-                generator_lift(surface, "b1"),
-                fiber_generator(surface),
-            ),
-        )
-        return report("Thm 2", group)
+            return report("Thm 2", _full_group(rec))
+        a1, b1 = rec.lifts
+        return report("Thm 2", GroupDescription(Kind.ZXZXZ, (a1, b1, f)))
 
     if reg is Regime.KLEIN:
         k, l = klein_coordinates(xi.base.letters)
@@ -188,13 +178,13 @@ def classify_pi1(surface: SurfaceSpec, xi: STWord) -> ClassificationReport:
             alpha = st_word(surface, spell_klein(k, 1), m)
             return report("Thm 5 II", GroupDescription(Kind.Z, (alpha,)))
         if k == 0 and m == 0:
-            return report("Thm 5 I a", _full_group(surface))
+            return report("Thm 5 I a", _full_group(rec))
         group = GroupDescription(
             Kind.ZXZXZ,
             (
                 st_word(surface, spell_klein(1, 0), 0),
                 st_word(surface, spell_klein(0, 2), 0),
-                fiber_generator(surface),
+                f,
             ),
         )
         return report("Thm 5 I b", group)
@@ -203,11 +193,9 @@ def classify_pi1(surface: SurfaceSpec, xi: STWord) -> ClassificationReport:
 
     if surface.orientable:
         if base_trivial:
-            return report("Thm 3 II", _full_group(surface))
+            return report("Thm 3 II", _full_group(rec))
         dec = decompose(xi)
-        group = GroupDescription(
-            Kind.ZXZ, (dec.root_lift, fiber_generator(surface))
-        )
+        group = GroupDescription(Kind.ZXZ, (dec.root_lift, f))
         return report("Thm 3 I", group, (dec.k, dec.l))
 
     if base_trivial:
@@ -217,7 +205,7 @@ def classify_pi1(surface: SurfaceSpec, xi: STWord) -> ClassificationReport:
                 membership=ORIENTATION_PRESERVING_PREDICATE,
             )
             return report("Thm 6 III a", group)
-        return report("Thm 6 III b", _full_group(surface))
+        return report("Thm 6 III b", _full_group(rec))
 
     dec = decompose(xi)
     root = dec.root_lift
@@ -225,14 +213,12 @@ def classify_pi1(surface: SurfaceSpec, xi: STWord) -> ClassificationReport:
         witness = STWord(surface, root.base, dec.l)
         return report("Thm 6 I", GroupDescription(Kind.Z, (witness,)), (dec.k, dec.l))
     if base_character(root) == +1:
-        group = GroupDescription(Kind.ZXZ, (root, fiber_generator(surface)))
+        group = GroupDescription(Kind.ZXZ, (root, f))
         return report("Thm 6 II a", group, (dec.k, dec.l))
     if dec.l != 0:
-        group = GroupDescription(
-            Kind.ZXZ, (st_power(root, 2), fiber_generator(surface))
-        )
+        group = GroupDescription(Kind.ZXZ, (st_power(root, 2), f))
         return report("Thm 6 II a", group, (dec.k, dec.l))
-    group = GroupDescription(Kind.KLEIN_BOTTLE_GROUP, (root, fiber_generator(surface)))
+    group = GroupDescription(Kind.KLEIN_BOTTLE_GROUP, (root, f))
     return report("Thm 6 II b", group, (dec.k, dec.l))
 
 

@@ -49,7 +49,7 @@ from enum import Enum
 from functools import cached_property
 from itertools import chain, islice
 
-from .surfaces import Regime, SurfaceSpec, regime
+from .surfaces import SurfaceSpec
 from .words import spell_klein, spell_torus, klein_product
 from .stbundle import STWord, st_word
 
@@ -61,6 +61,10 @@ _TURN_TOL = 1e-6
 #: most grid lines a chart curve may cross; bounds the crossing log and,
 #: through it, the length of the lifted word
 _MAX_GRID_CROSSINGS = 100_000
+#: the surfaces of the torus and Klein-bottle charts (plane curves lift to
+#: every surface)
+_TORUS = SurfaceSpec(True, 1)
+_KLEIN = SurfaceSpec(False, 2)
 
 
 class CurveError(ValueError):
@@ -323,15 +327,14 @@ def _chart_data(curve: CurveOnSurface):
 
 def lift(curve: CurveOnSurface, surface: SurfaceSpec) -> STWord:
     """Tangent lift of the curve as a tangent-bundle group element."""
-    reg = regime(surface)
     if curve.model is Model.PLANE:
         return st_word(surface, (), curve._lift_data[1])
     if curve.model is Model.TORUS:
-        if reg is not Regime.TORUS:
+        if surface != _TORUS:
             raise CurveError("torus-model curves need the torus")
         (p, q), fiber, _ = curve._lift_data
         return st_word(surface, spell_torus(p, q), fiber)
-    if reg is not Regime.KLEIN:
+    if surface != _KLEIN:
         raise CurveError("klein-model curves need the Klein bottle")
     (a, b), fiber, _ = curve._lift_data
     return st_word(surface, spell_klein(a, b), fiber)

@@ -18,10 +18,9 @@ from .surfaces import (
     SurfaceSpec,
     exponent_vector,
     presentation,
-    regime,
     smith_diagonal,
 )
-from .words import Word, free_reduce, invert_letters
+from .words import Word, free_reduce, invert_letters, surface_record
 from . import stbundle
 from .stbundle import STWord, st_multiply, st_word
 from .classify import Kind, classify_pi1
@@ -164,7 +163,7 @@ def bounded_elements(surface: SurfaceSpec, bound: SearchBound) -> tuple[STWord, 
     in enumeration order: base length, then shortlex on the letters (a
     generator before its inverse, generators in presentation order), then
     fiber."""
-    order = stbundle._FINITE_ORDER.get(regime(surface))
+    order = surface_record(surface).order
     if order:
         return tuple(STWord(surface, None, None, r) for r in range(order))
     pres = presentation(surface)

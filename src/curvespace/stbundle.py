@@ -16,47 +16,33 @@ regime normalizes through one path.  Conjugacy is decided by one rule from
 the data that each regime's engine supplies: a base conjugator and, on
 nonorientable surfaces, the base class's primitive root
 (:func:`st_is_conjugate`).
+
+Every function here reads the surface's record
+(:func:`curvespace.words.surface_record`) and none looks up the regime.  The
+element type ``STWord`` and ``st_text`` live beside the record in
+:mod:`curvespace.words` and are imported here for this module's callers.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from .surfaces import Regime, SurfaceSpec, euler_characteristic, presentation, regime
+from .surfaces import SurfaceSpec, euler_characteristic
 from .words import (
     AmbientMismatchError,
+    STWord,
     TrivialWordError,
-    Word,
-    _engine,
     invert_letters,
-    normalize_with_fiber,
     parse_letters,
+    st_text,
+    surface_record,
 )
-
-_FINITE_ORDER = {Regime.SPHERE: 2, Regime.RP2: 4}
-
-
-class STWord(namedtuple("STWord", "surface base fiber residue", defaults=(None,))):
-    """Normal-form element of the tangent-bundle fundamental group: a base
-    :class:`Word` and a fiber exponent, or, on the sphere and the projective
-    plane, ``base`` and ``fiber`` None and the element's ``residue``."""
-
-    __slots__ = ()
-
-    def __str__(self) -> str:
-        return st_text(self)
 
 
 def st_word(surface: SurfaceSpec, base_letters, fiber: int) -> STWord:
     """Normalizing constructor: the element spelled by ``base_letters``
-    times ``f**fiber``.  A finite group's residue counts the normal form's
-    letter (the crosscap lift, 1) and the fiber class (half the order)."""
-    pres = presentation(surface)
-    nf, shift = normalize_with_fiber(tuple(base_letters), pres)
-    order = _FINITE_ORDER.get(regime(surface))
-    if order is None:
-        return STWord(surface, Word(pres, nf), fiber + shift, None)
-    return STWord(surface, None, None, (len(nf) + order // 2 * (fiber + shift)) % order)
+    times ``f**fiber`` (:meth:`~curvespace.words.SurfaceRecord.lift`)."""
+    return surface_record(surface).lift(tuple(base_letters), fiber)
 
 
 def st_identity(surface: SurfaceSpec) -> STWord:
@@ -64,12 +50,12 @@ def st_identity(surface: SurfaceSpec) -> STWord:
 
 
 def fiber_generator(surface: SurfaceSpec) -> STWord:
-    return st_word(surface, (), 1)
+    return surface_record(surface).fiber
 
 
 def generator_lift(surface: SurfaceSpec, name: str) -> STWord:
-    pres = presentation(surface)
-    return st_word(surface, (pres.index_of(name) + 1,), 0)
+    rec = surface_record(surface)
+    return rec.lifts[rec.presentation.index_of(name)]
 
 
 def _check_ambient(u: STWord, v: STWord):
@@ -80,16 +66,14 @@ def _check_ambient(u: STWord, v: STWord):
 def base_character(u: STWord) -> int:
     """Orientation character of the projection to the surface group."""
     if u.residue is not None:
-        if regime(u.surface) is Regime.RP2:
-            return -1 if u.residue % 2 else +1
-        return +1
+        return surface_record(u.surface).characters[u.residue]
     return u.base.ambient.word_character(u.base.letters)
 
 
 def st_multiply(u: STWord, v: STWord) -> STWord:
     _check_ambient(u, v)
     if u.residue is not None:
-        order = _FINITE_ORDER[regime(u.surface)]
+        order = surface_record(u.surface).order
         return STWord(u.surface, None, None, (u.residue + v.residue) % order)
     m = base_character(v) * u.fiber + v.fiber
     return st_word(u.surface, u.base.letters + v.base.letters, m)
@@ -97,7 +81,7 @@ def st_multiply(u: STWord, v: STWord) -> STWord:
 
 def st_invert(u: STWord) -> STWord:
     if u.residue is not None:
-        order = _FINITE_ORDER[regime(u.surface)]
+        order = surface_record(u.surface).order
         return STWord(u.surface, None, None, (-u.residue) % order)
     return st_word(u.surface, invert_letters(u.base.letters), -base_character(u) * u.fiber)
 
@@ -158,8 +142,8 @@ def st_is_conjugate(u: STWord, v: STWord) -> bool:
     _check_ambient(u, v)
     if u.residue is not None or (u.surface.orientable and euler_characteristic(u.surface) >= 0):
         return u == v
-    pres = presentation(u.surface)
-    engine = _engine(pres)
+    rec = surface_record(u.surface)
+    pres, engine = rec.presentation, rec.engine
     w = u.base.letters
     v0 = engine.conjugator(pres, w, v.base.letters)
     if v0 is None:
@@ -210,8 +194,8 @@ def decompose(xi: STWord) -> LiftDecomposition:
         )
     # the base is a normal form and so is the root: the engine takes it and
     # the root lifts at fiber zero as it is
-    pres = xi.base.ambient
-    root, k = _engine(pres).root(pres, xi.base.letters)
+    rec = surface_record(xi.surface)
+    root, k = rec.engine.root(rec.presentation, xi.base.letters)
     root_lift = STWord(xi.surface, root, 0)
     power = st_power(root_lift, k)
     if power.base != xi.base:
@@ -225,10 +209,9 @@ def decompose(xi: STWord) -> LiftDecomposition:
 
 def st_parse(text: str, surface: SurfaceSpec) -> STWord:
     """Parse the word grammar extended with the reserved fiber letter ``f``."""
-    pres = presentation(surface)
-    names = pres.names() + ("f",)
-    letters = parse_letters(text, names)
-    fidx = len(names)
+    rec = surface_record(surface)
+    letters = parse_letters(text, rec.names, rec.letters)
+    fidx = len(rec.names)
     base: list[int] = []
     fiber = 0
     for x in letters:
@@ -236,18 +219,6 @@ def st_parse(text: str, surface: SurfaceSpec) -> STWord:
             fiber += 1 if x > 0 else -1
         else:
             if fiber:
-                fiber *= pres.letter_character(x)
+                fiber *= rec.presentation.letter_character(x)
             base.append(x)
-    return st_word(surface, tuple(base), fiber)
-
-
-def st_text(u: STWord) -> str:
-    if u.residue is not None:
-        if regime(u.surface) is Regime.SPHERE:
-            return "f" if u.residue else "1"
-        return {0: "1", 1: "c1", 2: "c1^2", 3: "c1^3"}[u.residue]
-    base = u.base.ambient.spell(u.base.letters) if u.base.letters else ""
-    if u.fiber == 0:
-        return base or "1"
-    ftxt = "f" if u.fiber == 1 else ("F" if u.fiber == -1 else (f"f^{u.fiber}" if u.fiber > 0 else f"F^{-u.fiber}"))
-    return f"{base} {ftxt}".strip()
+    return rec.lift(tuple(base), fiber)

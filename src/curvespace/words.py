@@ -3,6 +3,9 @@
 Each regime has one engine, and the table ``_ENGINES`` is the only place
 where a regime picks its algorithm.  An engine normalizes letters (with the
 fiber shift described below), finds conjugators and finds primitive roots.
+A surface's regime is resolved once, on its first use, into a
+:class:`SurfaceRecord` (:func:`surface_record`) that holds its engine and
+what the tangent-bundle module asks of the surface; every call reads that.
 Normal forms by regime:
 
 * free (punctured surfaces): free reduction;
@@ -489,11 +492,7 @@ def normalize_with_fiber(letters, pres: Presentation) -> tuple[Letters, int]:
     without any fiber twist (their Euler characteristic vanishes), and on
     the projective plane ``c1^2`` is the fiber class upstairs.  A letter
     outside the generator range raises :class:`WordParseError`."""
-    engine = _engine(pres)
-    for x in letters:
-        if x == 0 or abs(x) > len(pres.generators):
-            raise WordParseError(f"letter {x} outside the generator range")
-    return engine.normalize(letters, pres)
+    return _record(pres).normalize(letters)
 
 
 # ---------------------------------------------------------------------------
@@ -847,12 +846,88 @@ _ENGINES = {
 }
 
 
-def _engine(pres: Presentation) -> _Engine:
+#: the finite tangent-bundle groups, cyclic of order 2 over the sphere and 4
+#: over the projective plane: the orientation character of each residue
+#: (there residue 1 is the crosscap lift, which reverses orientation)
+_RESIDUE_CHARACTERS = {Regime.SPHERE: (1, 1), Regime.RP2: (1, -1, 1, -1)}
+
+
+# ---------------------------------------------------------------------------
+# the per-surface record
+
+
+class STWord(namedtuple("STWord", "surface base fiber residue", defaults=(None,))):
+    """Normal-form element of the tangent-bundle fundamental group: a base
+    :class:`Word` and a fiber exponent, or, on the sphere and the projective
+    plane, ``base`` and ``fiber`` None and the element's ``residue``.
+    Arithmetic on these lives in :mod:`curvespace.stbundle`."""
+
+    __slots__ = ()
+
+    def __str__(self) -> str:
+        return st_text(self)
+
+
+class SurfaceRecord(
+    namedtuple("SurfaceRecord", "presentation regime engine order characters names letters lifts fiber")
+):
+    """What every call over one surface reads, resolved once by
+    :func:`surface_record`.
+
+    ``presentation`` is the surface's, ``regime`` its
+    :class:`~curvespace.surfaces.Regime` (the classification's case split)
+    and ``engine`` that regime's.  Where the tangent-bundle group is finite,
+    ``order`` is 2 or 4 and ``characters[r]`` is the orientation character
+    of residue ``r``; elsewhere both are None.  ``names`` are the generator
+    names and then the fiber letter ``f``, ``letters`` their one-letter
+    tokens (:func:`parse_letters`), ``lifts`` the lift of each generator at
+    fiber zero and ``fiber`` the fiber class."""
+
+    __slots__ = ()
+
+    def normalize(self, letters) -> tuple[Letters, int]:
+        """:func:`normalize_with_fiber` over this surface."""
+        n = len(self.presentation.generators)
+        for x in letters:
+            if x == 0 or abs(x) > n:
+                raise WordParseError(f"letter {x} outside the generator range")
+        return self.engine.normalize(letters, self.presentation)
+
+    def lift(self, letters, fiber: int) -> STWord:
+        """The tangent-bundle element ``letters * f**fiber`` in normal form.  A
+        finite group's residue counts the normal form's letter (the crosscap
+        lift, 1) and the fiber class (half the order)."""
+        nf, shift = self.normalize(letters)
+        surface = self.presentation.surface
+        if self.order is None:
+            return STWord(surface, Word(self.presentation, nf), fiber + shift, None)
+        return STWord(surface, None, None, (len(nf) + self.order // 2 * (fiber + shift)) % self.order)
+
+
+@cache
+def surface_record(spec: SurfaceSpec) -> SurfaceRecord:
+    """The record of ``spec``, built on the surface's first use; the
+    element operations look up no regime after that."""
+    pres = presentation(spec)
+    reg = regime(spec)
+    characters = _RESIDUE_CHARACTERS.get(reg)
+    order = None if characters is None else len(characters)
+    names = pres.names() + ("f",)
+    rec = SurfaceRecord(pres, reg, _ENGINES[reg], order, characters, names, _letter_table(names), (), None)
+    lifts = tuple(rec.lift((x,), 0) for x in range(1, len(names)))
+    return rec._replace(lifts=lifts, fiber=rec.lift((), 1))
+
+
+def _record(pres: Presentation) -> SurfaceRecord:
     if pres.lifted:
         raise ValueError("tangent-bundle words are handled by the stbundle module")
     if pres.surface is None:
         raise ValueError("words need a surface presentation; the oracle handles ad-hoc ones")
-    return _ENGINES[regime(pres.surface)]
+    return surface_record(pres.surface)
+
+
+def _engine(pres: Presentation) -> _Engine:
+    return _record(pres).engine
 
 
 # ---------------------------------------------------------------------------
@@ -906,16 +981,18 @@ def _check_length(length: int) -> None:
         raise WordParseError(f"the word expands to more than {_MAX_WORD_LETTERS} letters")
 
 
-def parse_letters(text: str, names: tuple[str, ...]) -> Letters:
+def parse_letters(text: str, names: tuple[str, ...], table: dict[str, int] | None = None) -> Letters:
     """Parse the word grammar over the given generator names.
 
     Lowercase names, uppercase = inverse, ``^`` powers, juxtaposition with
     spaces, and ``1`` for the empty word.  A word whose powers add up to
     more than ``_MAX_WORD_LETTERS`` letters is rejected before it is spelled
-    out.  Tokens of one letter are looked up in a table built once per name
-    tuple; the rest go through the token grammar.
+    out.  Tokens of one letter are looked up in ``table``, the names' letter
+    table (:func:`_letter_table`, looked up when not given); the rest go
+    through the token grammar.
     """
-    table = _letter_table(names)
+    if table is None:
+        table = _letter_table(names)
     out: list[int] = []
     for token in text.split():
         letter = table.get(token)
@@ -938,3 +1015,18 @@ def parse_letters(text: str, names: tuple[str, ...]) -> Letters:
 
 def parse_word(text: str, pres: Presentation) -> Word:
     return word(pres, parse_letters(text, pres.names()))
+
+
+def st_text(u: STWord) -> str:
+    """Text of a tangent-bundle element: the base word, then the fiber
+    power; a finite group's residue as a power of ``f`` (sphere) or of the
+    crosscap lift ``c1`` (projective plane)."""
+    if u.residue is not None:
+        if surface_record(u.surface).order == 2:
+            return "f" if u.residue else "1"
+        return {0: "1", 1: "c1", 2: "c1^2", 3: "c1^3"}[u.residue]
+    base = u.base.ambient.spell(u.base.letters) if u.base.letters else ""
+    if u.fiber == 0:
+        return base or "1"
+    ftxt = "f" if u.fiber == 1 else ("F" if u.fiber == -1 else (f"f^{u.fiber}" if u.fiber > 0 else f"F^{-u.fiber}"))
+    return f"{base} {ftxt}".strip()

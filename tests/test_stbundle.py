@@ -5,6 +5,7 @@ import pytest
 from curvespace import SurfaceSpec, presentation, st_parse, st_presentation
 from curvespace.surfaces import Regime, regime
 from curvespace.words import (
+    _ENGINES,
     TrivialWordError,
     Word,
     _engine,
@@ -16,6 +17,7 @@ from curvespace.words import (
     normalize_with_fiber,
     primitive_root,
     spell_klein,
+    surface_record,
     word,
 )
 from curvespace.stbundle import (
@@ -23,6 +25,7 @@ from curvespace.stbundle import (
     base_character,
     decompose,
     fiber_generator,
+    generator_lift,
     st_conjugate,
     st_identity,
     st_invert,
@@ -498,3 +501,80 @@ def test_projective_plane_normalizes_with_the_fiber_shift():
         for m in range(-3, 4):
             letters = (1,) * k if k >= 0 else (-1,) * -k
             assert st_word(RP2, letters, m).residue == (k + 2 * m) % 4
+
+
+# a surface of every regime, with the largest surfaces under the generator cap
+RECORD_SURFACES = tuple(
+    SurfaceSpec.parse(text)
+    for text in (
+        "orientable:0:0",
+        "nonorientable:1:0",
+        "orientable:1:0",
+        "nonorientable:2:0",
+        "orientable:0:1",
+        "orientable:1:2",
+        "nonorientable:2:1",
+        "orientable:2:0",
+        "nonorientable:3:0",
+        "orientable:32:0",
+        "nonorientable:64:0",
+    )
+)
+
+
+def test_surface_record_agrees_with_the_regime():
+    """The record resolves a surface as :func:`regime` does: its engine is
+    the regime's, the group is finite exactly where the tangent-bundle
+    presentation is ``<f | f^n>``, of order ``n``,
+    each cached lift is the generator's lift normalized afresh, and on the
+    projective plane each residue's character is that of the crosscap
+    power it spells."""
+    assert {regime(s) for s in RECORD_SURFACES} == set(Regime)
+    for surface in RECORD_SURFACES:
+        rec = surface_record(surface)
+        pres = presentation(surface)
+        assert rec.regime is regime(surface) and rec.engine is _ENGINES[regime(surface)], surface
+        assert rec.presentation == pres and rec.names == pres.names() + ("f",), surface
+        st = st_presentation(surface)
+        finite = st.names() == ("f",) and st.relators
+        assert rec.order == (len(st.relators[0]) if finite else None), surface
+        assert len(rec.lifts) == len(pres.generators), surface
+        for i, g in enumerate(pres.generators, start=1):
+            assert rec.lifts[i - 1] == st_word(surface, (i,), 0) == generator_lift(surface, g.name), (surface, i)
+        assert rec.fiber == st_word(surface, (), 1) == fiber_generator(surface), surface
+    rec = surface_record(RP2)
+    for r in range(4):
+        element = st_word(RP2, (1,) * r, 0)
+        assert element.residue == r
+        assert base_character(element) == rec.characters[r] == presentation(RP2).word_character((1,) * r)
+
+
+def test_no_regime_lookup_after_a_surface_is_first_used(monkeypatch):
+    """Once a surface has been used, the element operations read its record
+    and never ask :func:`regime` again, on any regime."""
+    import curvespace
+
+    elements = []
+    for surface in ALL_REGIME_SAMPLES:
+        n = len(presentation(surface).generators)
+        letters = tuple(range(1, n + 1)) + (-1,) * min(n, 1)
+        elements.append((surface, letters, st_word(surface, letters, 1)))
+    calls = []
+
+    def counting_regime(spec):
+        calls.append(spec)
+        return regime(spec)
+
+    for name in ("surfaces", "words", "stbundle", "classify", "oracle", "flatcurves"):
+        module = getattr(curvespace, name)
+        if hasattr(module, "regime"):
+            monkeypatch.setattr(module, "regime", counting_regime)
+    for surface, letters, u in elements:
+        v = st_word(surface, letters, -2)
+        st_invert(st_multiply(u, v))
+        st_text(u)
+        base_character(v)
+        normalize_with_fiber(letters, presentation(surface))
+        st_parse(st_text(u), surface)
+        fiber_generator(surface)
+    assert calls == []
