@@ -32,6 +32,7 @@ from .words import (
     AmbientMismatchError,
     STWord,
     TrivialWordError,
+    Word,
     invert_letters,
     parse_letters,
     st_text,
@@ -47,15 +48,6 @@ def st_word(surface: SurfaceSpec, base_letters, fiber: int) -> STWord:
 
 def st_identity(surface: SurfaceSpec) -> STWord:
     return st_word(surface, (), 0)
-
-
-def fiber_generator(surface: SurfaceSpec) -> STWord:
-    return surface_record(surface).fiber
-
-
-def generator_lift(surface: SurfaceSpec, name: str) -> STWord:
-    rec = surface_record(surface)
-    return rec.lifts[rec.presentation.index_of(name)]
 
 
 def _check_ambient(u: STWord, v: STWord):
@@ -143,15 +135,17 @@ def st_is_conjugate(u: STWord, v: STWord) -> bool:
     if u.residue is not None or (u.surface.orientable and euler_characteristic(u.surface) >= 0):
         return u == v
     rec = surface_record(u.surface)
-    pres, engine = rec.presentation, rec.engine
+    pres = rec.presentation
     w = u.base.letters
-    v0 = engine.conjugator(pres, w, v.base.letters)
+    v0 = rec.engine.conjugator(rec, w, v.base.letters)
     if v0 is None:
         return False
 
     def shift(t, image):
-        # w and the engine's answers are normal forms, lifted at fiber zero
-        nf, d = engine.normalize(t + w + invert_letters(t), pres)
+        # w is a normal form and t any spelling, each letter lifted at fiber
+        # zero: another spelling of t conjugates by t f^s, which moves the
+        # shift by a multiple of step
+        nf, d = rec.engine.normalize(rec, t + w + invert_letters(t))
         assert nf == image, "the conjugator does not conjugate to the expected base"
         return d
 
@@ -159,11 +153,11 @@ def st_is_conjugate(u: STWord, v: STWord) -> bool:
     if not u.surface.orientable and not w:
         mirror = 0
     elif not u.surface.orientable:
-        root = engine.root(pres, w)[0].letters
+        root = rec.engine.root(rec, w)[0]
         if pres.word_character(root) < 0:
             mirror = shift(root, w)
     step = 1 - pres.word_character(w)
-    x = pres.word_character(v0.letters) * (v.fiber - shift(v0.letters, v.base.letters))
+    x = pres.word_character(v0) * (v.fiber - shift(v0, v.base.letters))
     targets = (u.fiber,) if mirror is None else (u.fiber, mirror - u.fiber)
     return any((x - y) % step == 0 if step else x == y for y in targets)
 
@@ -195,8 +189,8 @@ def decompose(xi: STWord) -> LiftDecomposition:
     # the base is a normal form and so is the root: the engine takes it and
     # the root lifts at fiber zero as it is
     rec = surface_record(xi.surface)
-    root, k = rec.engine.root(rec.presentation, xi.base.letters)
-    root_lift = STWord(xi.surface, root, 0)
+    root, k = rec.engine.root(rec, xi.base.letters)
+    root_lift = STWord(xi.surface, Word(rec.presentation, root), 0)
     power = st_power(root_lift, k)
     if power.base != xi.base:
         raise AssertionError("root power does not reproduce the base")

@@ -139,12 +139,6 @@ class Presentation(
     def names(self) -> tuple[str, ...]:
         return tuple(g.name for g in self.generators)
 
-    def index_of(self, name: str) -> int:
-        for i, g in enumerate(self.generators):
-            if g.name == name:
-                return i
-        raise KeyError(name)
-
     def letter_character(self, letter: int) -> int:
         return self.generators[abs(letter) - 1].character
 
@@ -231,13 +225,15 @@ def presentation(spec: SurfaceSpec) -> Presentation:
     )
 
 
+@cache
 def st_presentation(spec: SurfaceSpec) -> Presentation:
     """Presentation of the fundamental group of the unit tangent bundle.
 
     The fiber generator is always called ``f`` and always comes last.  The
     sphere and the projective plane are finite cyclic (orders 2 and 4) and are
     emitted as such.  Everywhere else the surface relator lifts to ``f**chi``
-    and each surface generator x satisfies ``x f x^-1 = f**eps(x)``.
+    and each surface generator x satisfies ``x f x^-1 = f**eps(x)``.  Built
+    once per surface.
     """
     reg = regime(spec)
     if reg is Regime.SPHERE:

@@ -4,9 +4,12 @@ Each regime has one engine, and the table ``_ENGINES`` is the only place
 where a regime picks its algorithm.  An engine normalizes letters (with the
 fiber shift described below), finds conjugators and finds primitive roots.
 A surface's regime is resolved once, on its first use, into a
-:class:`SurfaceRecord` (:func:`surface_record`) that holds its engine and
-what the tangent-bundle module asks of the surface; every call reads that.
-Normal forms by regime:
+:class:`SurfaceRecord` (:func:`surface_record`) that holds its engine, the
+closed hyperbolic engine's relator band and what the tangent-bundle module
+asks of the surface; every call reads that.  The engines take the record
+and answer in plain letters; :func:`conjugating_element` and
+:func:`primitive_root` wrap their answers in a :class:`Word`.  Normal forms
+by regime:
 
 * free (punctured surfaces): free reduction;
 * torus: exponent vector, spelled ``a1^p b1^q``;
@@ -16,11 +19,12 @@ Normal forms by regime:
 * closed hyperbolic (orientable genus >= 2, nonorientable genus >= 3):
   free reduction and Dehn shortening of subwords longer than half a
   cyclically rotated relator, found through one relator index built once
-  per surface, then the shortlex-least word among the spellings of the
-  same length, read off a layered graph of bounded width around the word
-  (the relator band, :func:`_dehn_normalize`).  This is the unique
-  shortlex-minimal form in the one-relator surface presentations.  A pass
-  is linear in the word's length n and there are at most n / 2 of them.
+  per surface into its record, then the shortlex-least word among the
+  spellings of the same length, read off a layered graph of bounded width
+  around the word (the relator band, :func:`_dehn_normalize`).  This is
+  the unique shortlex-minimal form in the one-relator surface
+  presentations.  A pass is linear in the word's length n and there are at
+  most n / 2 of them.
   The band's move table is filled by rule, not by search: a Dehn-reduced
   word of at most ``L / 2 + 2`` letters is geodesic, a relator subword of
   fewer than ``L / 2`` letters is its element's only geodesic spelling, and
@@ -182,7 +186,8 @@ def spell_klein(k: int, l: int) -> Letters:
 
 
 class _Band(namedtuple("_Band", "cycles at sign chi L pieces index steps letters ahead behind")):
-    """Per-surface tables of the closed hyperbolic engine.
+    """Per-surface tables of the closed hyperbolic engine, built once into
+    the surface's record (:attr:`SurfaceRecord.band`).
 
     The relator index: ``cycles`` holds the relator (side 0) and its inverse
     (side 1), each written out twice, so every cyclic subword is a slice
@@ -204,16 +209,14 @@ class _Band(namedtuple("_Band", "cycles at sign chi L pieces index steps letters
     __slots__ = ()
 
 
-@cache
-def _band_tables(surface: SurfaceSpec) -> _Band:
-    pres = presentation(surface)
+def _band_tables(pres: Presentation) -> _Band:
     (sign,) = {g.character for g in pres.generators}
     relator = pres.relators[0]
     L = len(relator)
     half = L // 2
     cycles = (relator * 2, invert_letters(relator) * 2)
     letters = tuple(x for g in range(1, len(pres.generators) + 1) for x in (g, -g))
-    band = _Band(cycles, {}, sign, euler_characteristic(surface), L, [()], {(): 0}, {}, letters, {}, {})
+    band = _Band(cycles, {}, sign, euler_characteristic(pres.surface), L, [()], {(): 0}, {}, letters, {}, {})
     for side, cycle in enumerate(cycles):
         for start in range(L):
             band.at[cycle[start : start + 2]] = band.at[cycle[start : start + half]] = (side, start)
@@ -325,7 +328,7 @@ def _band_steps(band: _Band, a: int, d: int):
     return entry
 
 
-def _dehn_normalize(letters, pres: Presentation) -> tuple[Letters, int]:
+def _dehn_normalize(letters, band: _Band) -> tuple[Letters, int]:
     """Normal form plus the accumulated fiber shift.
 
     The word is freed and Dehn-shortened (:func:`_dehn_shorten`, linear in
@@ -344,7 +347,6 @@ def _dehn_normalize(letters, pres: Presentation) -> tuple[Letters, int]:
     The fiber shift along a path follows ``phi <- s + eps(y) * phi`` from the
     moves' shifts; the spelling ``v`` ends with ``w = v f^-phi``.
     """
-    band = _band_tables(pres.surface)
     w = free_reduce(letters)
     shift = 0
     while True:
@@ -412,13 +414,12 @@ def _band_walk(w: Letters, band: _Band) -> tuple[Letters, int, bool]:
     ``w`` itself is a path at offset 1 throughout, so a layer whose only live
     offset is 1 pins every path to ``w``; the search for a cancellation or a
     key and the greedy sweep only run between the first and the last layer
-    with a choice."""
+    with a choice.  Some layer has one: ``w`` reads half a relator, and the
+    other half differs from it in its first letter."""
     steps = band.steps
     n = len(w)
     live = _band_live(w, band)
     wide = [j for j, mask in enumerate(live) if mask & (mask - 1)]
-    if not wide:
-        return w, 0, True
     lo, hi = wide[0] - 1, wide[-1] + 1
     found = _dirty_moves(w, band, live, lo, min(n, hi + band.L // 2))
     clean = found is None
@@ -505,10 +506,6 @@ def word(pres: Presentation, letters) -> Word:
     return Word(pres, nf)
 
 
-def identity(pres: Presentation) -> Word:
-    return Word(pres, ())
-
-
 def normal_form(u: Word) -> Word:
     return word(u.ambient, u.letters)
 
@@ -530,40 +527,40 @@ def conjugating_element(u: Word, v: Word) -> Word | None:
     """Some ``t`` with ``t u t^-1 = v``, or None if not conjugate."""
     if u.ambient != v.ambient:
         raise AmbientMismatchError("conjugacy needs a common presentation")
-    pres = u.ambient
-    conjugator = _engine(pres).conjugator
-    return conjugator(pres, normal_form(u).letters, normal_form(v).letters)
+    rec = _record(u.ambient)
+    t = rec.engine.conjugator(rec, normal_form(u).letters, normal_form(v).letters)
+    return None if t is None else word(u.ambient, t)
 
 
-def _equal_conjugator(pres, lu, lv) -> Word | None:
+def _equal_conjugator(rec, lu, lv) -> Letters | None:
     # abelian groups: conjugate only when equal
-    return identity(pres) if lu == lv else None
+    return () if lu == lv else None
 
 
-def _free_conjugator(pres, lu, lv) -> Word | None:
+def _free_conjugator(rec, lu, lv) -> Letters | None:
     pu, su = cyclic_free_reduce(lu)
     pv, sv = cyclic_free_reduce(lv)
     r = _rotation(su, sv)
     if r is None:
         return None
     # v = pv * rot_r(su) * pv^-1 and rot_r(su) = su[:r]^-1 su su[:r]
-    return word(pres, pv + invert_letters(su[:r]) + invert_letters(pu))
+    return pv + invert_letters(su[:r]) + invert_letters(pu)
 
 
-def _klein_conjugator(pres, lu, lv) -> Word | None:
+def _klein_conjugator(rec, lu, lv) -> Letters | None:
     k1, l1 = klein_coordinates(lu)
     k2, l2 = klein_coordinates(lv)
     if l1 != l2:
         return None
     if l1 % 2 == 0:
         if (k2, l2) == (k1, l1):
-            return identity(pres)
+            return ()
         if k2 == -k1:
-            return word(pres, spell_klein(0, 1))  # conjugate by h
+            return spell_klein(0, 1)  # conjugate by h
         return None
     if (k2 - k1) % 2 != 0:
         return None
-    return word(pres, spell_klein((k2 - k1) // 2, 0))  # conjugate by g^t
+    return spell_klein((k2 - k1) // 2, 0)  # conjugate by g^t
 
 
 # closed hyperbolic conjugacy: an element's minimal-length conjugates, as
@@ -578,7 +575,7 @@ class _Conjugates(namedtuple("_Conjugates", "forms rotations")):
     __slots__ = ()
 
 
-def _minimal_conjugates(pres, letters) -> _Conjugates:
+def _minimal_conjugates(letters, band: _Band) -> _Conjugates:
     """The minimal-length conjugates of the element with normal form
     ``letters``.
 
@@ -597,19 +594,18 @@ def _minimal_conjugates(pres, letters) -> _Conjugates:
     length, and its other minimal conjugates are the rotations of its ring
     partners.
     """
-    band = _band_tables(pres.surface)
     half = band.L // 2
     x, c = letters, ()
     while True:
         p, core = cyclic_free_reduce(x)
         if p:
-            x, c = _dehn_normalize(core, pres)[0], c + p
+            x, c = _dehn_normalize(core, band)[0], c + p
             continue
         if not _cyclic_half_window(x, band):
             # a ring around such a word has at least two faces, each with
             # L/2 - 1 letters of it
             ring = len(x) % (half - 1) == 0 and len(x) > half
-            partners = _ring_partners(x, band, pres) if ring else []
+            partners = _ring_partners(x, band) if ring else []
             partners = [(t, c + band.pieces[d]) for t, d in partners]
             if not any(_cyclic_half_window(t, band) for t, _ in partners):
                 return _Conjugates([(x, c), *partners], True)
@@ -622,7 +618,7 @@ def _minimal_conjugates(pres, letters) -> _Conjugates:
             after = _band_live(s, band)[1]
             firsts = [y for y, k, _ in band.steps[s[0], 0][0] if after >> k & 1]
             for y in firsts:
-                t, _ = _dehn_normalize((-y,) + s + (y,), pres)
+                t, _ = _dehn_normalize((-y,) + s + (y,), band)
                 if len(t) < len(s):
                     shorter = t, cs + (y,)
                     break
@@ -634,7 +630,7 @@ def _minimal_conjugates(pres, letters) -> _Conjugates:
         x, c = shorter
 
 
-def _ring_partners(x: Letters, band: _Band, pres) -> list[tuple[Letters, int]]:
+def _ring_partners(x: Letters, band: _Band) -> list[tuple[Letters, int]]:
     """The ring partners of the cyclic word ``x``, each with its offset ``d``:
     the normal forms ``t`` of ``d^-1 x d``, the minimal conjugates on the far
     sides of rings of relator faces around ``x``.
@@ -643,20 +639,17 @@ def _ring_partners(x: Letters, band: _Band, pres) -> list[tuple[Letters, int]]:
     ``x`` back to ``d`` without meeting offset 1 (:func:`_ring_offsets`).
     Such a walk spells ``d^-1 x d``, and normal forms are canonical, so
     ``t`` is the normal form of that product.  Offsets ``x[:k]`` and
-    ``x[-k:]^-1`` are skipped; their walks spell rotations of ``x``."""
-    half = band.L // 2
+    ``x[-k:]^-1`` are skipped; their walks spell rotations of ``x``.  ``x``
+    reads no half relator cyclically, so ``k < L / 2`` and such an offset is
+    a relator subword, its own normal form."""
     start = (1 << len(band.pieces)) - 2
-    for k in range(1, half + 1):
+    for k in range(1, band.L // 2):
         for r in (x[:k], invert_letters(x[-k:])):
-            # a relator subword of under L/2 letters is its own normal form,
-            # and a half relator's is itself or the other half
             d = band.index.get(r)
-            if d is None and (swap := _half_swap(band, r)) is not None:
-                d = band.index.get(swap[0])
             if d is not None:
                 start &= ~(1 << d)
     return [
-        (_dehn_normalize(invert_letters(band.pieces[d]) + x + band.pieces[d], pres)[0], d)
+        (_dehn_normalize(invert_letters(band.pieces[d]) + x + band.pieces[d], band)[0], d)
         for d in _bits(_ring_offsets(x, band, start) & start)
         if _ring_offsets(x, band, 1 << d) >> d & 1
     ]
@@ -684,26 +677,25 @@ def _ring_offsets(x: Letters, band: _Band, start: int) -> int:
     return mask
 
 
-def _dehn_conjugator(pres, lu, lv) -> Word | None:
+def _dehn_conjugator(rec, lu, lv) -> Letters | None:
     # abelianized certificate first: exponent vectors must agree modulo the
     # relator row (zero for commutator relators, (2,...,2) for crosscaps)
     if not lu or not lv:
-        return identity(pres) if lu == lv else None
-    if not _abelian_conjugacy_possible(pres, lu, lv):
+        return () if lu == lv else None
+    if not _abelian_conjugacy_possible(rec.presentation, lu, lv):
         return None
-    cu = _minimal_conjugates(pres, lu)
-    cv = _minimal_conjugates(pres, lv)
-    sv, conj_v = cv.forms[0]
-    if cu.rotations != cv.rotations:
-        return None
+    cu = _minimal_conjugates(lu, rec.band)
+    sv, conj_v = _minimal_conjugates(lv, rec.band).forms[0]
+    # the two kinds of class (forms with rotations, or all of them) are
+    # never conjugate, and neither branch finds a conjugator across them
     if cu.rotations:
         for s, conj in cu.forms:
             r = _rotation(s, sv)
             if r is not None:
-                return word(pres, conj_v + invert_letters(conj + s[:r]))
+                return conj_v + invert_letters(conj + s[:r])
         return None
     conj = dict(cu.forms).get(sv)
-    return None if conj is None else word(pres, conj_v + invert_letters(conj))
+    return None if conj is None else conj_v + invert_letters(conj)
 
 
 def _abelian_conjugacy_possible(pres, lu, lv) -> bool:
@@ -726,69 +718,68 @@ def primitive_root(u: Word) -> tuple[Word, int]:
     and most of the Klein bottle); for pure even powers of the Klein
     orientation-reversing side the choice ``h`` is fixed by convention.
     """
-    pres = u.ambient
-    root = _engine(pres).root
-    if root is None:
+    rec = _record(u.ambient)
+    if rec.engine.root is None:
         raise ValueError("primitive roots are undefined on finite fundamental groups")
     un = normal_form(u)
     if not un.letters:
         raise TrivialWordError("the identity has no primitive root")
-    return root(pres, un.letters)
+    root, k = rec.engine.root(rec, un.letters)
+    return Word(u.ambient, root), k
 
 
-def _torus_root(pres, letters) -> tuple[Word, int]:
-    p, q = exponent_vector(pres, letters)
+def _torus_root(rec, letters) -> tuple[Letters, int]:
+    p, q = exponent_vector(rec.presentation, letters)
     d = math.gcd(abs(p), abs(q))
-    return word(pres, spell_torus(p // d, q // d)), d
+    return spell_torus(p // d, q // d), d
 
 
-def _free_root(pres, letters) -> tuple[Word, int]:
+def _free_root(rec, letters) -> tuple[Letters, int]:
     prefix, core = cyclic_free_reduce(letters)
     n = len(core)
     for d in range(1, n + 1):
         if n % d == 0 and core == core[:d] * (n // d):
-            root = free_reduce(prefix + core[:d] + invert_letters(prefix))
-            return Word(pres, root), n // d
+            return free_reduce(prefix + core[:d] + invert_letters(prefix)), n // d
     raise AssertionError("unreachable")
 
 
-def _klein_root(pres, letters) -> tuple[Word, int]:
+def _klein_root(rec, letters) -> tuple[Letters, int]:
     k, l = klein_coordinates(letters)
     if l % 2 != 0:
         # (g^k h^s)^|l| = g^k h^l for s = sign(l)
         s = 1 if l > 0 else -1
-        return word(pres, spell_klein(k, s)), abs(l)
+        return spell_klein(k, s), abs(l)
     if k == 0:
         # pure even power of h; every g^a h generates a cyclic group through
         # it, so the root is only canonical by convention
         s = 1 if l > 0 else -1
-        return word(pres, spell_klein(0, s)), abs(l)
+        return spell_klein(0, s), abs(l)
     d = math.gcd(abs(k), abs(l) // 2)
-    return word(pres, spell_klein(k // d, l // d)), d
+    return spell_klein(k // d, l // d), d
 
 
-def _dehn_root(pres, letters) -> tuple[Word, int]:
+def _dehn_root(rec, letters) -> tuple[Letters, int]:
     """An ``e``-th root of an element has a minimal conjugate ``t`` with
     ``t^e`` a minimal conjugate ``x`` of the element, so ``t`` is spelled by
     the first ``len(x) / e`` letters of a geodesic spelling of ``x``: a
     layer of the band over ``x``.  Only exponents that divide ``len(x)`` and
     the abelian invariants, and are odd on orientation-reversing elements,
     are tried, largest first."""
-    exponents = _root_exponents(pres, letters)
+    exponents = _root_exponents(rec.presentation, letters)
     if exponents is None:
-        return Word(pres, letters), 1
-    x, c = _minimal_conjugates(pres, letters).forms[0]
+        return letters, 1
+    band = rec.band
+    x, c = _minimal_conjugates(letters, band).forms[0]
     n = len(x)
-    band = _band_tables(pres.surface)
     live = _band_live(x, band)
     for e in range(n, 1, -1):
         if n % e or not exponents(e):
             continue
         for d in _bits(live[n // e]):
-            t, _ = _dehn_normalize(x[: n // e] + band.pieces[d], pres)
-            if _dehn_normalize(t * e, pres)[0] == x:
-                return word(pres, c + t + invert_letters(c)), e
-    return Word(pres, letters), 1
+            t, _ = _dehn_normalize(x[: n // e] + band.pieces[d], band)
+            if _dehn_normalize(t * e, band)[0] == x:
+                return _dehn_normalize(c + t + invert_letters(c), band)[0], e
+    return letters, 1
 
 
 def _root_exponents(pres, letters) -> Callable[[int], bool] | None:
@@ -814,33 +805,37 @@ def _root_exponents(pres, letters) -> Callable[[int], bool] | None:
 class _Engine(namedtuple("_Engine", "normalize conjugator root")):
     """How one regime normalizes, conjugates and takes roots.
 
-    ``normalize(letters, pres)`` returns the normal-form letters and the
-    fiber shift; ``conjugator(pres, lu, lv)`` and ``root(pres, letters)``
-    take normal-form letters (``root`` only nontrivial ones) and answer as
-    :func:`conjugating_element` and :func:`primitive_root` do.  ``root`` is
+    Each function takes the surface's :class:`SurfaceRecord` and answers in
+    plain letters.  ``normalize(rec, letters)`` returns the normal-form
+    letters and the fiber shift.  ``conjugator(rec, lu, lv)`` takes normal
+    forms and returns some ``t`` with ``t u t^-1 = v``, in any spelling, or
+    None.  ``root(rec, letters)`` takes a nontrivial normal form and returns
+    the primitive root, as a normal form, and the exponent.  ``root`` is
     None on the finite groups, where primitive roots are undefined."""
 
     __slots__ = ()
 
 
-def _rp2_normalize(letters, pres) -> tuple[Letters, int]:
+def _rp2_normalize(rec, letters) -> tuple[Letters, int]:
     # c1^2 is the fiber class upstairs, so c1^exp = c1^(exp mod 2) f^(exp // 2)
     exp = sum(1 if x > 0 else -1 for x in letters)
     return ((1,) if exp % 2 else ()), exp // 2
 
 
-_DEHN_ENGINE = _Engine(_dehn_normalize, _dehn_conjugator, _dehn_root)
+_DEHN_ENGINE = _Engine(lambda rec, letters: _dehn_normalize(letters, rec.band), _dehn_conjugator, _dehn_root)
 
 _ENGINES = {
-    Regime.SPHERE: _Engine(lambda letters, pres: ((), 0), _equal_conjugator, None),
+    Regime.SPHERE: _Engine(lambda rec, letters: ((), 0), _equal_conjugator, None),
     Regime.RP2: _Engine(_rp2_normalize, _equal_conjugator, None),
     Regime.TORUS: _Engine(
-        lambda letters, pres: (spell_torus(*exponent_vector(pres, letters)), 0), _equal_conjugator, _torus_root
+        lambda rec, letters: (spell_torus(*exponent_vector(rec.presentation, letters)), 0),
+        _equal_conjugator,
+        _torus_root,
     ),
     Regime.KLEIN: _Engine(
-        lambda letters, pres: (spell_klein(*klein_coordinates(letters)), 0), _klein_conjugator, _klein_root
+        lambda rec, letters: (spell_klein(*klein_coordinates(letters)), 0), _klein_conjugator, _klein_root
     ),
-    Regime.PUNCTURED: _Engine(lambda letters, pres: (free_reduce(letters), 0), _free_conjugator, _free_root),
+    Regime.PUNCTURED: _Engine(lambda rec, letters: (free_reduce(letters), 0), _free_conjugator, _free_root),
     Regime.CLOSED_ORIENTABLE_HYPERBOLIC: _DEHN_ENGINE,
     Regime.CLOSED_NONORIENTABLE_HYPERBOLIC: _DEHN_ENGINE,
 }
@@ -869,7 +864,7 @@ class STWord(namedtuple("STWord", "surface base fiber residue", defaults=(None,)
 
 
 class SurfaceRecord(
-    namedtuple("SurfaceRecord", "presentation regime engine order characters names letters lifts fiber")
+    namedtuple("SurfaceRecord", "presentation regime engine order characters names letters lifts fiber band")
 ):
     """What every call over one surface reads, resolved once by
     :func:`surface_record`.
@@ -881,7 +876,9 @@ class SurfaceRecord(
     of residue ``r``; elsewhere both are None.  ``names`` are the generator
     names and then the fiber letter ``f``, ``letters`` their one-letter
     tokens (:func:`parse_letters`), ``lifts`` the lift of each generator at
-    fiber zero and ``fiber`` the fiber class."""
+    fiber zero and ``fiber`` the fiber class.  ``band`` holds the relator
+    index and band of the closed hyperbolic engine (:func:`_band_tables`);
+    on the other regimes it is None."""
 
     __slots__ = ()
 
@@ -891,7 +888,7 @@ class SurfaceRecord(
         for x in letters:
             if x == 0 or abs(x) > n:
                 raise WordParseError(f"letter {x} outside the generator range")
-        return self.engine.normalize(letters, self.presentation)
+        return self.engine.normalize(self, letters)
 
     def lift(self, letters, fiber: int) -> STWord:
         """The tangent-bundle element ``letters * f**fiber`` in normal form.  A
@@ -913,7 +910,9 @@ def surface_record(spec: SurfaceSpec) -> SurfaceRecord:
     characters = _RESIDUE_CHARACTERS.get(reg)
     order = None if characters is None else len(characters)
     names = pres.names() + ("f",)
-    rec = SurfaceRecord(pres, reg, _ENGINES[reg], order, characters, names, _letter_table(names), (), None)
+    engine = _ENGINES[reg]
+    band = _band_tables(pres) if engine is _DEHN_ENGINE else None
+    rec = SurfaceRecord(pres, reg, engine, order, characters, names, _letter_table(names), (), None, band)
     lifts = tuple(rec.lift((x,), 0) for x in range(1, len(names)))
     return rec._replace(lifts=lifts, fiber=rec.lift((), 1))
 
@@ -924,10 +923,6 @@ def _record(pres: Presentation) -> SurfaceRecord:
     if pres.surface is None:
         raise ValueError("words need a surface presentation; the oracle handles ad-hoc ones")
     return surface_record(pres.surface)
-
-
-def _engine(pres: Presentation) -> _Engine:
-    return _record(pres).engine
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from curvespace.words import (
     _band_tables,
     _dehn_shorten,
     _lex_key,
+    _minimal_conjugates,
     _relator_move,
     _rotation,
     conjugating_element,
@@ -28,9 +29,10 @@ from curvespace.words import (
     parse_word,
     primitive_root,
     spell_klein,
+    surface_record,
     word,
 )
-from curvespace.stbundle import decompose, st_parse, st_text, st_word
+from curvespace.stbundle import decompose, st_is_conjugate, st_parse, st_text, st_word
 from curvespace.oracle import SearchBound, bounded_is_trivial
 
 from conftest import GENUS2, GENUS3, KLEIN, NONOR3, PUNCTURED_TORUS, RP2, TORUS, W
@@ -118,12 +120,31 @@ def test_conjugacy_basics():
     assert bounded_is_trivial(multiply(lhs, invert(v))) is True
     # equal abelianizations, not conjugate: mapping onto F(x, y) (genus 2:
     # b1, b2 -> 1; nonorientable genus 4: c1, c2, c3, c4 -> x, X, y, Y)
-    # sends both pairs to the distinct cyclic words x x y y and x y x y
+    # sends the first two pairs to the distinct cyclic words x x y y and
+    # x y x y.  In the last two, one side's minimal conjugates are the
+    # rotations of forms with no half-relator window and the other's need
+    # the general search, so the conjugator compares classes of two kinds,
+    # in both orders; regular homotopy answers no at any fiber either way.
     nonor4 = SurfaceSpec(False, 4, 0)
-    for surface, left, right in ((GENUS2, "a1^2 a2^2", "a1 a2 a1 a2"), (nonor4, "c1^2 c3^2", "c1 c3 c1 c3")):
+    for surface, left, right in (
+        (GENUS2, "a1^2 a2^2", "a1 a2 a1 a2"),
+        (nonor4, "c1^2 c3^2", "c1 c3 c1 c3"),
+        (GENUS2, "B2 A1 b2 a2", "A1 a2"),
+        (NONOR3, "c1 C2", "c1 c3 c1^2 c3 c2"),
+    ):
         u, v = W(left, surface), W(right, surface)
         assert _abelian_conjugacy_possible(u.ambient, u.letters, v.letters)
         assert conjugating_element(u, v) is None
+        assert conjugating_element(v, u) is None
+        for m in (0, 1, -1, 2):
+            lu, lv = st_word(surface, u.letters, 0), st_word(surface, v.letters, m)
+            assert not st_is_conjugate(lu, lv) and not st_is_conjugate(lv, lu), (surface, left, m)
+    for surface, pair, kinds in (
+        (GENUS2, ("B2 A1 b2 a2", "A1 a2"), [False, True]),
+        (NONOR3, ("c1 C2", "c1 c3 c1^2 c3 c2"), [True, False]),
+    ):
+        band = surface_record(surface).band
+        assert [_minimal_conjugates(W(x, surface).letters, band).rotations for x in pair] == kinds
 
 
 def test_conjugacy_oracle_search_small():
@@ -423,7 +444,7 @@ def test_dehn_pass_resumes_after_deep_cancellation():
     text = "a1 b1 A1 b2^13 A2 B2 a1 b1 A1 B1 a2 B2^12 B1 a2"
     assert st_text(st_parse(text, GENUS2)) == "b2 a2 B2 F^4"
     letters = parse_letters(text, presentation(GENUS2).names())
-    band = _band_tables(GENUS2)
+    band = surface_record(GENUS2).band
     assert _dehn_shorten(free_reduce(letters), band) == (W("b2 a2 B2", GENUS2).letters, -4)
 
 
@@ -456,7 +477,7 @@ def test_relator_index_is_the_prefix_table():
     such a subword; and the index's moves are those of the prefix table."""
     for surface in (GENUS2, GENUS3, NONOR3, SurfaceSpec(False, 4, 0)):
         pres = presentation(surface)
-        band = _band_tables(surface)
+        band = surface_record(surface).band
         relator = pres.relators[0]
         L = len(relator)
         rotations = [base[r:] + base[:r] for base in (relator, invert_letters(relator)) for r in range(L)]
@@ -488,7 +509,7 @@ def test_relator_index_memory_on_the_largest_surface():
     presentation(surface)
     tracemalloc.start()
     try:
-        _band_tables.__wrapped__(surface)
+        _band_tables(presentation(surface))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -503,7 +524,7 @@ def test_dehn_pass_leaves_no_shortening():
     for surface in (GENUS2, NONOR3):
         pres = presentation(surface)
         rules = _prefix_moves(surface)
-        band = _band_tables(surface)
+        band = surface_record(surface).band
         relator = pres.relators[0]
         L = len(relator)
         pieces = [relator, invert_letters(relator)]
@@ -623,7 +644,7 @@ def test_move_table_is_the_swap_orbit_minimum():
     shifts and mask."""
     surfaces = (GENUS2, GENUS3, SurfaceSpec(True, 4, 0), NONOR3, SurfaceSpec(False, 4, 0), SurfaceSpec(False, 5, 0))
     for surface in surfaces:
-        band = _band_tables(surface)
+        band = surface_record(surface).band
         moves = _prefix_moves(surface)
         for a in band.letters:
             for d, piece in enumerate(band.pieces):
@@ -645,7 +666,7 @@ def test_moves_hold_in_the_group_by_the_oracle():
     checked = 0
     for surface in (GENUS2, GENUS3, NONOR3, SurfaceSpec(False, 4, 0)):
         pres = presentation(surface)
-        band = _band_tables(surface)
+        band = surface_record(surface).band
         for a in band.letters:
             for d, piece in enumerate(band.pieces):
                 for y, k, _ in _band_steps(band, a, d)[0]:
@@ -667,8 +688,6 @@ def test_block_words_are_their_own_normal_forms():
 
 
 def test_roots_and_conjugacy_of_long_words():
-    from curvespace.stbundle import decompose, st_is_conjugate
-
     dec = decompose(st_word(NONOR3, (1, 1, 2) * 80, 0))
     assert (dec.root_lift.base.letters, dec.k, dec.l) == ((1, 1, 2), 80, 0)
     # every rotation of a1 b1^2000 is a minimal conjugate
