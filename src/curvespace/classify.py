@@ -105,7 +105,7 @@ class GroupDescription(
 
 
 class ClassificationReport(
-    namedtuple("ClassificationReport", "surface source element case group decomposition",
+    namedtuple("ClassificationReport", "surface element case group decomposition",
                defaults=(None,))
 ):
     """The answer of :func:`classify_pi1`: the element, the case of the
@@ -115,10 +115,11 @@ class ClassificationReport(
     __slots__ = ()
 
     def text(self) -> str:
+        element = st_text(self.element)
         lines = [
             f"surface:        {self.surface}",
-            f"input:          {self.source}",
-            f"tangent lift:   {st_text(self.element)}",
+            f"input:          {element}",
+            f"tangent lift:   {element}",
         ]
         if self.decomposition is not None:
             k, l = self.decomposition
@@ -151,10 +152,9 @@ def classify_pi1(surface: SurfaceSpec, xi: STWord) -> ClassificationReport:
     rec = surface_record(surface)
     reg = rec.regime
     f = rec.fiber
-    source = st_text(xi)
 
     def report(case, group, dec=None):
-        return ClassificationReport(surface, source, xi, case, group, dec)
+        return ClassificationReport(surface, xi, case, group, dec)
 
     if reg is Regime.SPHERE:
         return report("Thm 1", GroupDescription(Kind.Z2, (f,)))

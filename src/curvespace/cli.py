@@ -35,12 +35,11 @@ def _surface(args) -> SurfaceSpec:
     return SurfaceSpec.parse(args.surface)
 
 
-def _element(args, surface: SurfaceSpec) -> tuple[STWord, str]:
+def _element(args, surface: SurfaceSpec) -> STWord:
     if getattr(args, "word", None) is not None:
-        return st_parse(args.word, surface), args.word
+        return st_parse(args.word, surface)
     if getattr(args, "curve", None):
-        curve = read_curve_file(args.curve)
-        return lift(curve, surface), args.curve
+        return lift(read_curve_file(args.curve), surface)
     raise WordParseError("provide --word or a curve file")
 
 
@@ -82,7 +81,7 @@ def _cmd_group(args) -> int:
 
 def _cmd_classify(args) -> int:
     spec = _surface(args)
-    xi, _source = _element(args, spec)
+    xi = _element(args, spec)
     report = classify_pi1(spec, xi)
     _emit(report.structured() if args.format == "structured" else report.text())
     return 0
@@ -133,7 +132,7 @@ def _cmd_reghom(args) -> int:
 
 def _cmd_verify(args) -> int:
     spec = _surface(args)
-    xi, _source = _element(args, spec)
+    xi = _element(args, spec)
     bound = SearchBound(args.bound_length, args.bound_fiber, VERIFY_BOUND.max_depth)
     outcome = verify_classification(spec, xi, bound)
     if args.format == "structured":

@@ -21,24 +21,26 @@ tangent bundle of the chart is trivial, the deck group acts on (x, y, theta)
 with T flipping theta, and the fiber exponent is whatever power of the fiber
 class closes the lifted path.
 
-Ingestion is one loop over the vertices, linear in their number.  It pulls
-the path back to the unit cell, tests each vertex against the grid lines,
-and forms each edge with its zero-length test, each exterior angle with its
-cusp test, and each change of grid cell.  Every check keeps its first
-failure; after the loop the failures are raised in a fixed order, which
-``_turning`` and ``_chart_data`` list.  A curve's lift data (turning
-number, or deck class, fiber exponent and crossing log) is computed once
-per ``CurveOnSurface`` and cached on it: ``load_curve`` checks each
-coordinate for finiteness as it parses its line and stores what the loop
-returns, and ``lift`` and ``crossing_log`` reuse it.  The crossing scan
-runs only on edges whose endpoints lie in different grid cells: no vertex
-lies within 1e-9 of a grid line, so two endpoints with the same floor on
-both axes lie in one open cell, and no integer lies strictly between their
-coordinates on either axis.  For the same reason an edge crosses exactly
-``|dx| + |dy|`` grid lines, where ``(dx, dy)`` is the step between its
-endpoint cells, so a path that crosses more than ``_MAX_GRID_CROSSINGS``
-lines is rejected before any crossing is listed and the cost stays bounded
-however large the coordinates are.
+Ingestion is one loop over the vertices, linear in their number, and one
+loop serves every model: a plane curve is walked as a developed path closed
+by the identity deck transformation.  The loop pulls a chart path back to
+the unit cell, tests each of its vertices against the grid lines, and forms
+each edge with its zero-length test, each exterior angle with its cusp
+test, and each change of grid cell.  Every check keeps its first failure;
+after the loop the failures are raised in a fixed order, which
+``_validated`` lists.  A curve's lift data (turning number, or deck class,
+fiber exponent and crossing log) is computed once per ``CurveOnSurface``
+and cached on it: ``load_curve`` checks each coordinate for finiteness as
+it parses its line and stores what the loop returns, and ``lift`` and
+``crossing_log`` reuse it.  The crossing scan runs only on edges whose
+endpoints lie in different grid cells: no vertex lies within 1e-9 of a
+grid line, so two endpoints with the same floor on both axes lie in one
+open cell, and no integer lies strictly between their coordinates on
+either axis.  For the same reason an edge crosses exactly ``|dx| + |dy|``
+grid lines, where ``(dx, dy)`` is the step between its endpoint cells, so
+a path that crosses more than ``_MAX_GRID_CROSSINGS`` lines is rejected
+before any crossing is listed and the cost stays bounded however large the
+coordinates are.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ import math
 from collections import namedtuple
 from enum import Enum
 from functools import cached_property
-from itertools import chain, islice
+from itertools import chain
 
 from .surfaces import SurfaceSpec
 from .words import spell_klein, spell_torus, klein_product
@@ -108,151 +110,61 @@ class CurveOnSurface(namedtuple("CurveOnSurface", "model polyline")):
 
 
 def _validated(curve: CurveOnSurface):
-    """Lift data of a curve whose coordinates are finite, from one loop over
-    its vertices."""
-    if curve.model is Model.PLANE:
-        return None, _turning(curve.polyline.vertices), ()
-    return _chart_data(curve)
+    """(deck coordinates, fiber exponent, crossing log) of a curve with
+    finite coordinates, in one pass over its vertices.
 
-
-def _turning(verts) -> int:
-    """Turning number of the closed polygon ``verts`` in one pass.  Edge i
-    runs from vertex i to vertex i + 1; the closing edge n - 1 returns to
-    vertex 0.  Each check keeps its first failure and raises it after the
-    pass, in this order: a zero-length edge, an overflow (finite coordinates
-    so large that an edge or a corner's products are not finite), a cusp
-    (vertices 1 .. n - 1, then vertex 0), an angle sum that is no multiple
-    of 2 pi.  An overflowing product can pass for a cusp or a wrong angle,
-    so only those failures, never a valid curve, pay for :func:`_overflows`."""
-    n = len(verts)
-    if n < 3:
-        raise CurveError("a closed polyline needs at least 3 vertices")
-    hypot, atan2 = math.hypot, math.atan2
-    zero = cusp = None
-    total = 0.0
-    (px, py), (x, y) = verts[0], verts[1]
-    fx, fy = ux, uy = x - px, y - py
-    if hypot(fx, fy) < 1e-12:
-        zero = 0
-    px, py = x, y
-    # corner k lies between edge k - 1 (u) and edge k (e)
-    for k, (x, y) in enumerate(chain(islice(verts, 2, None), verts[:1]), 1):
-        ex, ey = x - px, y - py
-        # the squares sum below 1e-20 whenever hypot is below 1e-12, so
-        # hypot is called only for a near-zero edge
-        if ex * ex + ey * ey < 1e-20 and zero is None and hypot(ex, ey) < 1e-12:
-            zero = k
-        a = atan2(ux * ey - uy * ex, ux * ex + uy * ey)
-        if cusp is None and abs(a) > _CUSP_ANGLE:
-            cusp = k
-        total += a
-        px, py, ux, uy = x, y, ex, ey
-    a = atan2(ux * fy - uy * fx, ux * fx + uy * fy)
-    if cusp is None and abs(a) > _CUSP_ANGLE:
-        cusp = 0
-    total += a
-    if zero is not None:
-        raise CurveError(f"zero-length edge at vertex {zero}")
-    turns = total / _TWO_PI
-    whole = math.isfinite(turns) and abs(turns - round(turns)) <= _TURN_TOL
-    if (cusp is not None or not whole) and _overflows(verts):
-        raise CurveError("coordinates too large: the exterior angles overflow")
-    if cusp is not None:
-        raise CurveError(f"cusp (exterior angle of +-pi) at vertex {cusp}")
-    if not whole:
-        raise CurveError("exterior angles do not sum to a multiple of 2 pi")
-    return round(turns)
-
-
-def _overflows(verts) -> bool:
-    """True if some corner of the closed polygon has a cross or dot product
-    of its two edges that is not finite, computed as :func:`_turning` does."""
-    isfinite = math.isfinite
-    (px, py), (x, y) = verts[-2], verts[-1]
-    ux, uy = x - px, y - py
-    for nx, ny in verts:
-        ex, ey = nx - x, ny - y
-        if not (isfinite(ux * ey - uy * ex) and isfinite(ux * ex + uy * ey)):
-            return True
-        x, y, ux, uy = nx, ny, ex, ey
-    return False
-
-
-# ---------------------------------------------------------------------------
-# chart models
-
-
-def _near_int(x: float) -> bool:
-    return abs(x - round(x)) < _INT_EPS
-
-
-def _segment_crossings(p, q, edge_index: int) -> list[tuple[float, Crossing]]:
-    out: list[tuple[float, Crossing]] = []
-    for axis, (a0, a1) in (("x", (p[0], q[0])), ("y", (p[1], q[1]))):
-        lo, hi = min(a0, a1), max(a0, a1)
-        direction = 1 if a1 > a0 else -1
-        for n in range(math.floor(lo) + 1, math.ceil(hi)):
-            t = (n - a0) / (a1 - a0)
-            out.append((t, Crossing(edge_index, axis, n, direction)))
-    out.sort(key=lambda item: item[0])
-    for (t1, c1), (t2, c2) in zip(out, out[1:]):
-        if t2 - t1 < 1e-9:
-            raise CurveError(
-                f"edge {edge_index} passes through a grid corner; perturb the curve"
-            )
-    return out
-
-
-def _chart_data(curve: CurveOnSurface):
-    """(deck coordinates, fiber exponent, crossing log) for a torus/Klein
-    chart curve with finite coordinates, in one pass over its vertices.
-
-    The path is pulled back so its first vertex lies in the unit cell.  This
-    identifies the basepoint frame with the fundamental-domain frame, so
-    crossing words and the endpoint deck transformation agree.  A vertex on
-    a grid line is reported at once.  Every other check keeps its first
-    failure and raises it after the pass, in this order: a zero-length edge,
-    an open endpoint, a cusp (interior corners, then the basepoint), a
-    tangent lift that does not close, the first edge that passes the
-    crossing cap or a grid corner, and a crossing log that disagrees with
-    the endpoint.
+    A chart curve's developed path is pulled back so its first vertex lies
+    in the unit cell.  This identifies the basepoint frame with the
+    fundamental-domain frame, so crossing words and the endpoint deck
+    transformation agree.  A plane curve is walked as a developed path
+    closed by the identity: its first vertex is repeated at the end, and it
+    skips the grid-line test, the cell tracking and the crossing log.  Edge
+    k runs from vertex k to vertex k + 1, and corner k lies between edges
+    k - 1 and k; the closing corner, between the last edge and the deck
+    image of the first, is ``vertex 0`` on a plane curve and ``the
+    basepoint`` on a chart.  A chart vertex on a grid line is reported at
+    once.  Every other check keeps its first failure and raises it after
+    the pass, in this order: a zero-length edge, an open endpoint, an
+    overflow (plane curves only), a cusp (interior corners, then the
+    closing one), an angle sum that is no multiple of 2 pi, the first edge
+    that passes the crossing cap or a grid corner, and a crossing log that
+    disagrees with the endpoint.  A plane curve's endpoint always closes;
+    an overflowing product can pass for a cusp or a wrong angle, so only
+    those failures, never a valid curve, pay for :func:`_overflows`.  A
+    chart vertex large enough to overflow is an integer, so it lies on a
+    grid line and is rejected first.
     """
     model, verts = curve.model, curve.polyline.vertices
+    chart = model is not Model.PLANE
     if len(verts) < 3:
-        raise CurveError("a chart curve needs at least 3 vertices (endpoint repeated)")
-    i, j = math.floor(verts[0][0]), math.floor(verts[0][1])
-    # an odd Klein shift T^-i reflects the vertical coordinate
-    flip = model is Model.KLEIN and i % 2 != 0
+        if chart:
+            raise CurveError("a chart curve needs at least 3 vertices (endpoint repeated)")
+        raise CurveError("a closed polyline needs at least 3 vertices")
     floor, hypot, atan2 = math.floor, math.hypot, math.atan2
+    if chart:
+        i, j = floor(verts[0][0]), floor(verts[0][1])
+        # an odd Klein shift T^-i reflects the vertical coordinate
+        flip = model is Model.KLEIN and i % 2 != 0
+        path = verts
+    else:
+        path = chain(verts, verts[:1])
     zero = cusp = bad = None
     total = 0.0
     crossings: list[Crossing] = []
     count = 0
-    for k, (x, y) in enumerate(verts):
-        x = x - i
-        y = 1.0 - (y - j) if flip else y - j
-        qx, qy = floor(x), floor(y)
-        # the grid line nearer to x is qx or qx + 1; the difference to that
-        # one is at most 1/2 and exact, so this is |x - round(x)| < _INT_EPS
-        if (x - qx < _INT_EPS or qx + 1 - x < _INT_EPS
-                or y - qy < _INT_EPS or qy + 1 - y < _INT_EPS):
-            raise CurveError("vertices may not lie on grid lines; perturb the curve")
-        if k == 0:
-            x0, y0, cell0 = x, y, (qx, qy)
-        else:
+    for k, (x, y) in enumerate(path):
+        if chart:
+            x = x - i
+            y = 1.0 - (y - j) if flip else y - j
+            qx, qy = floor(x), floor(y)
+            # the grid line nearer to x is qx or qx + 1; the difference to
+            # that one is at most 1/2 and exact, so this is
+            # |x - round(x)| < _INT_EPS
+            if (x - qx < _INT_EPS or qx + 1 - x < _INT_EPS
+                    or y - qy < _INT_EPS or qy + 1 - y < _INT_EPS):
+                raise CurveError("vertices may not lie on grid lines; perturb the curve")
             # edge k - 1 runs from (px, py) in cell (cx, cy) to (x, y)
-            ex, ey = x - px, y - py
-            # hypot only for a near-zero edge, as in _turning
-            if ex * ex + ey * ey < 1e-20 and zero is None and hypot(ex, ey) < 1e-12:
-                zero = k - 1
-            if k == 1:
-                fx, fy = ex, ey
-            else:
-                a = atan2(ux * ey - uy * ex, ux * ex + uy * ey)
-                if cusp is None and abs(a) > _CUSP_ANGLE:
-                    cusp = f"vertex {k - 1}"
-                total += a
-            if (qx != cx or qy != cy) and bad is None:
+            if k and (qx != cx or qy != cy) and bad is None:
                 count += abs(qx - cx) + abs(qy - cy)
                 if count > _MAX_GRID_CROSSINGS:
                     bad = CurveError(f"the path crosses more than {_MAX_GRID_CROSSINGS} grid lines")
@@ -261,8 +173,24 @@ def _chart_data(curve: CurveOnSurface):
                         crossings += [c for _, c in _segment_crossings((px, py), (x, y), k - 1)]
                     except CurveError as exc:
                         bad = exc
+            cx, cy = qx, qy
+        if k:
+            ex, ey = x - px, y - py
+            # the squares sum below 1e-20 whenever hypot is below 1e-12, so
+            # hypot is called only for a near-zero edge
+            if ex * ex + ey * ey < 1e-20 and zero is None and hypot(ex, ey) < 1e-12:
+                zero = k - 1
+            if k > 1:
+                a = atan2(ux * ey - uy * ex, ux * ex + uy * ey)
+                if cusp is None and abs(a) > _CUSP_ANGLE:
+                    cusp = k - 1
+                total += a
+            else:
+                fx, fy = ex, ey
             ux, uy = ex, ey
-        px, py, cx, cy = x, y, qx, qy
+        else:
+            x0, y0 = x, y
+        px, py = x, y
     if zero is not None:
         raise CurveError(f"zero-length edge at vertex {zero}")
 
@@ -277,27 +205,34 @@ def _chart_data(curve: CurveOnSurface):
         raise CurveError("endpoint is not a deck image of the start point")
     a = round(ay)
 
-    # the closing corner, against d(Delta) of the first edge
+    # the closing corner, against d(Delta) of the first edge; a glide flips
+    # the tangent, which turns the basepoint frame by twice its angle
     gy = -fy if glide else fy
     corner = atan2(ux * gy - uy * fx, ux * fx + uy * gy)
     if cusp is None and abs(corner) > _CUSP_ANGLE:
-        cusp = "the basepoint"
+        cusp = 0
     total += corner
-    if cusp is not None:
-        raise CurveError(f"cusp (exterior angle of +-pi) at {cusp}")
     if glide:
-        theta0 = atan2(fy, fx)
-        fiber = (2.0 * theta0 + total) / _TWO_PI
-    else:
-        fiber = total / _TWO_PI
-    if abs(fiber - round(fiber)) > _TURN_TOL:
-        raise CurveError("tangent lift does not close up to a fiber power")
+        total += 2.0 * atan2(fy, fx)
+    turns = total / _TWO_PI
+    whole = math.isfinite(turns) and abs(turns - round(turns)) <= _TURN_TOL
+    if not chart and (cusp is not None or not whole) and _overflows(verts):
+        raise CurveError("coordinates too large: the exterior angles overflow")
+    if cusp is not None:
+        where = f"vertex {cusp}" if cusp or not chart else "the basepoint"
+        raise CurveError(f"cusp (exterior angle of +-pi) at {where}")
+    if not whole:
+        if chart:
+            raise CurveError("tangent lift does not close up to a fiber power")
+        raise CurveError("exterior angles do not sum to a multiple of 2 pi")
+    if not chart:
+        return None, round(turns), ()
     if bad is not None:
         raise bad
 
     # the crossing log, validated against the deck solution
     end = cx, cy
-    cx, cy = cell0
+    cx, cy = floor(x0), floor(y0)
     acc = (0, 0)
     if model is Model.TORUS:
         # torus coordinates: (rightward crossings, upward crossings)
@@ -322,7 +257,43 @@ def _chart_data(curve: CurveOnSurface):
         expected = (a, b)
     if (cx, cy) != end or acc != expected:
         raise CurveError("crossing log disagrees with the endpoint; degenerate input")
-    return expected, round(fiber), tuple(crossings)
+    return expected, round(turns), tuple(crossings)
+
+
+def _overflows(verts) -> bool:
+    """True if some corner of the closed polygon has a cross or dot product
+    of its two edges that is not finite, computed as :func:`_validated`
+    does."""
+    isfinite = math.isfinite
+    (px, py), (x, y) = verts[-2], verts[-1]
+    ux, uy = x - px, y - py
+    for nx, ny in verts:
+        ex, ey = nx - x, ny - y
+        if not (isfinite(ux * ey - uy * ex) and isfinite(ux * ex + uy * ey)):
+            return True
+        x, y, ux, uy = nx, ny, ex, ey
+    return False
+
+
+def _near_int(x: float) -> bool:
+    return abs(x - round(x)) < _INT_EPS
+
+
+def _segment_crossings(p, q, edge_index: int) -> list[tuple[float, Crossing]]:
+    out: list[tuple[float, Crossing]] = []
+    for axis, (a0, a1) in (("x", (p[0], q[0])), ("y", (p[1], q[1]))):
+        lo, hi = min(a0, a1), max(a0, a1)
+        direction = 1 if a1 > a0 else -1
+        for n in range(math.floor(lo) + 1, math.ceil(hi)):
+            t = (n - a0) / (a1 - a0)
+            out.append((t, Crossing(edge_index, axis, n, direction)))
+    out.sort(key=lambda item: item[0])
+    for (t1, c1), (t2, c2) in zip(out, out[1:]):
+        if t2 - t1 < 1e-9:
+            raise CurveError(
+                f"edge {edge_index} passes through a grid corner; perturb the curve"
+            )
+    return out
 
 
 def lift(curve: CurveOnSurface, surface: SurfaceSpec) -> STWord:

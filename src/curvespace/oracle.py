@@ -165,7 +165,10 @@ def bounded_elements(surface: SurfaceSpec, bound: SearchBound) -> tuple[STWord, 
     fiber."""
     order = surface_record(surface).order
     if order:
-        return tuple(STWord(surface, None, None, r) for r in range(order))
+        # the whole finite group, in residue order: residue r is r % half
+        # crosscap letters times f**(r // half)
+        half = order // 2
+        return tuple(st_word(surface, (1,) * (r % half), r // half) for r in range(order))
     pres = presentation(surface)
     fibers = range(-bound.max_fiber, bound.max_fiber + 1)
     _check_enumeration(_box_candidates(len(pres.generators), bound), "box elements", bound)
@@ -207,6 +210,7 @@ def _product(table: dict, u: STWord, v: STWord) -> STWord:
     ``f**m`` right through ``v`` turns it into ``f**(eps(v) m)``.
     """
     if u.residue is not None:
+        # the finite groups reduce the fiber mod 2, which the sum below skips
         return st_multiply(u, v)
     key = (u.base.letters, v.base.letters)
     hit = table.get(key)

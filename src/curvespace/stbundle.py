@@ -4,9 +4,10 @@ Elements are kept as ``base * f**fiber`` with every fiber letter pushed to
 the right; pushing ``f**m`` through a base word ``w`` turns it into
 ``f**(eps(w)*m)`` where ``eps`` is the orientation character.  Over the
 sphere and the projective plane the whole group is finite cyclic (orders 2
-and 4) and only a residue is stored: the fiber class has order 2 in both,
-and on the projective plane the lift of the crosscap generator is a residue-1
-element whose square is the fiber class.
+and 4): the fiber class has order 2 in both, so the fiber is kept mod 2,
+and on the projective plane the lift of the crosscap generator is a
+residue-1 element whose square is the fiber class.  Those elements also
+carry their residue, but every operation here takes the general path.
 
 Base normalization shifts the fiber whenever a relator copy is removed on
 the closed hyperbolic regimes (the surface relator equals ``f**chi``
@@ -57,24 +58,16 @@ def _check_ambient(u: STWord, v: STWord):
 
 def base_character(u: STWord) -> int:
     """Orientation character of the projection to the surface group."""
-    if u.residue is not None:
-        return surface_record(u.surface).characters[u.residue]
     return u.base.ambient.word_character(u.base.letters)
 
 
 def st_multiply(u: STWord, v: STWord) -> STWord:
     _check_ambient(u, v)
-    if u.residue is not None:
-        order = surface_record(u.surface).order
-        return STWord(u.surface, None, None, (u.residue + v.residue) % order)
     m = base_character(v) * u.fiber + v.fiber
     return st_word(u.surface, u.base.letters + v.base.letters, m)
 
 
 def st_invert(u: STWord) -> STWord:
-    if u.residue is not None:
-        order = surface_record(u.surface).order
-        return STWord(u.surface, None, None, (-u.residue) % order)
     return st_word(u.surface, invert_letters(u.base.letters), -base_character(u) * u.fiber)
 
 
@@ -100,8 +93,6 @@ def st_power(u: STWord, e: int) -> STWord:
 
 
 def st_is_trivial(u: STWord) -> bool:
-    if u.residue is not None:
-        return u.residue == 0
     return not u.base.letters and u.fiber == 0
 
 
@@ -132,7 +123,8 @@ def st_is_conjugate(u: STWord, v: STWord) -> bool:
     orientation.  So ``v`` is conjugate to ``u`` iff ``eps(v0) (m' - d_v0)``
     is ``m`` or ``mirror - m`` modulo ``step``."""
     _check_ambient(u, v)
-    if u.residue is not None or (u.surface.orientable and euler_characteristic(u.surface) >= 0):
+    chi = euler_characteristic(u.surface)
+    if chi > 0 or (chi == 0 and u.surface.orientable):
         return u == v
     rec = surface_record(u.surface)
     pres = rec.presentation
@@ -180,7 +172,8 @@ class LiftDecomposition(namedtuple("LiftDecomposition", "root_lift k l")):
 
 
 def decompose(xi: STWord) -> LiftDecomposition:
-    if xi.residue is not None:
+    rec = surface_record(xi.surface)
+    if rec.engine.root is None:
         raise ValueError("no root decomposition on finite tangent-bundle groups")
     if not xi.base.letters:
         raise TrivialWordError(
@@ -188,7 +181,6 @@ def decompose(xi: STWord) -> LiftDecomposition:
         )
     # the base is a normal form and so is the root: the engine takes it and
     # the root lifts at fiber zero as it is
-    rec = surface_record(xi.surface)
     root, k = rec.engine.root(rec, xi.base.letters)
     root_lift = STWord(xi.surface, Word(rec.presentation, root), 0)
     power = st_power(root_lift, k)

@@ -841,21 +841,17 @@ _ENGINES = {
 }
 
 
-#: the finite tangent-bundle groups, cyclic of order 2 over the sphere and 4
-#: over the projective plane: the orientation character of each residue
-#: (there residue 1 is the crosscap lift, which reverses orientation)
-_RESIDUE_CHARACTERS = {Regime.SPHERE: (1, 1), Regime.RP2: (1, -1, 1, -1)}
-
-
 # ---------------------------------------------------------------------------
 # the per-surface record
 
 
 class STWord(namedtuple("STWord", "surface base fiber residue", defaults=(None,))):
     """Normal-form element of the tangent-bundle fundamental group: a base
-    :class:`Word` and a fiber exponent, or, on the sphere and the projective
-    plane, ``base`` and ``fiber`` None and the element's ``residue``.
-    Arithmetic on these lives in :mod:`curvespace.stbundle`."""
+    :class:`Word` and a fiber exponent.  On the sphere and the projective
+    plane, where the fiber class has order 2, the fiber is reduced mod 2
+    and ``residue`` also names the element in the finite cyclic group;
+    elsewhere it is None.  Arithmetic on these lives in
+    :mod:`curvespace.stbundle`."""
 
     __slots__ = ()
 
@@ -864,7 +860,7 @@ class STWord(namedtuple("STWord", "surface base fiber residue", defaults=(None,)
 
 
 class SurfaceRecord(
-    namedtuple("SurfaceRecord", "presentation regime engine order characters names letters lifts fiber band")
+    namedtuple("SurfaceRecord", "presentation regime engine order names letters lifts fiber band")
 ):
     """What every call over one surface reads, resolved once by
     :func:`surface_record`.
@@ -872,8 +868,7 @@ class SurfaceRecord(
     ``presentation`` is the surface's, ``regime`` its
     :class:`~curvespace.surfaces.Regime` (the classification's case split)
     and ``engine`` that regime's.  Where the tangent-bundle group is finite,
-    ``order`` is 2 or 4 and ``characters[r]`` is the orientation character
-    of residue ``r``; elsewhere both are None.  ``names`` are the generator
+    ``order`` is 2 or 4; elsewhere it is None.  ``names`` are the generator
     names and then the fiber letter ``f``, ``letters`` their one-letter
     tokens (:func:`parse_letters`), ``lifts`` the lift of each generator at
     fiber zero and ``fiber`` the fiber class.  ``band`` holds the relator
@@ -891,14 +886,17 @@ class SurfaceRecord(
         return self.engine.normalize(self, letters)
 
     def lift(self, letters, fiber: int) -> STWord:
-        """The tangent-bundle element ``letters * f**fiber`` in normal form.  A
-        finite group's residue counts the normal form's letter (the crosscap
+        """The tangent-bundle element ``letters * f**fiber`` in normal form.  On
+        a finite group the fiber class has order 2, so the fiber is reduced
+        mod 2, and the residue counts the normal form's letter (the crosscap
         lift, 1) and the fiber class (half the order)."""
         nf, shift = self.normalize(letters)
-        surface = self.presentation.surface
+        base = Word(self.presentation, nf)
+        fiber += shift
         if self.order is None:
-            return STWord(surface, Word(self.presentation, nf), fiber + shift, None)
-        return STWord(surface, None, None, (len(nf) + self.order // 2 * (fiber + shift)) % self.order)
+            return STWord(self.presentation.surface, base, fiber, None)
+        fiber %= 2
+        return STWord(self.presentation.surface, base, fiber, len(nf) + self.order // 2 * fiber)
 
 
 @cache
@@ -907,12 +905,13 @@ def surface_record(spec: SurfaceSpec) -> SurfaceRecord:
     element operations look up no regime after that."""
     pres = presentation(spec)
     reg = regime(spec)
-    characters = _RESIDUE_CHARACTERS.get(reg)
-    order = None if characters is None else len(characters)
+    # the finite tangent-bundle groups are cyclic of order 2 over the sphere
+    # and 4 over the projective plane
+    order = {Regime.SPHERE: 2, Regime.RP2: 4}.get(reg)
     names = pres.names() + ("f",)
     engine = _ENGINES[reg]
     band = _band_tables(pres) if engine is _DEHN_ENGINE else None
-    rec = SurfaceRecord(pres, reg, engine, order, characters, names, _letter_table(names), (), None, band)
+    rec = SurfaceRecord(pres, reg, engine, order, names, _letter_table(names), (), None, band)
     lifts = tuple(rec.lift((x,), 0) for x in range(1, len(names)))
     return rec._replace(lifts=lifts, fiber=rec.lift((), 1))
 

@@ -3,11 +3,11 @@ import math
 import pytest
 
 from curvespace import CurveOnSurface, Polyline, classify_pi1, st_parse, verify_classification
-from curvespace.stbundle import st_is_trivial, st_multiply, st_text
+from curvespace.stbundle import st_is_trivial, st_multiply, st_text, st_word
 from curvespace.flatcurves import (
     CurveError,
     Model,
-    _chart_data,
+    _validated,
     crossing_log,
     lift,
     load_curve,
@@ -145,7 +145,7 @@ def test_klein_side_loops():
 
 def test_klein_double_traverse_is_square():
     base = CurveOnSurface(Model.KLEIN, Polyline(((0.5, 0.5), (1.2, 0.7), (1.5, 0.5))))
-    (a, b), fiber, _ = _chart_data(base)
+    (a, b), fiber, _ = _validated(base)
 
     def deck(pt):
         x, y = pt
@@ -399,20 +399,105 @@ def test_loaded_curve_lifts_like_constructed_curve():
     assert crossed >= 6
 
 
+# README "Curve files": one curve for each pair of faults adjacent in the
+# order in which they are reported; the first fault named wins.  A cusp is
+# never followed by an angle sum that is no multiple of 2 pi (or a tangent
+# lift that does not close): exterior angles from finite products always
+# sum to one, and an overflowing plane curve is reported as too large
+# first.  No curve reaches the crossing log's disagreement either.
+PLANE_FAULT_ORDER = (
+    # fewer than three vertices, then a zero-length edge
+    (((0, 0), (0, 0)), "^a closed polyline needs at least 3 vertices$"),
+    # a zero-length edge, then coordinates too large
+    (((0, 0), (0, 0), (1e308, 0), (-1e308, 1e308)), "^zero-length edge at vertex 0$"),
+    # coordinates too large, then a cusp at vertex 1
+    (((0, 0), (2, 0), (1, 0), (1e308, 1e308), (-1e308, 1e308)), "^coordinates too large"),
+    # a cusp at vertex 1, then one at the closing corner
+    (((0, 0), (2, 0), (1, 0), (3, 0)), "^cusp .* at vertex 1$"),
+)
+CHART_FAULT_ORDER = (
+    # fewer than three vertices, then a vertex on a grid line
+    (((1.0, 0.5), (0.5, 0.5)), "^a chart curve needs at least 3 vertices"),
+    # a zero-length edge, then a vertex on a grid line
+    (((0.5, 0.5), (0.5, 0.5), (1.0, 0.6), (1.5, 0.5)), "^vertices may not lie on grid lines"),
+    # a zero-length edge, then an open endpoint
+    (((0.5, 0.5), (0.5, 0.5), (0.9, 0.5)), "^zero-length edge at vertex 0$"),
+    # an open endpoint, horizontally and vertically
+    (((0.5, 0.5), (1.2, 0.6), (1.6, 0.7)), "^endpoint does not close up horizontally$"),
+    # an endpoint that is no deck image, then a cusp at vertex 1
+    (((0.5, 0.5), (1.2, 0.5), (0.9, 0.5), (1.5, 0.7)), "^endpoint is not a deck image"),
+    # a cusp at vertex 1, then one at the basepoint
+    (((0.5, 0.5), (1.2, 0.5), (0.9, 0.5), (1.8, 0.5), (1.5, 0.5)), "^cusp .* at vertex 1$"),
+    # a cusp at vertex 1, then an edge past the crossing cap
+    (((0.5, 0.5), (300000.5, 0.5), (0.7, 0.5), (1.5, 0.5)), "^cusp .* at vertex 1$"),
+    # the crossing cap, then a grid corner on a later edge
+    (
+        ((0.5, 0.5), (60000.5, 0.7), (60000.7, 3.6), (0.3, 3.4), (0.5, 2.5), (1.5, 1.5), (2.5, 0.5)),
+        "^the path crosses more than 100000 grid lines$",
+    ),
+    # a grid corner, then the crossing cap on a later edge
+    (
+        ((0.5, 0.5), (1.5, 1.5), (60000.5, 2.7), (60000.7, 5.6), (0.3, 5.4), (2.5, 0.5)),
+        "^edge 0 passes through a grid corner",
+    ),
+)
+
+
 def test_zero_length_edge_reported_before_open_endpoint():
     with pytest.raises(CurveError, match="zero-length edge"):
         load_curve("model=torus\n0.5,0.5\n0.5,0.5\n0.9,0.5\n")
-    # the rest of the order in which a chart curve's errors are reported
-    for verts, message in (
-        # a zero-length edge, then a vertex on a grid line
-        (((0.5, 0.5), (0.5, 0.5), (1.0, 0.6), (1.5, 0.5)), "may not lie on grid lines"),
-        # a cusp at vertex 1, then an open endpoint
-        (((0.5, 0.5), (1.2, 0.5), (0.9, 0.5), (1.7, 0.5)), "does not close up horizontally"),
-        # an edge past the crossing cap, then a cusp at its far end
-        (((0.5, 0.5), (300000.5, 0.5), (0.7, 0.5), (1.5, 0.5)), "cusp .* at vertex 1$"),
-    ):
+    # the whole order of README "Curve files", for every model
+    cases = [(Model.PLANE, verts, TORUS, message) for verts, message in PLANE_FAULT_ORDER]
+    for model, surface in ((Model.TORUS, TORUS), (Model.KLEIN, KLEIN)):
+        cases += [(model, verts, surface, message) for verts, message in CHART_FAULT_ORDER]
+    for model, verts, surface, message in cases:
         with pytest.raises(CurveError, match=message):
-            lift(CurveOnSurface(Model.TORUS, Polyline(verts)), TORUS)
+            lift(CurveOnSurface(model, Polyline(verts)), surface)
+
+
+def test_plane_and_chart_curves_agree():
+    """A polygon inside one open unit cell is a plane curve and, with its
+    first vertex repeated, a chart path closed by the identity deck
+    transformation.  Both lift to the trivial base with the turning number
+    as the fiber, or both are rejected at the same vertex: their messages
+    differ only in the name of the closing corner.  The cells lie in even
+    columns, which the Klein chart does not reflect."""
+    import random
+
+    rng = random.Random(19)
+    closing = "cusp (exterior angle of +-pi) at "
+    lifted = rejected = 0
+    for _ in range(200):
+        i, j = 2 * rng.randrange(-2, 3), rng.randrange(-2, 3)
+        verts = [(i + rng.uniform(0.05, 0.95), j + rng.uniform(0.05, 0.95)) for _ in range(rng.randrange(3, 9))]
+        k = rng.randrange(len(verts))
+        fault = rng.randrange(4)
+        if fault == 1:
+            # a zero-length edge
+            verts.insert(k, verts[k])
+        elif fault == 2:
+            # a cusp: the path doubles back along edge k
+            (px, py), (qx, qy) = verts[k - 1], verts[k]
+            t = rng.uniform(0.1, 0.9)
+            verts.insert(k + 1, (px + t * (qx - px), py + t * (qy - py)))
+        verts = tuple(verts)
+        for model, surface in ((Model.TORUS, TORUS), (Model.KLEIN, KLEIN)):
+            chart = CurveOnSurface(model, Polyline(verts + verts[:1]))
+            try:
+                plane = lift(plane_curve(Polyline(verts)), surface)
+            except CurveError as exc:
+                message = str(exc)
+                if message == closing + "vertex 0":
+                    message = closing + "the basepoint"
+                with pytest.raises(CurveError) as info:
+                    lift(chart, surface)
+                assert str(info.value) == message, verts
+                rejected += 1
+                continue
+            assert lift(chart, surface) == plane == st_word(surface, (), turning_number(Polyline(verts))), verts
+            assert crossing_log(chart) == ()
+            lifted += 1
+    assert lifted >= 100 and rejected >= 100
 
 
 def test_long_winding_circle_lifts_to_third_fiber_power():
