@@ -13,7 +13,7 @@ from its module (``surfaces``, ``words``, ``stbundle``, ``flatcurves``,
 from .surfaces import Generator, Presentation, SurfaceSpec, presentation, st_presentation
 from .words import Word
 from .stbundle import LiftDecomposition, STWord, st_parse
-from .flatcurves import Crossing, CurveOnSurface, Polyline
+from .flatcurves import CurveOnSurface, Polyline
 from .classify import ClassificationReport, GroupDescription, classify_pi1
 from .oracle import SearchBound, VerificationOutcome, verify_classification
 

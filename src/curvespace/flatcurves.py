@@ -28,19 +28,19 @@ the unit cell, tests each of its vertices against the grid lines, and forms
 each edge with its zero-length test, each exterior angle with its cusp
 test, and each change of grid cell.  Every check keeps its first failure;
 after the loop the failures are raised in a fixed order, which
-``_validated`` lists.  A curve's lift data (turning number, or deck class,
-fiber exponent and crossing log) is computed once per ``CurveOnSurface``
-and cached on it: ``load_curve`` checks each coordinate for finiteness as
-it parses its line and stores what the loop returns, and ``lift`` and
-``crossing_log`` reuse it.  The crossing scan runs only on edges whose
+``_validated`` lists.  A curve's lift data (deck class and fiber exponent,
+or the turning number of a plane curve) is computed once per
+``CurveOnSurface`` and cached on it: ``load_curve`` checks each coordinate
+for finiteness as it parses its line and stores what the loop returns, and
+``lift`` reuses it.  The grid-corner test runs only on edges whose
 endpoints lie in different grid cells: no vertex lies within 1e-9 of a
 grid line, so two endpoints with the same floor on both axes lie in one
 open cell, and no integer lies strictly between their coordinates on
 either axis.  For the same reason an edge crosses exactly ``|dx| + |dy|``
 grid lines, where ``(dx, dy)`` is the step between its endpoint cells, so
 a path that crosses more than ``_MAX_GRID_CROSSINGS`` lines is rejected
-before any crossing is listed and the cost stays bounded however large the
-coordinates are.
+before any of its crossings is examined and the cost stays bounded however
+large the coordinates are.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from functools import cached_property
 from itertools import chain
 
 from .surfaces import SurfaceSpec
-from .words import spell_klein, spell_torus, klein_product
+from .words import spell_klein, spell_torus
 from .stbundle import STWord, st_word
 
 _TWO_PI = 2.0 * math.pi
@@ -60,8 +60,8 @@ _ANGLE_EPS = 1e-9
 _CUSP_ANGLE = math.pi - _ANGLE_EPS
 _INT_EPS = 1e-9
 _TURN_TOL = 1e-6
-#: most grid lines a chart curve may cross; bounds the crossing log and,
-#: through it, the length of the lifted word
+#: most grid lines a chart curve may cross; bounds the grid-corner tests
+#: and, through the deck class, the length of the lifted word
 _MAX_GRID_CROSSINGS = 100_000
 #: the surfaces of the torus and Klein-bottle charts (plane curves lift to
 #: every surface)
@@ -85,24 +85,16 @@ class Polyline(namedtuple("Polyline", "vertices")):
     __slots__ = ()
 
 
-class Crossing(namedtuple("Crossing", "edge axis line direction")):
-    """One transition of the developed path across a grid line: ``axis`` is
-    ``"x"`` for vertical lines and ``"y"`` for horizontal ones, ``direction``
-    is +1 rightward or upward."""
-
-    __slots__ = ()
-
-
 class CurveOnSurface(namedtuple("CurveOnSurface", "model polyline")):
     """A :class:`Polyline` drawn in a :class:`Model`."""
 
     @cached_property
     def _lift_data(self):
-        """(deck coordinates, fiber exponent, crossing log), computed on first
-        use and kept; plane curves have no deck coordinates (``None``), an
-        empty log, and their turning number as the fiber exponent.  It lives
-        in the instance dict, outside the tuple of fields, so it takes no
-        part in equality or hashing.  ``load_curve`` stores it there itself:
+        """(deck coordinates, fiber exponent), computed on first use and kept;
+        plane curves have no deck coordinates (``None``) and their turning
+        number as the fiber exponent.  It lives in the instance dict,
+        outside the tuple of fields, so it takes no part in equality or
+        hashing.  ``load_curve`` stores it there itself:
         the parser has already checked every coordinate for finiteness."""
         if not all(map(math.isfinite, chain.from_iterable(self.polyline.vertices))):
             raise CurveError("coordinates must be finite")
@@ -110,29 +102,28 @@ class CurveOnSurface(namedtuple("CurveOnSurface", "model polyline")):
 
 
 def _validated(curve: CurveOnSurface):
-    """(deck coordinates, fiber exponent, crossing log) of a curve with
-    finite coordinates, in one pass over its vertices.
+    """(deck coordinates, fiber exponent) of a curve with finite
+    coordinates, in one pass over its vertices.
 
     A chart curve's developed path is pulled back so its first vertex lies
     in the unit cell.  This identifies the basepoint frame with the
-    fundamental-domain frame, so crossing words and the endpoint deck
-    transformation agree.  A plane curve is walked as a developed path
-    closed by the identity: its first vertex is repeated at the end, and it
-    skips the grid-line test, the cell tracking and the crossing log.  Edge
-    k runs from vertex k to vertex k + 1, and corner k lies between edges
-    k - 1 and k; the closing corner, between the last edge and the deck
-    image of the first, is ``vertex 0`` on a plane curve and ``the
-    basepoint`` on a chart.  A chart vertex on a grid line is reported at
-    once.  Every other check keeps its first failure and raises it after
-    the pass, in this order: a zero-length edge, an open endpoint, an
-    overflow (plane curves only), a cusp (interior corners, then the
-    closing one), an angle sum that is no multiple of 2 pi, the first edge
-    that passes the crossing cap or a grid corner, and a crossing log that
-    disagrees with the endpoint.  A plane curve's endpoint always closes;
-    an overflowing product can pass for a cusp or a wrong angle, so only
-    those failures, never a valid curve, pay for :func:`_overflows`.  A
-    chart vertex large enough to overflow is an integer, so it lies on a
-    grid line and is rejected first.
+    fundamental-domain frame, so the endpoint deck transformation names the
+    deck class.  A plane curve is walked as a developed path closed by the
+    identity: its first vertex is repeated at the end, and it skips the
+    grid-line test and the cell tracking.  Edge k runs from vertex k to
+    vertex k + 1, and corner k lies between edges k - 1 and k; the closing
+    corner, between the last edge and the deck image of the first, is
+    ``vertex 0`` on a plane curve and ``the basepoint`` on a chart.  A chart
+    vertex on a grid line is reported at once.  Every other check keeps its
+    first failure and raises it after the pass, in this order: a zero-length
+    edge, an open endpoint, an overflow (plane curves only), a cusp
+    (interior corners, then the closing one), an angle sum that is no
+    multiple of 2 pi, and the first edge that passes the crossing cap or a
+    grid corner.  A plane curve's endpoint always closes; an overflowing
+    product can pass for a cusp or a wrong angle, so only those failures,
+    never a valid curve, pay for :func:`_overflows`.  A chart vertex large
+    enough to overflow is an integer, so it lies on a grid line and is
+    rejected first.
     """
     model, verts = curve.model, curve.polyline.vertices
     chart = model is not Model.PLANE
@@ -150,7 +141,6 @@ def _validated(curve: CurveOnSurface):
         path = chain(verts, verts[:1])
     zero = cusp = bad = None
     total = 0.0
-    crossings: list[Crossing] = []
     count = 0
     for k, (x, y) in enumerate(path):
         if chart:
@@ -168,11 +158,8 @@ def _validated(curve: CurveOnSurface):
                 count += abs(qx - cx) + abs(qy - cy)
                 if count > _MAX_GRID_CROSSINGS:
                     bad = CurveError(f"the path crosses more than {_MAX_GRID_CROSSINGS} grid lines")
-                else:
-                    try:
-                        crossings += [c for _, c in _segment_crossings((px, py), (x, y), k - 1)]
-                    except CurveError as exc:
-                        bad = exc
+                elif _through_grid_corner((px, py), (x, y)):
+                    bad = CurveError(f"edge {k - 1} passes through a grid corner; perturb the curve")
             cx, cy = qx, qy
         if k:
             ex, ey = x - px, y - py
@@ -226,38 +213,12 @@ def _validated(curve: CurveOnSurface):
             raise CurveError("tangent lift does not close up to a fiber power")
         raise CurveError("exterior angles do not sum to a multiple of 2 pi")
     if not chart:
-        return None, round(turns), ()
+        return None, round(turns)
     if bad is not None:
         raise bad
-
-    # the crossing log, validated against the deck solution
-    end = cx, cy
-    cx, cy = floor(x0), floor(y0)
-    acc = (0, 0)
-    if model is Model.TORUS:
-        # torus coordinates: (rightward crossings, upward crossings)
-        for c in crossings:
-            if c.axis == "x":
-                acc = (acc[0] + c.direction, acc[1])
-                cx += c.direction
-            else:
-                acc = (acc[0], acc[1] + c.direction)
-                cy += c.direction
-        expected = (b, a)  # Delta x counts a1, Delta y counts b1
-    else:
-        # Klein coordinates (k, l): g-exponent (vertical), h-exponent (glide)
-        for c in crossings:
-            if c.axis == "x":
-                acc = klein_product(acc, (0, c.direction))
-                cx += c.direction
-            else:
-                sign = c.direction if cx % 2 == 0 else -c.direction
-                acc = klein_product(acc, (sign, 0))
-                cy += c.direction
-        expected = (a, b)
-    if (cx, cy) != end or acc != expected:
-        raise CurveError("crossing log disagrees with the endpoint; degenerate input")
-    return expected, round(turns), tuple(crossings)
+    # torus coordinates: Delta x counts a1, Delta y counts b1; Klein
+    # coordinates (k, l): g-exponent (vertical), h-exponent (glide)
+    return ((b, a) if model is Model.TORUS else (a, b)), round(turns)
 
 
 def _overflows(verts) -> bool:
@@ -279,21 +240,16 @@ def _near_int(x: float) -> bool:
     return abs(x - round(x)) < _INT_EPS
 
 
-def _segment_crossings(p, q, edge_index: int) -> list[tuple[float, Crossing]]:
-    out: list[tuple[float, Crossing]] = []
-    for axis, (a0, a1) in (("x", (p[0], q[0])), ("y", (p[1], q[1]))):
+def _through_grid_corner(p, q) -> bool:
+    """Does the edge from ``p`` to ``q`` pass through a grid corner: do two
+    of the grid lines it crosses meet it less than 1e-9 apart, as fractions
+    of its length?"""
+    ts: list[float] = []
+    for a0, a1 in ((p[0], q[0]), (p[1], q[1])):
         lo, hi = min(a0, a1), max(a0, a1)
-        direction = 1 if a1 > a0 else -1
-        for n in range(math.floor(lo) + 1, math.ceil(hi)):
-            t = (n - a0) / (a1 - a0)
-            out.append((t, Crossing(edge_index, axis, n, direction)))
-    out.sort(key=lambda item: item[0])
-    for (t1, c1), (t2, c2) in zip(out, out[1:]):
-        if t2 - t1 < 1e-9:
-            raise CurveError(
-                f"edge {edge_index} passes through a grid corner; perturb the curve"
-            )
-    return out
+        ts += [(n - a0) / (a1 - a0) for n in range(math.floor(lo) + 1, math.ceil(hi))]
+    ts.sort()
+    return any(t2 - t1 < 1e-9 for t1, t2 in zip(ts, ts[1:]))
 
 
 def lift(curve: CurveOnSurface, surface: SurfaceSpec) -> STWord:
@@ -303,17 +259,12 @@ def lift(curve: CurveOnSurface, surface: SurfaceSpec) -> STWord:
     if curve.model is Model.TORUS:
         if surface != _TORUS:
             raise CurveError("torus-model curves need the torus")
-        (p, q), fiber, _ = curve._lift_data
+        (p, q), fiber = curve._lift_data
         return st_word(surface, spell_torus(p, q), fiber)
     if surface != _KLEIN:
         raise CurveError("klein-model curves need the Klein bottle")
-    (a, b), fiber, _ = curve._lift_data
+    (a, b), fiber = curve._lift_data
     return st_word(surface, spell_klein(a, b), fiber)
-
-
-def crossing_log(curve: CurveOnSurface) -> tuple[Crossing, ...]:
-    """Grid crossings of the developed path, in order; empty for plane curves."""
-    return curve._lift_data[2]
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +276,7 @@ def load_curve(text: str) -> CurveOnSurface:
 
     Line 1: ``model=plane|torus|klein``; then one ``x,y`` pair per line, with
     finite coordinates.  ``#`` starts a comment; blank lines are ignored.
-    Validation computes the curve's lift data, which ``lift`` and
-    ``crossing_log`` then reuse.
+    Validation computes the curve's lift data, which ``lift`` then reuses.
     """
     comments = "#" in text
     lines = enumerate(text.splitlines(), start=1)
@@ -378,5 +328,6 @@ def load_curve(text: str) -> CurveOnSurface:
 
 
 def read_curve_file(path: str) -> CurveOnSurface:
-    with open(path, "r", encoding="utf-8") as fh:
+    # utf-8-sig also reads a file saved with a byte-order mark
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return load_curve(fh.read())

@@ -159,26 +159,31 @@ def spell_torus(p: int, q: int) -> Letters:
 # Klein coordinates: elements are g^k h^l with g = c1 c2, h = c2^-1 and the
 # exchange law h g = g^-1 h, i.e. (k1,l1)*(k2,l2) = (k1 + (-1)^l1 k2, l1+l2).
 
-_KLEIN_LETTER = {1: (1, 1), -1: (1, -1), 2: (0, -1), -2: (0, 1)}
-
-
-def klein_product(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
-    k1, l1 = a
-    k2, l2 = b
-    return k1 + (k2 if l1 % 2 == 0 else -k2), l1 + l2
-
 
 def klein_coordinates(letters) -> tuple[int, int]:
-    acc = (0, 0)
+    """``(k, l)`` with ``letters = g^k h^l``: the product of the letters'
+    coordinates, ``c1^+-1 = (1, +-1)`` and ``c2^+-1 = (0, -+1)``,
+    accumulated in place."""
+    k = l = 0
     for x in letters:
-        acc = klein_product(acc, _KLEIN_LETTER[x])
-    return acc
+        if x == 1 or x == -1:
+            k += -1 if l & 1 else 1
+            l += x
+        else:
+            l -= x // 2
+    return k, l
 
 
 def spell_klein(k: int, l: int) -> Letters:
+    """The freely reduced spelling of ``g^k h^l``: ``g^k`` and ``h^l`` are
+    each reduced, and the only letters that cancel between them are the
+    ``c2`` that ends ``g`` and the ``c2^-1`` that is ``h``, when ``k > 0``
+    and ``l > 0``."""
+    if k > 0 and l > 0:
+        return (1, 2) * (k - 1) + (1,) + (-2,) * (l - 1)
     glide = (1, 2) if k >= 0 else (-2, -1)
     vert = (-2,) if l >= 0 else (2,)
-    return free_reduce(glide * abs(k) + vert * abs(l))
+    return glide * abs(k) + vert * abs(l)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from curvespace.surfaces import (
 )
 from curvespace.words import Word, free_reduce
 from curvespace.stbundle import decompose
-from curvespace.flatcurves import Crossing, CurveOnSurface, Model, Polyline, lift
+from curvespace.flatcurves import CurveOnSurface, Model, Polyline, lift
 from curvespace.classify import GroupDescription, Kind, classify_pi1
 from curvespace.oracle import SearchBound, VerificationOutcome, bounded_is_trivial
 
@@ -97,7 +97,6 @@ RECORDS = {
     "STWord": lambda: ST("a1 f^3", GENUS2),
     "LiftDecomposition": lambda: decompose(ST("a1^2 f", GENUS2)),
     "Polyline": lambda: Polyline(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))),
-    "Crossing": lambda: Crossing(0, "x", 1, +1),
     "CurveOnSurface": _curve,
     "GroupDescription": lambda: GroupDescription(Kind.Z, (ST("a1", GENUS2),)),
     "ClassificationReport": lambda: classify_pi1(GENUS2, ST("a1", GENUS2)),
