@@ -19,15 +19,20 @@ along grid lines are rejected as degenerate.
 The tangent lift is computed from the deck equation upstairs: the unit
 tangent bundle of the chart is trivial, the deck group acts on (x, y, theta)
 with T flipping theta, and the fiber exponent is whatever power of the fiber
-class closes the lifted path.
+class closes the lifted path.  Each exterior angle is the change of edge
+direction wrapped into (-pi, pi]; the changes telescope around the closed
+path, so that power (for a plane curve, the turning number) is the signed
+number of wraps, an integer count that stays exact however often the curve
+winds.
 
-Ingestion is one loop over the vertices, linear in their number, and one
-loop serves every model: a plane curve is walked as a developed path closed
-by the identity deck transformation.  The loop pulls a chart path back to
-the unit cell, tests each of its vertices against the grid lines, and forms
-each edge with its zero-length test, each exterior angle with its cusp
-test, and each change of grid cell.  Every check keeps its first failure;
-after the loop the failures are raised in a fixed order, which
+Ingestion is linear in the number of vertices, and one code path serves
+every model: a plane curve is walked as a developed path closed by the
+identity deck transformation.  One loop over the vertices pulls a chart
+path back to the unit cell, tests each of its vertices against the grid
+lines, and forms each edge with its zero-length test and its direction, and
+each change of grid cell; a second loop over the directions takes each
+exterior angle with its cusp test and counts the wraps.  Every check keeps
+its first failure; the failures are raised in a fixed order, which
 ``_validated`` lists.  A curve's lift data (deck class and fiber exponent,
 or the turning number of a plane curve) is computed once per
 ``CurveOnSurface`` and cached on it: ``load_curve`` checks each coordinate
@@ -59,7 +64,6 @@ _TWO_PI = 2.0 * math.pi
 _ANGLE_EPS = 1e-9
 _CUSP_ANGLE = math.pi - _ANGLE_EPS
 _INT_EPS = 1e-9
-_TURN_TOL = 1e-6
 #: most grid lines a chart curve may cross; bounds the grid-corner tests
 #: and, through the deck class, the length of the lifted word
 _MAX_GRID_CROSSINGS = 100_000
@@ -103,7 +107,8 @@ class CurveOnSurface(namedtuple("CurveOnSurface", "model polyline")):
 
 def _validated(curve: CurveOnSurface):
     """(deck coordinates, fiber exponent) of a curve with finite
-    coordinates, in one pass over its vertices.
+    coordinates, in one pass over its vertices and one over its edge
+    directions.
 
     A chart curve's developed path is pulled back so its first vertex lies
     in the unit cell.  This identifies the basepoint frame with the
@@ -116,14 +121,13 @@ def _validated(curve: CurveOnSurface):
     ``vertex 0`` on a plane curve and ``the basepoint`` on a chart.  A chart
     vertex on a grid line is reported at once.  Every other check keeps its
     first failure and raises it after the pass, in this order: a zero-length
-    edge, an open endpoint, an overflow (plane curves only), a cusp
-    (interior corners, then the closing one), an angle sum that is no
-    multiple of 2 pi, and the first edge that passes the crossing cap or a
-    grid corner.  A plane curve's endpoint always closes; an overflowing
-    product can pass for a cusp or a wrong angle, so only those failures,
-    never a valid curve, pay for :func:`_overflows`.  A chart vertex large
-    enough to overflow is an integer, so it lies on a grid line and is
-    rejected first.
+    edge, an open endpoint, an overflow, a cusp (interior corners, then the
+    closing one), and the first edge that passes the crossing cap or a grid
+    corner.  The fiber exponent is the signed count of direction wraps over
+    the corners.  :func:`_overflows` runs only on a curve with an edge whose
+    squares sum past 1e308, where a corner product can overflow; that is a
+    plane curve, since a chart vertex that far out is an integer, so it lies
+    on a grid line and is rejected first.
     """
     model, verts = curve.model, curve.polyline.vertices
     chart = model is not Model.PLANE
@@ -131,7 +135,7 @@ def _validated(curve: CurveOnSurface):
         if chart:
             raise CurveError("a chart curve needs at least 3 vertices (endpoint repeated)")
         raise CurveError("a closed polyline needs at least 3 vertices")
-    floor, hypot, atan2 = math.floor, math.hypot, math.atan2
+    floor, hypot, atan2, pi = math.floor, math.hypot, math.atan2, math.pi
     if chart:
         i, j = floor(verts[0][0]), floor(verts[0][1])
         # an odd Klein shift T^-i reflects the vertical coordinate
@@ -139,8 +143,9 @@ def _validated(curve: CurveOnSurface):
         path = verts
     else:
         path = chain(verts, verts[:1])
-    zero = cusp = bad = None
-    total = 0.0
+    zero = bad = big = None
+    # the direction of each edge, in (-pi, pi]
+    dirs = []
     count = 0
     for k, (x, y) in enumerate(path):
         if chart:
@@ -164,17 +169,15 @@ def _validated(curve: CurveOnSurface):
         if k:
             ex, ey = x - px, y - py
             # the squares sum below 1e-20 whenever hypot is below 1e-12, so
-            # hypot is called only for a near-zero edge
-            if ex * ex + ey * ey < 1e-20 and zero is None and hypot(ex, ey) < 1e-12:
+            # hypot is called only for a near-zero edge; two edges whose
+            # squares sum to at most 1e308 have a finite cross and dot
+            # product, so only a longer edge can make a corner overflow
+            sq = ex * ex + ey * ey
+            if sq < 1e-20 and zero is None and hypot(ex, ey) < 1e-12:
                 zero = k - 1
-            if k > 1:
-                a = atan2(ux * ey - uy * ex, ux * ex + uy * ey)
-                if cusp is None and abs(a) > _CUSP_ANGLE:
-                    cusp = k - 1
-                total += a
-            else:
-                fx, fy = ex, ey
-            ux, uy = ex, ey
+            elif sq > 1e308:
+                big = True
+            dirs.append(atan2(ey, ex))
         else:
             x0, y0 = x, y
         px, py = x, y
@@ -191,40 +194,45 @@ def _validated(curve: CurveOnSurface):
     if not _near_int(ay):
         raise CurveError("endpoint is not a deck image of the start point")
     a = round(ay)
-
-    # the closing corner, against d(Delta) of the first edge; a glide flips
-    # the tangent, which turns the basepoint frame by twice its angle
-    gy = -fy if glide else fy
-    corner = atan2(ux * gy - uy * fx, ux * fx + uy * gy)
-    if cusp is None and abs(corner) > _CUSP_ANGLE:
-        cusp = 0
-    total += corner
-    if glide:
-        total += 2.0 * atan2(fy, fx)
-    turns = total / _TWO_PI
-    whole = math.isfinite(turns) and abs(turns - round(turns)) <= _TURN_TOL
-    if not chart and (cusp is not None or not whole) and _overflows(verts):
+    if big and _overflows(verts):
         raise CurveError("coordinates too large: the exterior angles overflow")
-    if cusp is not None:
-        where = f"vertex {cusp}" if cusp or not chart else "the basepoint"
-        raise CurveError(f"cusp (exterior angle of +-pi) at {where}")
-    if not whole:
-        if chart:
-            raise CurveError("tangent lift does not close up to a fiber power")
-        raise CurveError("exterior angles do not sum to a multiple of 2 pi")
+
+    # corner k turns direction k - 1 into direction k; the closing corner
+    # turns into d(Delta) of the first edge, whose direction a glide
+    # reflects.  The unwrapped differences telescope to 0, or after a glide
+    # to minus twice the first direction, which the glide's turn of the
+    # basepoint frame adds back, so the fiber exponent is the wrap count
+    dirs.append(-dirs[0] if glide else dirs[0])
+    turns = 0
+    s = dirs[0]
+    for k, t in enumerate(dirs[1:], 1):
+        angle = t - s
+        s = t
+        if angle > pi:
+            angle -= _TWO_PI
+            turns -= 1
+        elif angle <= -pi:
+            angle += _TWO_PI
+            turns += 1
+        if abs(angle) > _CUSP_ANGLE:
+            # the last corner is the closing one, at vertex 0
+            k %= len(dirs) - 1
+            where = f"vertex {k}" if k or not chart else "the basepoint"
+            raise CurveError(f"cusp (exterior angle of +-pi) at {where}")
     if not chart:
-        return None, round(turns)
+        return None, turns
     if bad is not None:
         raise bad
     # torus coordinates: Delta x counts a1, Delta y counts b1; Klein
     # coordinates (k, l): g-exponent (vertical), h-exponent (glide)
-    return ((b, a) if model is Model.TORUS else (a, b)), round(turns)
+    return ((b, a) if model is Model.TORUS else (a, b)), turns
 
 
 def _overflows(verts) -> bool:
     """True if some corner of the closed polygon has a cross or dot product
-    of its two edges that is not finite, computed as :func:`_validated`
-    does."""
+    of its two edges that is not finite: the curve's coordinates are too
+    large.  :func:`_validated` calls it only when an edge's squares sum past
+    1e308; below that bound on both edges no corner product overflows."""
     isfinite = math.isfinite
     (px, py), (x, y) = verts[-2], verts[-1]
     ux, uy = x - px, y - py
@@ -275,10 +283,15 @@ def load_curve(text: str) -> CurveOnSurface:
     """Parse the curve file format and validate the curve.
 
     Line 1: ``model=plane|torus|klein``; then one ``x,y`` pair per line, with
-    finite coordinates.  ``#`` starts a comment; blank lines are ignored.
-    Validation computes the curve's lift data, which ``lift`` then reuses.
+    finite ASCII decimal coordinates.  ``#`` starts a comment; blank lines
+    are ignored.  Validation computes the curve's lift data, which ``lift``
+    then reuses.
     """
     comments = "#" in text
+    # float() also reads digit-group underscores and non-ASCII digits, so a
+    # coordinate line, stripped, must be ASCII with no "_"; only the lines
+    # of a text that fails this screen are checked
+    screened = text.isascii() and "_" not in text
     lines = enumerate(text.splitlines(), start=1)
     for lineno, raw in lines:
         if comments and "#" in raw:
@@ -308,6 +321,8 @@ def load_curve(text: str) -> CurveOnSurface:
             if not comma and not raw.strip():
                 continue
             raise CurveError(f"line {lineno}: expected 'x,y'")
+        if not (screened or raw.strip().isascii() and "_" not in raw):
+            raise CurveError(f"line {lineno}: bad coordinates {raw.strip()!r}")
         try:
             x, y = float(xs), float(ys)
         except ValueError:

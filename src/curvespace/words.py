@@ -962,16 +962,14 @@ def _token_power(token: str, names: tuple[str, ...]) -> tuple[int, int]:
 def _letter_table(names: tuple[str, ...]) -> dict[str, int]:
     """The signed letter of each token that spells one letter: every name
     and its uppercase inverse, each read by :func:`_token_power`, so the
-    table answers as the general path does.  Built once per name tuple."""
+    table answers as the general path does.  Every name, a generator of a
+    surface presentation (``a1``, ``c3``, ``z2``) or the fiber ``f``, reads
+    as one letter with no power.  Built once per name tuple."""
     table = {}
     for name in names:
         for token in (name, name.upper()):
-            try:
-                idx, power = _token_power(token, names)
-            except WordParseError:
-                continue
-            if abs(power) == 1:
-                table[token] = idx * power
+            idx, power = _token_power(token, names)
+            table[token] = idx * power
     return table
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -82,10 +83,17 @@ def test_regularity_rejections():
         with pytest.raises(CurveError, match="^coordinates must be finite$"):
             turning_number(Polyline(((0, 0), (1, 0), (bad, 1))))
     # finite, but the edges overflow; near 1e154 the corner products overflow
-    # without a NaN and once passed for a cusp at vertex 0
+    # without a NaN, and once passed for a cusp at vertex 0 (the triangle)
+    # or added up to a whole turn (the quad)
     for huge in (
         ((1e308, 0), (-1e308, 0), (0, 1e308)),
         ((2.41e154, -3.67e153), (-6.43e153, 8.48e153), (1.57e154, -1.83e153)),
+        (
+            (8.297679911921778e153, -9.780227487418082e153),
+            (9.441306085543146e153, 8.974373626697597e153),
+            (-9.218853223206456e153, -4.843499100200577e153),
+            (-2.939743981254932e153, 7.059221076979758e153),
+        ),
     ):
         with pytest.raises(CurveError, match="^coordinates too large"):
             turning_number(Polyline(huge))
@@ -258,9 +266,18 @@ def test_curve_file_grammar_paths():
     # inside a line it stays, and the line is quoted stripped
     with pytest.raises(CurveError, match=r"^line 3: bad coordinates '1\\x1f,0'$"):
         load_curve("model=plane\n0,0\n 1\x1f,0 \n1,1\n")
-    for line in ("0;0,1", "1,0x1", "a,b", ",1", "1,"):
-        with pytest.raises(CurveError, match=f"^line 2: bad coordinates {line!r}$"):
+    # float() also reads digit-group underscores and non-ASCII digits and
+    # spaces; the file grammar does not
+    for line in ("0;0,1", "1,0x1", "a,b", ",1", "1,", "3_0,0.5", "1,0_5", "\u0663,0.5", "\uff11,0", "1\u00a0,0"):
+        with pytest.raises(CurveError, match="^" + re.escape(f"line 2: bad coordinates {line!r}") + "$"):
             load_curve(f"model=torus\n {line}\n")
+    # a faulty line before them is reported first
+    with pytest.raises(CurveError, match="^line 2: expected 'x,y'$"):
+        load_curve("model=plane\n0;0\n3_0,0.5\n1,1\n")
+    # non-ASCII text in a comment, or as whitespace around a line, is no
+    # part of a coordinate
+    square = load_curve("model=plane # caf\u00e9\n0,0 # \u0663\n\u00a01,0\u3000\n\u3000\n1,1\n0,1\n")
+    assert square.polyline == SQUARE
 
 
 def test_curve_file_with_a_byte_order_mark(tmp_path):
@@ -421,10 +438,8 @@ def test_loaded_curve_lifts_like_constructed_curve():
 
 # README "Curve files": one curve for each pair of faults adjacent in the
 # order in which they are reported; the first fault named wins.  A cusp is
-# never followed by an angle sum that is no multiple of 2 pi (or a tangent
-# lift that does not close): exterior angles from finite products always
-# sum to one, and an overflowing plane curve is reported as too large
-# first.
+# the last corner fault: the fiber exponent is a count of direction wraps,
+# an integer by construction, so no angle sum can fail to close.
 PLANE_FAULT_ORDER = (
     # fewer than three vertices, then a zero-length edge
     (((0, 0), (0, 0)), "^a closed polyline needs at least 3 vertices$"),
@@ -526,3 +541,65 @@ def test_long_winding_circle_lifts_to_third_fiber_power():
     )
     curve = load_curve(_curve_text(Model.PLANE, pts))
     assert st_text(lift(curve, TORUS)) == "f^3"
+
+
+def test_star_polygon_turns_exactly():
+    # the star polygon {600001/300000}: each vertex 300,000 steps of
+    # 2 pi / 600,001 on from the last, so each exterior angle is within 6e-6
+    # of pi and the star turns 300,000 times; a running float sum of its
+    # exterior angles misses the whole number of turns by 2.7e-6 turns
+    n, w = 600_001, 300_000
+    star = tuple((math.cos(2 * math.pi * w * k / n), math.sin(2 * math.pi * w * k / n)) for k in range(n))
+    assert lift(plane_curve(Polyline(star)), TORUS) == st_word(TORUS, (), w)
+    # the same star inside one cell of each chart, closed by the identity
+    cell = tuple((0.5 + 0.4 * x, 0.5 + 0.4 * y) for x, y in star)
+    for model, surface in ((Model.TORUS, TORUS), (Model.KLEIN, KLEIN)):
+        chart = CurveOnSurface(model, Polyline(cell + cell[:1]))
+        assert _validated(chart) == ((0, 0), w)
+        assert lift(chart, surface) == st_word(surface, (), w)
+
+
+def test_turning_number_against_corner_angle_sum():
+    """Independent check: the turning number of a random polygon is its
+    exterior angles, each read as atan2(cross, dot) of the corner's edges,
+    summed exactly and divided by 2 pi.  A polygon rejected for a cusp has
+    a corner within 1e-9 of +-pi."""
+    import random
+
+    def corner_angles(verts):
+        n = len(verts)
+        edges = [
+            (verts[(k + 1) % n][0] - verts[k][0], verts[(k + 1) % n][1] - verts[k][1])
+            for k in range(n)
+        ]
+        # corner k turns edge k - 1 into edge k
+        return [
+            math.atan2(ux * ey - uy * ex, ux * ex + uy * ey)
+            for (ux, uy), (ex, ey) in zip(edges[-1:] + edges[:-1], edges)
+        ]
+
+    rng = random.Random(31)
+    lifted = rejected = 0
+    for _ in range(2500):
+        scale = 10.0 ** rng.uniform(0, 150)
+        verts = [(scale * rng.uniform(-1, 1), scale * rng.uniform(-1, 1)) for _ in range(rng.randrange(3, 13))]
+        if rng.random() < 0.3:
+            # a near cusp: a vertex that doubles back along edge k - 1,
+            # pushed off it by a small fraction of the edge
+            k = rng.randrange(1, len(verts))
+            (px, py), (qx, qy) = verts[k - 1], verts[k]
+            t, off = rng.uniform(0.1, 0.9), rng.choice((0.0, 1e-12, 1e-10, 1e-8, 1e-6)) * rng.choice((-1, 1))
+            verts.insert(k + 1, (px + t * (qx - px) - off * (qy - py), py + t * (qy - py) + off * (qx - px)))
+        angles = corner_angles(verts)
+        curve = plane_curve(Polyline(tuple(verts)))
+        try:
+            fiber = _validated(curve)[1]
+        except CurveError as exc:
+            assert str(exc).startswith("cusp"), verts
+            assert max(map(abs, angles)) > math.pi - 1e-9, verts
+            rejected += 1
+            continue
+        turns = math.fsum(angles) / (2 * math.pi)
+        assert abs(turns - round(turns)) < 1e-9 and fiber == round(turns), verts
+        lifted += 1
+    assert lifted >= 2000 and rejected >= 100
