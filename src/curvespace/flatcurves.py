@@ -29,23 +29,27 @@ Ingestion is linear in the number of vertices, and one code path serves
 every model: a plane curve is walked as a developed path closed by the
 identity deck transformation.  One loop over the vertices pulls a chart
 path back to the unit cell, tests each of its vertices against the grid
-lines, and forms each edge with its zero-length test and its direction, and
-each change of grid cell; a second loop over the directions takes each
-exterior angle with its cusp test and counts the wraps.  Every check keeps
-its first failure; the failures are raised in a fixed order, which
-``_validated`` lists.  A curve's lift data (deck class and fiber exponent,
-or the turning number of a plane curve) is computed once per
-``CurveOnSurface`` and cached on it: ``load_curve`` checks each coordinate
-for finiteness as it parses its line and stores what the loop returns, and
-``lift`` reuses it.  The grid-corner test runs only on edges whose
-endpoints lie in different grid cells: no vertex lies within 1e-9 of a
-grid line, so two endpoints with the same floor on both axes lie in one
-open cell, and no integer lies strictly between their coordinates on
-either axis.  For the same reason an edge crosses exactly ``|dx| + |dy|``
-grid lines, where ``(dx, dy)`` is the step between its endpoint cells, so
-a path that crosses more than ``_MAX_GRID_CROSSINGS`` lines is rejected
-before any of its crossings is examined and the cost stays bounded however
-large the coordinates are.
+lines, forms each edge with its zero-length test and its direction, takes
+the exterior angle at each interior corner with its cusp test, counts the
+direction wraps, and tracks each change of grid cell; the closing corner is
+taken after the loop, once the deck transformation is known.  Every check
+keeps its first failure; the failures are raised in a fixed order, which
+``_validated`` lists.  ``load_curve`` splits the file text into lines one
+chunk of about ``_CHUNK`` characters at a time, so besides the text it
+holds the vertex tuples it returns and one chunk with its lines, never a
+list of every line or of every edge direction.  A curve's lift data (deck
+class and fiber exponent, or the turning number of a plane curve) is
+computed once per ``CurveOnSurface`` and cached on it: ``load_curve``
+checks each coordinate for finiteness as it parses its line and stores
+what the loop returns, and ``lift`` reuses it.  The grid-corner test runs
+only on edges whose endpoints lie in different grid cells: no vertex lies
+within 1e-9 of a grid line, so two endpoints with the same floor on both
+axes lie in one open cell, and no integer lies strictly between their
+coordinates on either axis.  For the same reason an edge crosses exactly
+``|dx| + |dy|`` grid lines, where ``(dx, dy)`` is the step between its
+endpoint cells, so a path that crosses more than ``_MAX_GRID_CROSSINGS``
+lines is rejected before any of its crossings is examined and the cost
+stays bounded however large the coordinates are.
 """
 
 from __future__ import annotations
@@ -67,6 +71,8 @@ _INT_EPS = 1e-9
 #: most grid lines a chart curve may cross; bounds the grid-corner tests
 #: and, through the deck class, the length of the lifted word
 _MAX_GRID_CROSSINGS = 100_000
+#: characters of a curve file split into lines at a time
+_CHUNK = 1 << 16
 #: the surfaces of the torus and Klein-bottle charts (plane curves lift to
 #: every surface)
 _TORUS = SurfaceSpec(True, 1)
@@ -107,8 +113,7 @@ class CurveOnSurface(namedtuple("CurveOnSurface", "model polyline")):
 
 def _validated(curve: CurveOnSurface):
     """(deck coordinates, fiber exponent) of a curve with finite
-    coordinates, in one pass over its vertices and one over its edge
-    directions.
+    coordinates, in one pass over its vertices.
 
     A chart curve's developed path is pulled back so its first vertex lies
     in the unit cell.  This identifies the basepoint frame with the
@@ -116,18 +121,22 @@ def _validated(curve: CurveOnSurface):
     deck class.  A plane curve is walked as a developed path closed by the
     identity: its first vertex is repeated at the end, and it skips the
     grid-line test and the cell tracking.  Edge k runs from vertex k to
-    vertex k + 1, and corner k lies between edges k - 1 and k; the closing
-    corner, between the last edge and the deck image of the first, is
-    ``vertex 0`` on a plane curve and ``the basepoint`` on a chart.  A chart
-    vertex on a grid line is reported at once.  Every other check keeps its
-    first failure and raises it after the pass, in this order: a zero-length
-    edge, an open endpoint, an overflow, a cusp (interior corners, then the
-    closing one), and the first edge that passes the crossing cap or a grid
-    corner.  The fiber exponent is the signed count of direction wraps over
-    the corners.  :func:`_overflows` runs only on a curve with an edge whose
-    squares sum past 1e308, where a corner product can overflow; that is a
-    plane curve, since a chart vertex that far out is an integer, so it lies
-    on a grid line and is rejected first.
+    vertex k + 1, and corner k lies between edges k - 1 and k; the pass
+    takes each interior corner as soon as its second edge is formed, and
+    the closing corner, between the last edge and the deck image of the
+    first, after the endpoint and overflow checks, since a glide reflects
+    that image.  The closing corner is ``vertex 0`` on a plane curve and
+    ``the basepoint`` on a chart.  A chart vertex on a grid line is reported
+    at once.  Every other check keeps its first failure and raises it after
+    the pass, in this order: a zero-length edge, an open endpoint, an
+    overflow, a cusp (interior corners, then the closing one), and the first
+    edge that passes the crossing cap or a grid corner.  The fiber exponent
+    is the signed count of direction wraps over the corners.  No list of
+    edges or directions is built: the pass keeps only the first and the
+    last direction.  :func:`_overflows` runs only on a curve with an edge
+    whose squares sum past 1e308, where a corner product can overflow; that
+    is a plane curve, since a chart vertex that far out is an integer, so it
+    lies on a grid line and is rejected first.
     """
     model, verts = curve.model, curve.polyline.vertices
     chart = model is not Model.PLANE
@@ -143,10 +152,8 @@ def _validated(curve: CurveOnSurface):
         path = verts
     else:
         path = chain(verts, verts[:1])
-    zero = bad = big = None
-    # the direction of each edge, in (-pi, pi]
-    dirs = []
-    count = 0
+    zero = bad = big = cusp = None
+    turns = count = 0
     for k, (x, y) in enumerate(path):
         if chart:
             x = x - i
@@ -177,7 +184,22 @@ def _validated(curve: CurveOnSurface):
                 zero = k - 1
             elif sq > 1e308:
                 big = True
-            dirs.append(atan2(ey, ex))
+            # the direction of edge k - 1, in (-pi, pi]; corner k - 1 turns
+            # the direction s of edge k - 2 into it
+            t = atan2(ey, ex)
+            if k > 1:
+                angle = t - s
+                if angle > pi:
+                    angle -= _TWO_PI
+                    turns -= 1
+                elif angle <= -pi:
+                    angle += _TWO_PI
+                    turns += 1
+                if cusp is None and abs(angle) > _CUSP_ANGLE:
+                    cusp = k - 1
+            else:
+                t0 = t
+            s = t
         else:
             x0, y0 = x, y
         px, py = x, y
@@ -197,28 +219,23 @@ def _validated(curve: CurveOnSurface):
     if big and _overflows(verts):
         raise CurveError("coordinates too large: the exterior angles overflow")
 
-    # corner k turns direction k - 1 into direction k; the closing corner
-    # turns into d(Delta) of the first edge, whose direction a glide
-    # reflects.  The unwrapped differences telescope to 0, or after a glide
-    # to minus twice the first direction, which the glide's turn of the
-    # basepoint frame adds back, so the fiber exponent is the wrap count
-    dirs.append(-dirs[0] if glide else dirs[0])
-    turns = 0
-    s = dirs[0]
-    for k, t in enumerate(dirs[1:], 1):
-        angle = t - s
-        s = t
-        if angle > pi:
-            angle -= _TWO_PI
-            turns -= 1
-        elif angle <= -pi:
-            angle += _TWO_PI
-            turns += 1
-        if abs(angle) > _CUSP_ANGLE:
-            # the last corner is the closing one, at vertex 0
-            k %= len(dirs) - 1
-            where = f"vertex {k}" if k or not chart else "the basepoint"
-            raise CurveError(f"cusp (exterior angle of +-pi) at {where}")
+    # the closing corner turns the last direction into d(Delta) of the
+    # first edge, whose direction a glide reflects.  The unwrapped
+    # differences telescope to 0, or after a glide to minus twice the first
+    # direction, which the glide's turn of the basepoint frame adds back, so
+    # the fiber exponent is the wrap count
+    angle = (-t0 if glide else t0) - s
+    if angle > pi:
+        angle -= _TWO_PI
+        turns -= 1
+    elif angle <= -pi:
+        angle += _TWO_PI
+        turns += 1
+    if cusp is None and abs(angle) > _CUSP_ANGLE:
+        cusp = 0
+    if cusp is not None:
+        where = f"vertex {cusp}" if cusp or not chart else "the basepoint"
+        raise CurveError(f"cusp (exterior angle of +-pi) at {where}")
     if not chart:
         return None, turns
     if bad is not None:
@@ -279,6 +296,18 @@ def lift(curve: CurveOnSurface, surface: SurfaceSpec) -> STWord:
 # file format
 
 
+def _chunks(text: str):
+    """``text`` in pieces of about ``_CHUNK`` characters, each cut just after
+    a ``\\n``.  A ``\\n`` ends a line for ``str.splitlines`` whatever comes
+    before or after it, so the pieces split into exactly the lines of the
+    whole text, while at most one piece and its lines are held at a time."""
+    start, end = 0, len(text)
+    while start < end:
+        cut = text.find("\n", start + _CHUNK) + 1 or end
+        yield text[start:cut]
+        start = cut
+
+
 def load_curve(text: str) -> CurveOnSurface:
     """Parse the curve file format and validate the curve.
 
@@ -292,7 +321,7 @@ def load_curve(text: str) -> CurveOnSurface:
     # coordinate line, stripped, must be ASCII with no "_"; only the lines
     # of a text that fails this screen are checked
     screened = text.isascii() and "_" not in text
-    lines = enumerate(text.splitlines(), start=1)
+    lines = enumerate(chain.from_iterable(map(str.splitlines, _chunks(text))), start=1)
     for lineno, raw in lines:
         if comments and "#" in raw:
             raw = raw.partition("#")[0]

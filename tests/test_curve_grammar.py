@@ -1,12 +1,13 @@
 """Curve files assembled from the pieces of the file grammar: every text
 either loads and lifts or is rejected with ``CurveError``, never with any
-other exception."""
+other exception, and through the CLI exits 0, or 2 with an error line."""
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
 
+from curvespace import cli  # noqa: E402
 from curvespace.flatcurves import CurveError, lift, load_curve  # noqa: E402
 
 from conftest import KLEIN, SPHERE, TORUS  # noqa: E402
@@ -73,3 +74,21 @@ def test_load_and_lift_answer_or_raise_curve_error(source):
             lift(curve, surface)
         except CurveError:
             pass
+
+
+# one file and one captured stream serve every example: each example
+# overwrites the file and reads the streams empty
+@settings(derandomize=True, max_examples=100, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(source=text, surface=st.sampled_from(("orientable:0:0", "orientable:1:0", "nonorientable:2:0")))
+def test_cli_lift_of_a_curve_file_exits_0_or_2(tmp_path, capsys, source, surface):
+    path = tmp_path / "fuzz.curve"
+    path.write_text(source, encoding="utf-8", newline="")
+    code = cli.main(["lift", "--surface", surface, str(path)])
+    out, err = capsys.readouterr()
+    assert "Traceback" not in out + err
+    if code == 0:
+        assert out and not err
+    else:
+        assert code == 2 and not out
+        assert any(line.startswith("error: ") for line in err.splitlines()), err

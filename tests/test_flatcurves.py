@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import pytest
 
@@ -603,3 +604,78 @@ def test_turning_number_against_corner_angle_sum():
         assert abs(turns - round(turns)) < 1e-9 and fiber == round(turns), verts
         lifted += 1
     assert lifted >= 2000 and rejected >= 100
+
+
+def _load_peak_and_kept(text):
+    """The tracemalloc peak inside ``load_curve(text)`` and the memory that
+    the returned curve keeps, both in bytes above what was traced before."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        curve = load_curve(text)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        if started:
+            tracemalloc.stop()
+    return curve, peak - before, kept - before
+
+
+def test_load_curve_holds_one_chunk_of_lines():
+    """Loading a 10,000-vertex file peaks at most 30% above what the curve
+    keeps: the vertex tuples plus one chunk of the text and its lines.  A
+    list of every line alone would take the peak to about 1.9 times what
+    the curve keeps."""
+    n = 10_000
+    plane = tuple((math.cos(2 * math.pi * k / n), math.sin(2 * math.pi * k / n)) for k in range(n))
+    torus = tuple(
+        (0.5 + 3 * k / (n - 1), 0.5 + 0.2 * math.sin(2 * math.pi * k / (n - 1))) for k in range(n)
+    )
+    for model, verts, lift_data in ((Model.PLANE, plane, (None, 1)), (Model.TORUS, torus, ((3, 0), 0))):
+        text = _curve_text(model, verts)
+        curve, peak, kept = _load_peak_and_kept(text)
+        assert curve.polyline.vertices == verts and curve._lift_data == lift_data
+        assert peak <= 1.3 * kept, (model, peak, kept)
+
+
+def test_line_numbers_across_chunk_cuts():
+    """A text of more than two chunks is split into the lines that
+    ``text.splitlines()`` gives, numbered the same, whichever line break
+    straddles the first chunk mark."""
+    from curvespace.flatcurves import _CHUNK
+
+    n = 4_000
+    verts = tuple((math.cos(2 * math.pi * k / n), math.sin(2 * math.pi * k / n)) for k in range(n))
+    rows = [f"{x!r},{y!r}" for x, y in verts]
+    breaks = ("\n", "\r\n", "\x0b", "\x1c", "\u2028", "\r", "\n\n", "\n  # a comment\n")
+    seps = [breaks[k % len(breaks)] for k in range(n - 1)]
+
+    head = "model=plane\n#"
+
+    def text_of(rows, pad):
+        # a comment line of ``pad`` x's, then no newline after the last vertex
+        body = "".join(row + sep for row, sep in zip(rows, seps)) + rows[-1]
+        return head + "x" * pad + "\n" + body
+
+    # where each separator starts in the text with no padding
+    starts, offset = [], len(head) + 1
+    for row, sep in zip(rows, seps):
+        offset += len(row)
+        starts.append(offset)
+        offset += len(sep)
+    fault = n - 100
+    for brk in ("\r\n", "\x0b", "\x1c", "\u2028", "\n\n", "\n  # a comment\n"):
+        # pad the first comment so that a ``brk`` begins just before the mark
+        last = max(start for start, sep in zip(starts, seps) if sep == brk and start < _CHUNK)
+        pad = _CHUNK - 1 - last
+        text = text_of(rows, pad)
+        assert text[_CHUNK - 1 :].startswith(brk) and len(text) > 2 * _CHUNK
+        assert load_curve(text).polyline.vertices == verts
+        broken = rows[:fault] + ["0.5,oops"] + rows[fault + 1 :]
+        text = text_of(broken, pad)
+        assert text.index("0.5,oops") > _CHUNK
+        lineno = text.splitlines().index("0.5,oops") + 1
+        with pytest.raises(CurveError, match=f"^line {lineno}: bad coordinates '0.5,oops'$"):
+            load_curve(text)
