@@ -13,9 +13,10 @@ Base normalization shifts the fiber whenever a relator copy is removed on
 the closed hyperbolic regimes (the surface relator equals ``f**chi``
 upstairs) and whenever ``c1^2`` is removed on the projective plane; the
 bookkeeping lives in :mod:`curvespace.words` and is reused here, so every
-regime normalizes through one path.  Conjugacy is decided by one rule from
-the data that each regime's engine supplies: a base conjugator and, on
-nonorientable surfaces, the base class's primitive root
+regime normalizes through one path.  Conjugacy is decided by one rule on
+every regime from the data that its engine supplies: a base conjugator
+and, only for an orientation-preserving base on a nonorientable surface
+whose fiber the conjugator does not match, the primitive root
 (:func:`st_is_conjugate`).
 
 Every function here reads the surface's record
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .surfaces import SurfaceSpec, euler_characteristic
+from .surfaces import SurfaceSpec
 from .words import (
     AmbientMismatchError,
     STWord,
@@ -105,29 +106,27 @@ def st_conjugate(u: STWord, by: STWord) -> STWord:
 
 
 def st_is_conjugate(u: STWord, v: STWord) -> bool:
-    """Are ``u`` and ``v`` conjugate?  Always decided, in polynomial time.
+    """Are ``u`` and ``v`` conjugate?  Always decided, in polynomial time, by
+    one rule on every regime.
 
-    Where the group is abelian (sphere, projective plane, torus, disk and
-    annulus) conjugate means equal.  Elsewhere, conjugating ``(w, m)`` by
-    ``(t, n)`` gives ``(t w t^-1, d_t + eps(t) (m + n (eps(w) - 1)))``,
-    ``d_t`` the fiber shift of normalizing ``t w t^-1``.  The conjugators of
-    ``w`` onto the base ``w'`` of ``v = (w', m')`` are the engine's ``v0``
-    times the centralizer of ``w``, and ``f`` translates the fiber by
-    multiples of ``step = 1 - eps(w)``.  Off the identity the centralizer is
-    cyclic on the primitive root ``r`` (on the Klein bottle it may also hold
-    ``g`` and ``h^2``, which shift by zero as every Klein-bottle element
-    does).  An orientation-preserving ``r`` commutes with ``f`` and so with
-    the lift of its power ``w``: ``d_r = 0``.  A reversing ``r`` is the
-    reflection ``x -> mirror - x`` with ``mirror = d_r``.  At ``w = 1`` every
-    ``d_z`` is 0, and ``mirror`` is 0 where some generator reverses
-    orientation.  So ``v`` is conjugate to ``u`` iff ``eps(v0) (m' - d_v0)``
-    is ``m`` or ``mirror - m`` modulo ``step``."""
+    Conjugating ``(w, m)`` by ``(t, n)`` gives ``(t w t^-1, d_t + eps(t) (m +
+    n (eps(w) - 1)))``, ``d_t`` the fiber shift of normalizing ``t w t^-1``.
+    The conjugators of ``w`` onto the base of ``v = (w', m')`` are the
+    engine's ``v0`` times the centralizer ``C(w)``, so ``u`` and ``v`` are
+    conjugate iff ``x = eps(v0) (m' - d_v0)`` is the image of ``m`` under
+    ``C(w)``, modulo ``step = 1 - eps(w)``.  If ``w`` reverses orientation,
+    ``z -> d_z mod 2`` is a homomorphism on ``C(w)``, which is cyclic on the
+    primitive root ``r`` with ``w = r^e``, ``e`` odd and ``d_w = 0``: so
+    ``d_r`` is even and ``x = m mod 2`` decides.  Otherwise an
+    orientation-preserving ``z`` in ``C(w)`` commutes with ``f`` and with
+    the lift of ``w``, so ``d_z = 0``, and an orientation-reversing one maps
+    ``m`` to ``d_z - m``: the answer is ``x = m``, or on a nonorientable
+    surface ``x = -m`` at ``w = 1`` and ``x = d_r - m`` for a reversing
+    root ``r`` (the Klein bottle's ``g`` and ``h^2`` shift by 0).  Only that
+    last case asks the engine for the root."""
     _check_ambient(u, v)
-    chi = euler_characteristic(u.surface)
-    if chi > 0 or (chi == 0 and u.surface.orientable):
-        return u == v
     rec = surface_record(u.surface)
-    pres = rec.presentation
+    eps = rec.presentation.word_character
     w = u.base.letters
     v0 = rec.engine.conjugator(rec, w, v.base.letters)
     if v0 is None:
@@ -141,17 +140,16 @@ def st_is_conjugate(u: STWord, v: STWord) -> bool:
         assert nf == image, "the conjugator does not conjugate to the expected base"
         return d
 
-    mirror = None
-    if not u.surface.orientable and not w:
-        mirror = 0
-    elif not u.surface.orientable:
-        root = rec.engine.root(rec, w)[0]
-        if pres.word_character(root) < 0:
-            mirror = shift(root, w)
-    step = 1 - pres.word_character(w)
-    x = pres.word_character(v0) * (v.fiber - shift(v0, v.base.letters))
-    targets = (u.fiber,) if mirror is None else (u.fiber, mirror - u.fiber)
-    return any((x - y) % step == 0 if step else x == y for y in targets)
+    x = eps(v0) * (v.fiber - shift(v0, v.base.letters))
+    m = u.fiber
+    if eps(w) < 0:
+        return (x - m) % 2 == 0
+    if x == m or u.surface.orientable:
+        return x == m
+    if not w:
+        return x == -m
+    r = rec.engine.root(rec, w)[0]
+    return eps(r) < 0 and x == shift(r, w) - m
 
 
 # ---------------------------------------------------------------------------

@@ -98,6 +98,11 @@ def test_regularity_rejections():
     ):
         with pytest.raises(CurveError, match="^coordinates too large"):
             turning_number(Polyline(huge))
+    # each edge's squares sum past 1e308, so the corners are checked, but
+    # every corner product is finite: a regular square, lifting to f
+    side = 1.2e154
+    square = Polyline(((0, 0), (side, 0), (side, side), (0, side)))
+    assert st_text(lift(plane_curve(square), TORUS)) == "f"
 
 
 def test_plane_lifts():

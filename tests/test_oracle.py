@@ -1,6 +1,6 @@
 import pytest
 
-from curvespace import SearchBound, presentation, st_parse, verify_classification
+from curvespace import SearchBound, SurfaceSpec, presentation, st_parse, verify_classification
 from curvespace.words import Word, word
 from curvespace.stbundle import st_invert, st_multiply, st_power
 from curvespace.oracle import (
@@ -24,9 +24,13 @@ def test_bounded_is_trivial_basics():
     assert bounded_is_trivial(Word(pres, pres.relators[0])) is True
     # a1 is nontrivial, and the exponent-sum certificate makes it definite
     assert bounded_is_trivial(Word(pres, (1,))) is False
+    # a free group: free reduction alone decides, with no BFS
+    assert bounded_is_trivial(word(presentation(SurfaceSpec(True, 1, 2)), (1, 2))) is False
 
 
-def test_bounded_is_trivial_undecided_vs_certificate():
+def test_bounded_is_trivial_undecided_vs_certificate(monkeypatch):
+    from curvespace import oracle
+
     pres = presentation(NONOR3)
     # c1^2 c2^2 c3^2 is the relator: trivial, found by one deletion
     assert bounded_is_trivial(Word(pres, pres.relators[0]), SearchBound(8, 4, 1)) is True
@@ -38,6 +42,14 @@ def test_bounded_is_trivial_undecided_vs_certificate():
     assert verdict is UNDECIDED
     with pytest.raises(ValueError, match="bounds must be positive"):
         SearchBound(0, 1, 1)
+    # the genus-2 relator with its conjugate by a2 inserted after the fifth
+    # letter: trivial, and its exponent vector gives no certificate; holding
+    # _STATE_CAP states, the BFS answers undecided, not False
+    rel = presentation(GENUS2).relators[0]
+    nested = Word(presentation(GENUS2), rel[:5] + (3,) + rel + (-3,) + rel[5:])
+    assert bounded_is_trivial(nested, SearchBound(8, 4, 4)) is True
+    monkeypatch.setattr(oracle, "_STATE_CAP", 3)
+    assert bounded_is_trivial(nested, SearchBound(8, 4, 4)) is UNDECIDED
 
 
 def test_finite_regime_element_tables():

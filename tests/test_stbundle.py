@@ -33,7 +33,7 @@ from curvespace.stbundle import (
     st_text,
     st_word,
 )
-from curvespace.oracle import SearchBound, bounded_is_trivial
+from curvespace.oracle import SearchBound, bounded_elements, bounded_is_trivial
 
 from conftest import (
     ALL_REGIME_SAMPLES,
@@ -358,13 +358,20 @@ def test_st_word_checks_its_letters():
                 st_word(surface, (1,) * n + (x,), 0)
 
 
+# the surfaces whose tangent-bundle group is abelian: the sphere, the
+# projective plane, the torus, the disk and the annulus
+ABELIAN = (SPHERE, RP2, TORUS, SurfaceSpec(True, 0, 1), SurfaceSpec(True, 0, 2))
+
+
 def _reference_is_conjugate(u, v):
-    """Tangent-bundle conjugacy on the Klein bottle, free and closed
-    hyperbolic surfaces, stated apart from the one rule of
-    :func:`st_is_conjugate`: a closed form in Klein coordinates, a pure
-    fiber case, and the coset of the primitive root split case by case on
-    the orientation characters, with three tangent-bundle products per
+    """Tangent-bundle conjugacy stated apart from the one rule of
+    :func:`st_is_conjugate`: equality on the abelian groups, a closed form
+    in Klein coordinates, a pure fiber case, and on free and closed
+    hyperbolic surfaces the coset of the primitive root split case by case
+    on the orientation characters, with three tangent-bundle products per
     fiber offset."""
+    if u.surface in ABELIAN:
+        return u == v
     if regime(u.surface) is Regime.KLEIN:
         (k1, l1), (k2, l2) = klein_coordinates(u.base.letters), klein_coordinates(v.base.letters)
         m1, m2 = u.fiber, v.fiber
@@ -410,7 +417,8 @@ def test_one_conjugacy_rule_matches_the_case_split():
     """The rule from the base conjugator and the base centralizer answers as
     the per-regime case split did, on constructed conjugates (of elements
     and of their powers) at several fiber offsets, pure fiber powers and
-    unrelated pairs."""
+    unrelated pairs; on the abelian groups it answers equality, on every
+    pair of a small box."""
     rng = random.Random(1515)
     for text in (
         "nonorientable:2:0", "orientable:2:0", "nonorientable:3:0", "nonorientable:4:0",
@@ -432,6 +440,10 @@ def test_one_conjugacy_rule_matches_the_case_split():
                 assert verdict == _reference_is_conjugate(a, b), (text, st_text(a), st_text(b))
                 verdicts.add(verdict)
         assert verdicts == {True, False}, text
+    for surface in ABELIAN:
+        box = bounded_elements(surface, SearchBound(3, 2, 1))
+        verdicts = {(a, b): st_is_conjugate(a, b) for a in box for b in box}
+        assert verdicts == {(a, b): a == b for a in box for b in box}, surface
 
 
 def test_primitive_root_commutes_with_its_element():
@@ -461,8 +473,10 @@ def test_only_a_reversing_root_shifts_the_fiber():
     abelian, normalizing ``r w r^-1`` shifts the fiber by 0 when ``r``
     preserves orientation (``r`` commutes with ``f`` and with the lift of
     its power ``w``), and normalizing ``z w z^-1`` shifts by 0 for every
-    generator ``z`` at ``w = 1``.  Powers of random words give roots with
-    exponents above 1."""
+    generator ``z`` at ``w = 1``.  Where ``w`` itself reverses orientation,
+    the shift of ``r w r^-1`` is even (``w = r^e`` with ``e`` odd and ``d_w =
+    0``), so the rule decides such a ``w`` without the root.  Powers of
+    random words give roots with exponents above 1."""
     rng = random.Random(16)
     nonorientable_4 = SurfaceSpec.parse("nonorientable:4:0")
     for surface in (KLEIN, GENUS2, NONOR3, nonorientable_4, PUNCTURED_TORUS, PUNCTURED_NONOR):
@@ -471,7 +485,7 @@ def test_only_a_reversing_root_shifts_the_fiber():
         for z in range(-n, n + 1):
             if z:
                 assert normalize_with_fiber((z, -z), pres) == ((), 0), (surface, z)
-        preserving = 0
+        preserving = reversing = 0
         for _ in range(80):
             letters = [rng.randrange(1, n + 1) * rng.choice((1, -1)) for _ in range(rng.randrange(1, 7))]
             for e in (1, 2, 3):
@@ -479,11 +493,57 @@ def test_only_a_reversing_root_shifts_the_fiber():
                 if not w.letters:
                     continue
                 r = primitive_root(w)[0].letters
+                conjugated = normalize_with_fiber(r + w.letters + invert_letters(r), pres)
                 if pres.word_character(r) > 0:
                     preserving += 1
-                    conjugated = normalize_with_fiber(r + w.letters + invert_letters(r), pres)
                     assert conjugated == (w.letters, 0), (surface, str(w))
+                elif pres.word_character(w.letters) < 0:
+                    reversing += 1
+                    assert conjugated[0] == w.letters and conjugated[1] % 2 == 0, (surface, str(w))
         assert preserving, surface
+        assert reversing or surface.orientable, surface
+
+
+def test_the_root_is_asked_only_where_it_can_change_the_verdict(monkeypatch):
+    """With an engine whose root raises, the rule still answers every pair
+    whose base reverses orientation, every pair on an orientable surface and
+    every conjugate pair at fiber offset 0 whose base's centralizer
+    preserves orientation (its primitive root does), as it does with the
+    root.  Where the centralizer holds a reversing element, a conjugate at
+    offset 0 may need it: the shifted fiber is then ``d_r - m``."""
+    from curvespace import stbundle
+
+    rng = random.Random(23)
+    nonorientable_4 = SurfaceSpec.parse("nonorientable:4:0")
+    cases = []
+    for surface in ABELIAN + (KLEIN, GENUS2, NONOR3, nonorientable_4, PUNCTURED_TORUS, PUNCTURED_NONOR):
+        for _ in range(40):
+            u = rand_element(surface, rng, maxlen=7)
+            t = rand_element(surface, rng, maxlen=8)
+            for w in (u, st_power(u, 2)):
+                conjugate = st_conjugate(w, t)
+                if surface.orientable or base_character(w) < 0:
+                    cases += [
+                        (w, conjugate),
+                        (w, st_multiply(conjugate, st_word(surface, (), 1))),
+                        (w, rand_element(surface, rng, maxlen=7)),
+                    ]
+                elif w.base.letters and w.base.ambient.word_character(primitive_root(w.base)[0].letters) > 0:
+                    cases.append((w, conjugate))
+    verdicts = [st_is_conjugate(u, v) for u, v in cases]
+    assert set(verdicts) == {True, False}
+
+    def no_root(rec, letters):
+        raise AssertionError("the rule asked for the primitive root")
+
+    real = stbundle.surface_record
+    monkeypatch.setattr(
+        stbundle, "surface_record", lambda s: real(s)._replace(engine=real(s).engine._replace(root=no_root))
+    )
+    assert [st_is_conjugate(u, v) for u, v in cases] == verdicts
+    # a preserving base whose shifted fiber differs still asks
+    with pytest.raises(AssertionError, match="asked for the primitive root"):
+        st_is_conjugate(ST("c1^2 c3^2", NONOR3), ST("c1^2 c3^2 f^2", NONOR3))
 
 
 def test_projective_plane_normalizes_with_the_fiber_shift():
