@@ -34,22 +34,34 @@ the exterior angle at each interior corner with its cusp test, counts the
 direction wraps, and tracks each change of grid cell; the closing corner is
 taken after the loop, once the deck transformation is known.  Every check
 keeps its first failure; the failures are raised in a fixed order, which
-``_validated`` lists.  ``load_curve`` splits the file text into lines one
-chunk of about ``_CHUNK`` characters at a time, so besides the text it
-holds the vertex tuples it returns and one chunk with its lines, never a
-list of every line or of every edge direction.  A curve's lift data (deck
+``_validated`` lists.  The grid-corner test runs only on edges whose
+endpoints lie in different grid cells: no vertex lies within 1e-9 of a grid
+line, so two endpoints with the same floor on both axes lie in one open
+cell, and no integer lies strictly between their coordinates on either
+axis.  For the same reason an edge crosses exactly ``|dx| + |dy|`` grid
+lines, where ``(dx, dy)`` is the step between its endpoint cells, so a path
+that crosses more than ``_MAX_GRID_CROSSINGS`` lines is rejected before any
+of its crossings is examined and the cost stays bounded however large the
+coordinates are.  A chart vertex takes the exact floor and grid-line test
+only when it lies outside the cell box of the last vertex that took it:
+open bounds just inside ``q + 1e-9`` and ``q + 1 - 1e-9`` on each axis,
+between which a coordinate lies in cell ``q`` and off every grid line.  A
+chart path changes cell only a few times, so most vertices skip the test.
+
+``load_curve`` reads the file text one chunk of about ``_CHUNK`` characters
+at a time.  A chunk of a text with no comments, no ``_`` and no non-ASCII
+character, whose lines are each ``x,y`` ended by ``\n``, is converted in
+bulk: ``float`` is mapped over its fields, and the chunk is kept if the
+values sum to a finite number.  Every other chunk is split into lines and
+read by the line loop, which names the first faulty line, so the errors
+and their line numbers do not depend on the path.  Besides the text,
+``load_curve`` holds the vertex tuple it returns, built straight from the
+chunks' points, and one chunk with its lines or a few of its fields, never
+a list of every line, vertex or edge direction.  A curve's lift data (deck
 class and fiber exponent, or the turning number of a plane curve) is
 computed once per ``CurveOnSurface`` and cached on it: ``load_curve``
-checks each coordinate for finiteness as it parses its line and stores
-what the loop returns, and ``lift`` reuses it.  The grid-corner test runs
-only on edges whose endpoints lie in different grid cells: no vertex lies
-within 1e-9 of a grid line, so two endpoints with the same floor on both
-axes lie in one open cell, and no integer lies strictly between their
-coordinates on either axis.  For the same reason an edge crosses exactly
-``|dx| + |dy|`` grid lines, where ``(dx, dy)`` is the step between its
-endpoint cells, so a path that crosses more than ``_MAX_GRID_CROSSINGS``
-lines is rejected before any of its crossings is examined and the cost
-stays bounded however large the coordinates are.
+checks each coordinate for finiteness as it parses its chunk and stores
+what the loop returns, and ``lift`` reuses it.
 """
 
 from __future__ import annotations
@@ -127,7 +139,13 @@ def _validated(curve: CurveOnSurface):
     first, after the endpoint and overflow checks, since a glide reflects
     that image.  The closing corner is ``vertex 0`` on a plane curve and
     ``the basepoint`` on a chart.  A chart vertex on a grid line is reported
-    at once.  Every other check keeps its first failure and raises it after
+    at once.  After a chart vertex takes the exact floor and grid-line test,
+    the pass keeps the open box ``nextafter(q + _INT_EPS, inf) < x <
+    nextafter(q + 1 - _INT_EPS, -inf)`` of its cell on each axis; ``x - q``
+    is exact and ``nextafter`` covers the rounding of the bounds, so a later
+    vertex strictly inside the box is in the same cell and off every grid
+    line, and skips both floors, the grid-line test and the cell-change
+    test.  Every other check keeps its first failure and raises it after
     the pass, in this order: a zero-length edge, an open endpoint, an
     overflow, a cusp (interior corners, then the closing one), and the first
     edge that passes the crossing cap or a grid corner.  The fiber exponent
@@ -145,8 +163,11 @@ def _validated(curve: CurveOnSurface):
             raise CurveError("a chart curve needs at least 3 vertices (endpoint repeated)")
         raise CurveError("a closed polyline needs at least 3 vertices")
     floor, hypot, atan2, pi = math.floor, math.hypot, math.atan2, math.pi
+    nextafter, inf = math.nextafter, math.inf
     if chart:
         i, j = floor(verts[0][0]), floor(verts[0][1])
+        # the cell box starts empty, so the first vertex takes the exact test
+        lox = hix = loy = hiy = 0.0
         # an odd Klein shift T^-i reflects the vertical coordinate
         flip = model is Model.KLEIN and i % 2 != 0
         path = verts
@@ -158,21 +179,26 @@ def _validated(curve: CurveOnSurface):
         if chart:
             x = x - i
             y = 1.0 - (y - j) if flip else y - j
-            qx, qy = floor(x), floor(y)
-            # the grid line nearer to x is qx or qx + 1; the difference to
-            # that one is at most 1/2 and exact, so this is
-            # |x - round(x)| < _INT_EPS
-            if (x - qx < _INT_EPS or qx + 1 - x < _INT_EPS
-                    or y - qy < _INT_EPS or qy + 1 - y < _INT_EPS):
-                raise CurveError("vertices may not lie on grid lines; perturb the curve")
-            # edge k - 1 runs from (px, py) in cell (cx, cy) to (x, y)
-            if k and (qx != cx or qy != cy) and bad is None:
-                count += abs(qx - cx) + abs(qy - cy)
-                if count > _MAX_GRID_CROSSINGS:
-                    bad = CurveError(f"the path crosses more than {_MAX_GRID_CROSSINGS} grid lines")
-                elif _through_grid_corner((px, py), (x, y)):
-                    bad = CurveError(f"edge {k - 1} passes through a grid corner; perturb the curve")
-            cx, cy = qx, qy
+            # a vertex inside the cell box is in cell (cx, cy) and off every
+            # grid line, so it skips the tests below
+            if not (lox < x < hix and loy < y < hiy):
+                qx, qy = floor(x), floor(y)
+                # the grid line nearer to x is qx or qx + 1; the difference
+                # to that one is at most 1/2 and exact, so this is
+                # |x - round(x)| < _INT_EPS
+                if (x - qx < _INT_EPS or qx + 1 - x < _INT_EPS
+                        or y - qy < _INT_EPS or qy + 1 - y < _INT_EPS):
+                    raise CurveError("vertices may not lie on grid lines; perturb the curve")
+                # edge k - 1 runs from (px, py) in cell (cx, cy) to (x, y)
+                if k and (qx != cx or qy != cy) and bad is None:
+                    count += abs(qx - cx) + abs(qy - cy)
+                    if count > _MAX_GRID_CROSSINGS:
+                        bad = CurveError(f"the path crosses more than {_MAX_GRID_CROSSINGS} grid lines")
+                    elif _through_grid_corner((px, py), (x, y)):
+                        bad = CurveError(f"edge {k - 1} passes through a grid corner; perturb the curve")
+                cx, cy = qx, qy
+                lox, hix = nextafter(qx + _INT_EPS, inf), nextafter(qx + 1 - _INT_EPS, -inf)
+                loy, hiy = nextafter(qy + _INT_EPS, inf), nextafter(qy + 1 - _INT_EPS, -inf)
         if k:
             ex, ey = x - px, y - py
             # the squares sum below 1e-20 whenever hypot is below 1e-12, so
@@ -295,52 +321,78 @@ def lift(curve: CurveOnSurface, surface: SurfaceSpec) -> STWord:
 # ---------------------------------------------------------------------------
 # file format
 
+#: every ASCII character but "," and the line breaks of ``str.splitlines``
+_NOT_SEPARATORS = bytes(c for c in range(128) if c not in b",\n\r\x0b\x0c\x1c\x1d\x1e")
 
-def _chunks(text: str):
-    """``text`` in pieces of about ``_CHUNK`` characters, each cut just after
-    a ``\\n``.  A ``\\n`` ends a line for ``str.splitlines`` whatever comes
-    before or after it, so the pieces split into exactly the lines of the
-    whole text, while at most one piece and its lines are held at a time."""
-    start, end = 0, len(text)
+
+def _chunks(text: str, start: int, size: int = _CHUNK):
+    """``text`` from ``start`` on, in pieces of about ``size`` characters,
+    each cut just after a ``\\n``.  A ``\\n`` ends a line for
+    ``str.splitlines`` whatever comes before or after it, so the pieces
+    split into exactly the lines of the whole text from ``start`` on, while
+    at most one piece and its lines are held at a time."""
+    end = len(text)
     while start < end:
-        cut = text.find("\n", start + _CHUNK) + 1 or end
+        cut = text.find("\n", start + size) + 1 or end
         yield text[start:cut]
         start = cut
 
 
-def load_curve(text: str) -> CurveOnSurface:
-    """Parse the curve file format and validate the curve.
+def _chunk_points(text: str, start: int, lineno: int, comments: bool, screened: bool):
+    """The vertices of the lines of ``text`` from ``start`` on, one list per
+    chunk; line ``lineno + 1`` begins at ``start``.  A chunk of a screened
+    text with no comments is converted in bulk (:func:`_bulk_points`); any
+    other chunk, or one that the bulk conversion turns down, goes through
+    the line loop (:func:`_line_points`), the only code that names a line
+    fault.  So the first fault of the first faulty chunk is raised, with
+    its line number."""
+    bulk = screened and not comments
+    for chunk in _chunks(text, start):
+        points = _bulk_points(chunk) if bulk else None
+        if points is None:
+            lines = chunk.splitlines()
+            points = _line_points(lines, lineno, comments, screened)
+            lineno += len(lines)
+        else:
+            lineno += len(points)
+        yield points
 
-    Line 1: ``model=plane|torus|klein``; then one ``x,y`` pair per line, with
-    finite ASCII decimal coordinates.  ``#`` starts a comment; blank lines
-    are ignored.  Validation computes the curve's lift data, which ``lift``
-    then reuses.
-    """
-    comments = "#" in text
-    # float() also reads digit-group underscores and non-ASCII digits, so a
-    # coordinate line, stripped, must be ASCII with no "_"; only the lines
-    # of a text that fails this screen are checked
-    screened = text.isascii() and "_" not in text
-    lines = enumerate(chain.from_iterable(map(str.splitlines, _chunks(text))), start=1)
-    for lineno, raw in lines:
-        if comments and "#" in raw:
-            raw = raw.partition("#")[0]
-        line = raw.strip()
-        if not line:
-            continue
-        if not line.startswith("model="):
-            raise CurveError(f"line {lineno}: expected 'model=...' first")
-        name = line[len("model=") :].strip()
-        try:
-            model = Model(name)
-        except ValueError:
-            raise CurveError(f"line {lineno}: unknown model {name!r}") from None
-        break
-    else:
-        raise CurveError("empty curve file")
-    isfinite = math.isfinite
+
+def _bulk_points(chunk: str):
+    """The vertices of a chunk whose only separators are one ``,`` and one
+    ``\\n`` per line, or None for any other chunk or if a value is not a
+    finite float (a sum of floats is finite only if every term is).  Such a
+    chunk has one ``x,y`` line per vertex, so its fields are the strings
+    that the line loop would read.  It is screened and converted an eighth
+    at a time, so only a few lines' fields are held at once."""
     points: list[tuple[float, float]] = []
-    for lineno, raw in lines:
+    total = 0.0
+    for piece in _chunks(chunk, 0, _CHUNK >> 3):
+        # one "," and one "\n" per line, but no "\n" after a last line
+        # that ends the text
+        seps = piece.encode("ascii").translate(None, _NOT_SEPARATORS)
+        if seps != b",\n" * (len(seps) >> 1) + b"," * (piece[-1] != "\n"):
+            return None
+        # the fields alternate x, y; a final "\n" leaves an empty field
+        fields = piece.replace("\n", ",").split(",")
+        if len(fields) & 1:
+            fields.pop()
+        try:
+            values = list(map(float, fields))
+        except ValueError:
+            return None
+        total += sum(values)
+        it = iter(values)
+        points += zip(it, it)
+    return points if math.isfinite(total) else None
+
+
+def _line_points(lines, lineno: int, comments: bool, screened: bool):
+    """The vertices of ``lines``, numbered from ``lineno + 1``, checked one
+    line at a time."""
+    isfinite = math.isfinite
+    points = []
+    for lineno, raw in enumerate(lines, start=lineno + 1):
         if comments and "#" in raw:
             raw = raw.partition("#")[0]
         # float() ignores the whitespace around a number, so a line is
@@ -364,7 +416,47 @@ def load_curve(text: str) -> CurveOnSurface:
         if not (isfinite(x) and isfinite(y)):
             raise CurveError(f"line {lineno}: coordinates must be finite, not {raw.strip()!r}")
         points.append((x, y))
-    curve = CurveOnSurface(model, Polyline(tuple(points)))
+    return points
+
+
+def load_curve(text: str) -> CurveOnSurface:
+    """Parse the curve file format and validate the curve.
+
+    Line 1: ``model=plane|torus|klein``; then one ``x,y`` pair per line, with
+    finite ASCII decimal coordinates.  ``#`` starts a comment; blank lines
+    are ignored.  Validation computes the curve's lift data, which ``lift``
+    then reuses.
+    """
+    comments = "#" in text
+    # float() also reads digit-group underscores and non-ASCII digits, so a
+    # coordinate line, stripped, must be ASCII with no "_"; only the lines
+    # of a text that fails this screen are checked
+    screened = text.isascii() and "_" not in text
+    # the header is looked for one "\n"-ended piece at a time, so finding
+    # it does not split the whole text into lines
+    lines = chain.from_iterable(p.splitlines(keepends=True) for p in _chunks(text, 0, 0))
+    offset = 0
+    for lineno, raw in enumerate(lines, start=1):
+        offset += len(raw)
+        if comments and "#" in raw:
+            raw = raw.partition("#")[0]
+        line = raw.strip()
+        if not line:
+            continue
+        if not line.startswith("model="):
+            raise CurveError(f"line {lineno}: expected 'model=...' first")
+        name = line[len("model=") :].strip()
+        try:
+            model = Model(name)
+        except ValueError:
+            raise CurveError(f"line {lineno}: unknown model {name!r}") from None
+        break
+    else:
+        raise CurveError("empty curve file")
+    # the tuple is built straight from the chunks' points, so no second
+    # array of every vertex is held; a fault raises at its own chunk
+    points = _chunk_points(text, offset, lineno, comments, screened)
+    curve = CurveOnSurface(model, Polyline(tuple(chain.from_iterable(points))))
     # the coordinates are finite, so the lift data is stored without the
     # finiteness pass that ``_lift_data`` runs on a directly built curve
     vars(curve)["_lift_data"] = _validated(curve)

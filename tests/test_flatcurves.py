@@ -684,3 +684,141 @@ def test_line_numbers_across_chunk_cuts():
         lineno = text.splitlines().index("0.5,oops") + 1
         with pytest.raises(CurveError, match=f"^line {lineno}: bad coordinates '0.5,oops'$"):
             load_curve(text)
+
+
+def _chunk_curves():
+    """Seeded curves whose files span one, two and three chunks: a jittered
+    circle on the plane, a wobbling torus path from (0.5, 0.5) to (3.5, 0.5)
+    and a Klein path that glides from (1.5, 0.5) to (2.5, 0.5), starting in
+    an odd column, where the vertical coordinate is reflected."""
+    import random
+
+    rng = random.Random(24)
+    for n in (1_000, 2_500, 4_000):
+        yield Model.PLANE, tuple(
+            ((1 + 0.01 * rng.random()) * math.cos(2 * math.pi * k / n),
+             (1 + 0.01 * rng.random()) * math.sin(2 * math.pi * k / n))
+            for k in range(n)
+        )
+        for model, x0, dx in ((Model.TORUS, 0.5, 3), (Model.KLEIN, 1.5, 1)):
+            inner = tuple(
+                (x0 + dx * k / (n - 1), 0.5 + 0.2 * math.sin(2 * math.pi * k / (n - 1)) + 0.01 * rng.random())
+                for k in range(1, n - 1)
+            )
+            yield model, ((x0, 0.5),) + inner + ((x0 + dx, 0.5),)
+
+
+def _outcome(text):
+    """The vertices and lift data that ``load_curve`` gives, or its error."""
+    try:
+        curve = load_curve(text)
+    except CurveError as exc:
+        return str(exc)
+    return curve.polyline.vertices, curve._lift_data
+
+
+def test_bulk_chunks_load_as_the_line_loop_does():
+    """A text with no comment is converted a chunk at a time in bulk; the
+    same text with a comment at the end goes through the line loop.  Both
+    give the same vertices and lift data, on every model and whether the
+    text has one, two or three chunks."""
+    from curvespace.flatcurves import _CHUNK
+
+    spans = set()
+    for model, verts in _chunk_curves():
+        text = _curve_text(model, verts)
+        spans.add(len(text) // _CHUNK + 1)
+        curve = load_curve(text)
+        assert curve.polyline.vertices == verts
+        assert _outcome(text) == _outcome(text + "# c")
+        # without a final newline
+        assert _outcome(text[:-1]) == _outcome(text + "# c")
+    assert spans == {1, 2, 3}
+
+
+def test_faults_in_a_later_chunk_are_named_by_the_line_loop():
+    """One fault in the second or third chunk of a three-chunk text: the
+    error names the faulty line as ``text.splitlines()`` counts it, with the
+    text the line loop gives.  Faults that the grammar allows (a blank line,
+    a CRLF break, spaces around the numbers) load the same vertices."""
+    from curvespace.flatcurves import _CHUNK
+
+    model, verts = list(_chunk_curves())[-1]
+    rows = [f"{x!r},{y!r}" for x, y in verts]
+    head = f"model={model.value}\n"
+    assert len(head) + sum(len(row) + 1 for row in rows) > 2 * _CHUNK
+    clean = _outcome(head + "\n".join(rows) + "\n")
+    assert clean[0] == verts
+
+    faults = (
+        (lambda x, y: f"nan,{y}", "coordinates must be finite, not {!r}"),
+        (lambda x, y: f"{x},1e999", "coordinates must be finite, not {!r}"),
+        (lambda x, y: "0.5,oops", "bad coordinates {!r}"),
+        (lambda x, y: "1,2,3", "expected 'x,y'"),
+        (lambda x, y: x, "expected 'x,y'"),
+        (lambda x, y: f"\n{x},{y}", None),
+        (lambda x, y: f"{x},{y}\r", None),
+        (lambda x, y: f" {x} , {y} ", None),
+    )
+    # where each row starts in the text
+    starts = [len(head)]
+    for row in rows:
+        starts.append(starts[-1] + len(row) + 1)
+    for chunk in (2, 3):
+        for k, (fault, message) in enumerate(faults):
+            # a row about 2,000 characters further into the chunk per fault
+            at = next(i for i, start in enumerate(starts) if start > (chunk - 1) * _CHUNK + 500 + 2_000 * k)
+            x, _, y = rows[at].partition(",")
+            line = fault(x, y)
+            text = head + "\n".join(rows[:at] + [line] + rows[at + 1 :]) + "\n"
+            got = _outcome(text)
+            assert got == _outcome(text + "# c"), (chunk, line)
+            if message is None:
+                assert got == clean, (chunk, line)
+            else:
+                lineno = text.splitlines().index(line) + 1
+                assert got == f"line {lineno}: " + message.format(line.strip()), (chunk, line)
+    # a last line with no comma and no newline
+    text = head + "\n".join(rows) + "\n0.5;0.5"
+    assert _outcome(text) == f"line {len(rows) + 2}: expected 'x,y'"
+
+
+# the answer at each vertex probe q + 1e-9, its lower and upper neighbour,
+# q + 1 - 1e-9, its lower and upper neighbour: G for a vertex on a grid
+# line, C past the crossing cap, B a cusp at the basepoint, or the fiber
+# exponent of the lift (deck class (1, 0) on the torus, (0, 1) on the Klein
+# bottle)
+CELL_BOX_ANSWERS = {
+    ("torus", "x"): {0: "-1 G -1 G 0 G", -1: "G G -1 -1 -1 G", 3: "1 G 1 1 1 G",
+                     2**20: "G G C G C G", 2**40: "G B B G B B"},
+    ("torus", "y"): {0: "1 G 1 G -1 G", -1: "G G 0 0 0 G", 3: "0 G 0 0 0 G",
+                     2**20: "G G C G C G", 2**40: "G B B G B B"},
+    ("klein", "x"): {0: "G G G G 2 G", -1: "2 G 2 2 2 2", 3: "-1 G -1 -1 -1 G",
+                     2**20: "G G C G C G", 2**40: "G B B G B B"},
+    ("klein", "y"): {0: "G G G G 2 G", -1: "0 G 0 1 1 1", 3: "-1 G -1 0 0 G",
+                     2**20: "G G C G C G", 2**40: "G C C G C C"},
+}
+CELL_BOX_ERRORS = {
+    "G": "vertices may not lie on grid lines; perturb the curve",
+    "C": "the path crosses more than 100000 grid lines",
+    "B": "cusp (exterior angle of +-pi) at the basepoint",
+}
+
+
+def test_cell_box_keeps_the_exact_grid_line_answers():
+    """A vertex in the cell of the vertex before it skips the grid-line
+    test only where that test passes.  Each probe follows a vertex in its
+    cell, on a torus path and on a Klein path that starts in an odd column
+    (the pulled-back vertical coordinate is reflected there)."""
+    for (model, axis), rows in CELL_BOX_ANSWERS.items():
+        start, end = ((0.5, 0.5), (1.5, 0.5)) if model == "torus" else ((1.5, 0.5), (2.5, 0.5))
+        deck = (1, 0) if model == "torus" else (0, 1)
+        for q, answers in rows.items():
+            lo, hi = q + 1e-9, q + 1 - 1e-9
+            probes = (lo, math.nextafter(lo, -math.inf), math.nextafter(lo, math.inf),
+                      hi, math.nextafter(hi, -math.inf), math.nextafter(hi, math.inf))
+            for p, answer in zip(probes, answers.split()):
+                mid = ((q + 0.5, 0.45), (p, 0.6)) if axis == "x" else ((0.45, q + 0.5), (0.6, p))
+                got = _outcome(_curve_text(Model(model), (start, *mid, end)))
+                want = CELL_BOX_ERRORS.get(answer) or (deck, int(answer))
+                assert (got if isinstance(got, str) else got[1]) == want, (model, axis, q, p)
