@@ -44,24 +44,24 @@ that crosses more than ``_MAX_GRID_CROSSINGS`` lines is rejected before any
 of its crossings is examined and the cost stays bounded however large the
 coordinates are.  A chart vertex takes the exact floor and grid-line test
 only when it lies outside the cell box of the last vertex that took it:
-open bounds just inside ``q + 1e-9`` and ``q + 1 - 1e-9`` on each axis,
-between which a coordinate lies in cell ``q`` and off every grid line.  A
+open bounds at ``q + 1e-9`` and ``q + 1 - 1e-9`` on each axis, between
+which a coordinate lies in cell ``q`` and off every grid line.  A
 chart path changes cell only a few times, so most vertices skip the test.
 
-``load_curve`` reads the file text one chunk of about ``_CHUNK`` characters
-at a time.  A chunk of a text with no comments, no ``_`` and no non-ASCII
+``load_curve`` reads the file text one piece of about ``_CHUNK`` characters
+at a time.  A piece of a text with no comments, no ``_`` and no non-ASCII
 character, whose lines are each ``x,y`` ended by ``\n``, is converted in
-bulk: ``float`` is mapped over its fields, and the chunk is kept if the
-values sum to a finite number.  Every other chunk is split into lines and
+bulk: ``float`` is mapped over its fields, and the piece is kept if the
+values sum to a finite number.  Every other piece is split into lines and
 read by the line loop, which names the first faulty line, so the errors
 and their line numbers do not depend on the path.  Besides the text,
 ``load_curve`` holds the vertex tuple it returns, built straight from the
-chunks' points, and one chunk with its lines or a few of its fields, never
-a list of every line, vertex or edge direction.  A curve's lift data (deck
-class and fiber exponent, or the turning number of a plane curve) is
-computed once per ``CurveOnSurface`` and cached on it: ``load_curve``
-checks each coordinate for finiteness as it parses its chunk and stores
-what the loop returns, and ``lift`` reuses it.
+pieces' points, and one piece with its lines or its fields, never a list
+of every line, vertex or edge direction.  A curve's lift data (deck class
+and fiber exponent, or the turning number of a plane curve) is computed
+once per ``CurveOnSurface`` and cached on it: ``load_curve`` checks each
+coordinate for finiteness as it parses its piece and stores what the loop
+returns, and ``lift`` reuses it.
 """
 
 from __future__ import annotations
@@ -83,8 +83,8 @@ _INT_EPS = 1e-9
 #: most grid lines a chart curve may cross; bounds the grid-corner tests
 #: and, through the deck class, the length of the lifted word
 _MAX_GRID_CROSSINGS = 100_000
-#: characters of a curve file split into lines at a time
-_CHUNK = 1 << 16
+#: characters of a curve file read at a time
+_CHUNK = 1 << 13
 #: the surfaces of the torus and Klein-bottle charts (plane curves lift to
 #: every surface)
 _TORUS = SurfaceSpec(True, 1)
@@ -140,21 +140,23 @@ def _validated(curve: CurveOnSurface):
     that image.  The closing corner is ``vertex 0`` on a plane curve and
     ``the basepoint`` on a chart.  A chart vertex on a grid line is reported
     at once.  After a chart vertex takes the exact floor and grid-line test,
-    the pass keeps the open box ``nextafter(q + _INT_EPS, inf) < x <
-    nextafter(q + 1 - _INT_EPS, -inf)`` of its cell on each axis; ``x - q``
-    is exact and ``nextafter`` covers the rounding of the bounds, so a later
-    vertex strictly inside the box is in the same cell and off every grid
-    line, and skips both floors, the grid-line test and the cell-change
-    test.  Every other check keeps its first failure and raises it after
-    the pass, in this order: a zero-length edge, an open endpoint, an
-    overflow, a cusp (interior corners, then the closing one), and the first
-    edge that passes the crossing cap or a grid corner.  The fiber exponent
-    is the signed count of direction wraps over the corners.  No list of
-    edges or directions is built: the pass keeps only the first and the
-    last direction.  :func:`_overflows` runs only on a curve with an edge
-    whose squares sum past 1e308, where a corner product can overflow; that
-    is a plane curve, since a chart vertex that far out is an integer, so it
-    lies on a grid line and is rejected first.
+    the pass keeps the open box ``q + _INT_EPS < x < q + 1 - _INT_EPS`` of
+    its cell on each axis.  A double strictly above the rounded
+    ``q + _INT_EPS`` is above the real sum too, and one strictly below the
+    rounded ``q + 1 - _INT_EPS`` below the real difference; ``fl(x - q)``
+    is monotone in ``x``, so a later vertex strictly inside the box passes
+    the exact grid-line test, lies in cell ``q``, and skips both floors,
+    the grid-line test and the cell-change test.  Every other check keeps
+    its first failure and raises it after the pass, in this order: a
+    zero-length edge, an open endpoint, an overflow, a cusp (interior
+    corners, then the closing one), and the first edge that passes the
+    crossing cap or a grid corner.  The fiber exponent is the signed count
+    of direction wraps over the corners.  No list of edges or directions is
+    built: the pass keeps only the first and the last direction.
+    :func:`_overflows` runs only on a curve with an edge whose squares sum
+    past 1e308, where a corner product can overflow; that is a plane curve,
+    since a chart vertex that far out is an integer, so it lies on a grid
+    line and is rejected first.
     """
     model, verts = curve.model, curve.polyline.vertices
     chart = model is not Model.PLANE
@@ -163,7 +165,6 @@ def _validated(curve: CurveOnSurface):
             raise CurveError("a chart curve needs at least 3 vertices (endpoint repeated)")
         raise CurveError("a closed polyline needs at least 3 vertices")
     floor, hypot, atan2, pi = math.floor, math.hypot, math.atan2, math.pi
-    nextafter, inf = math.nextafter, math.inf
     if chart:
         i, j = floor(verts[0][0]), floor(verts[0][1])
         # the cell box starts empty, so the first vertex takes the exact test
@@ -197,8 +198,8 @@ def _validated(curve: CurveOnSurface):
                     elif _through_grid_corner((px, py), (x, y)):
                         bad = CurveError(f"edge {k - 1} passes through a grid corner; perturb the curve")
                 cx, cy = qx, qy
-                lox, hix = nextafter(qx + _INT_EPS, inf), nextafter(qx + 1 - _INT_EPS, -inf)
-                loy, hiy = nextafter(qy + _INT_EPS, inf), nextafter(qy + 1 - _INT_EPS, -inf)
+                lox, hix = qx + _INT_EPS, qx + 1 - _INT_EPS
+                loy, hiy = qy + _INT_EPS, qy + 1 - _INT_EPS
         if k:
             ex, ey = x - px, y - py
             # the squares sum below 1e-20 whenever hypot is below 1e-12, so
@@ -340,17 +341,17 @@ def _chunks(text: str, start: int, size: int = _CHUNK):
 
 def _chunk_points(text: str, start: int, lineno: int, comments: bool, screened: bool):
     """The vertices of the lines of ``text`` from ``start`` on, one list per
-    chunk; line ``lineno + 1`` begins at ``start``.  A chunk of a screened
+    piece; line ``lineno + 1`` begins at ``start``.  A piece of a screened
     text with no comments is converted in bulk (:func:`_bulk_points`); any
-    other chunk, or one that the bulk conversion turns down, goes through
+    other piece, or one that the bulk conversion turns down, goes through
     the line loop (:func:`_line_points`), the only code that names a line
-    fault.  So the first fault of the first faulty chunk is raised, with
+    fault.  So the first fault of the first faulty piece is raised, with
     its line number."""
     bulk = screened and not comments
-    for chunk in _chunks(text, start):
-        points = _bulk_points(chunk) if bulk else None
+    for piece in _chunks(text, start):
+        points = _bulk_points(piece) if bulk else None
         if points is None:
-            lines = chunk.splitlines()
+            lines = piece.splitlines()
             points = _line_points(lines, lineno, comments, screened)
             lineno += len(lines)
         else:
@@ -358,33 +359,29 @@ def _chunk_points(text: str, start: int, lineno: int, comments: bool, screened: 
         yield points
 
 
-def _bulk_points(chunk: str):
-    """The vertices of a chunk whose only separators are one ``,`` and one
-    ``\\n`` per line, or None for any other chunk or if a value is not a
+def _bulk_points(piece: str):
+    """The vertices of a piece whose only separators are one ``,`` and one
+    ``\\n`` per line, or None for any other piece or if a value is not a
     finite float (a sum of floats is finite only if every term is).  Such a
-    chunk has one ``x,y`` line per vertex, so its fields are the strings
-    that the line loop would read.  It is screened and converted an eighth
-    at a time, so only a few lines' fields are held at once."""
-    points: list[tuple[float, float]] = []
-    total = 0.0
-    for piece in _chunks(chunk, 0, _CHUNK >> 3):
-        # one "," and one "\n" per line, but no "\n" after a last line
-        # that ends the text
-        seps = piece.encode("ascii").translate(None, _NOT_SEPARATORS)
-        if seps != b",\n" * (len(seps) >> 1) + b"," * (piece[-1] != "\n"):
-            return None
-        # the fields alternate x, y; a final "\n" leaves an empty field
-        fields = piece.replace("\n", ",").split(",")
-        if len(fields) & 1:
-            fields.pop()
-        try:
-            values = list(map(float, fields))
-        except ValueError:
-            return None
-        total += sum(values)
-        it = iter(values)
-        points += zip(it, it)
-    return points if math.isfinite(total) else None
+    piece has one ``x,y`` line per vertex, so its fields are the strings
+    that the line loop would read."""
+    # one "," and one "\n" per line, but no "\n" after a last line that
+    # ends the text
+    seps = piece.encode("ascii").translate(None, _NOT_SEPARATORS)
+    if seps != b",\n" * (len(seps) >> 1) + b"," * (piece[-1] != "\n"):
+        return None
+    # the fields alternate x, y; a final "\n" leaves an empty field
+    fields = piece.replace("\n", ",").split(",")
+    if len(fields) & 1:
+        fields.pop()
+    try:
+        values = list(map(float, fields))
+    except ValueError:
+        return None
+    if not math.isfinite(sum(values)):
+        return None
+    it = iter(values)
+    return list(zip(it, it))
 
 
 def _line_points(lines, lineno: int, comments: bool, screened: bool):
@@ -453,8 +450,8 @@ def load_curve(text: str) -> CurveOnSurface:
         break
     else:
         raise CurveError("empty curve file")
-    # the tuple is built straight from the chunks' points, so no second
-    # array of every vertex is held; a fault raises at its own chunk
+    # the tuple is built straight from the pieces' points, so no second
+    # array of every vertex is held; a fault raises at its own piece
     points = _chunk_points(text, offset, lineno, comments, screened)
     curve = CurveOnSurface(model, Polyline(tuple(chain.from_iterable(points))))
     # the coordinates are finite, so the lift data is stored without the

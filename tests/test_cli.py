@@ -255,6 +255,35 @@ def test_verify_past_the_enumeration_cap_exits2():
         assert message in proc.stderr and "Traceback" not in proc.stderr
 
 
+def test_verify_bounds_around_the_enumeration_cap():
+    """Bounds just under the 200,000 enumeration cap verify (exit 0), and
+    the next bound up exits 2, each child within the timeout and without a
+    traceback: on the torus (a box of 196,825 candidates at length 9 and
+    fiber 2), on genus 2, and on a sphere with two punctures, whose word z1
+    reaches the cap on witness products instead."""
+    import curvespace
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(curvespace.__file__)))
+    for surface, word, length, fiber, code, message in (
+        ("orientable:1:0", "a1", 9, 2, 0, ""),
+        ("orientable:1:0", "a1", 9, 3, 2, "ask for more than 200000 box elements"),
+        ("orientable:2:0", "a1", 5, 3, 0, ""),
+        ("orientable:2:0", "a1", 5, 4, 2, "ask for more than 200000 box elements"),
+        ("orientable:0:2", "z1", 220, 0, 0, ""),
+        ("orientable:0:2", "z1", 300, 0, 2, "ask for more than 200000 witness products"),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "curvespace.cli", "verify", "--surface", surface, "--word", word,
+             "--bound-length", str(length), "--bound-fiber", str(fiber)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=20,
+        )
+        assert proc.returncode == code, (surface, length, fiber, proc.stderr)
+        assert message in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_cli_import_leaves_out_dataclasses():
     import curvespace
 

@@ -628,9 +628,9 @@ def _load_peak_and_kept(text):
     return curve, peak - before, kept - before
 
 
-def test_load_curve_holds_one_chunk_of_lines():
-    """Loading a 10,000-vertex file peaks at most 30% above what the curve
-    keeps: the vertex tuples plus one chunk of the text and its lines.  A
+def test_load_curve_holds_one_piece_of_lines():
+    """Loading a 10,000-vertex file peaks at most 10% above what the curve
+    keeps: the vertex tuples plus one piece of the text and its lines.  A
     list of every line alone would take the peak to about 1.9 times what
     the curve keeps."""
     n = 10_000
@@ -642,13 +642,13 @@ def test_load_curve_holds_one_chunk_of_lines():
         text = _curve_text(model, verts)
         curve, peak, kept = _load_peak_and_kept(text)
         assert curve.polyline.vertices == verts and curve._lift_data == lift_data
-        assert peak <= 1.3 * kept, (model, peak, kept)
+        assert peak <= 1.1 * kept, (model, peak, kept)
 
 
 def test_line_numbers_across_chunk_cuts():
-    """A text of more than two chunks is split into the lines that
+    """A text of more than two pieces is split into the lines that
     ``text.splitlines()`` gives, numbered the same, whichever line break
-    straddles the first chunk mark."""
+    straddles the first piece mark."""
     from curvespace.flatcurves import _CHUNK
 
     n = 4_000
@@ -687,14 +687,18 @@ def test_line_numbers_across_chunk_cuts():
 
 
 def _chunk_curves():
-    """Seeded curves whose files span one, two and three chunks: a jittered
+    """Seeded curves whose files span one, two and three pieces: a jittered
     circle on the plane, a wobbling torus path from (0.5, 0.5) to (3.5, 0.5)
     and a Klein path that glides from (1.5, 0.5) to (2.5, 0.5), starting in
     an odd column, where the vertical coordinate is reflected."""
     import random
 
+    from curvespace.flatcurves import _CHUNK
+
     rng = random.Random(24)
-    for n in (1_000, 2_500, 4_000):
+    # a line takes about 40 characters; an odd n - 1 keeps the paths'
+    # vertices off the vertical grid lines
+    for n in (2 * int(pieces * _CHUNK / 80) for pieces in (0.6, 1.5, 2.6)):
         yield Model.PLANE, tuple(
             ((1 + 0.01 * rng.random()) * math.cos(2 * math.pi * k / n),
              (1 + 0.01 * rng.random()) * math.sin(2 * math.pi * k / n))
@@ -718,10 +722,10 @@ def _outcome(text):
 
 
 def test_bulk_chunks_load_as_the_line_loop_does():
-    """A text with no comment is converted a chunk at a time in bulk; the
+    """A text with no comment is converted a piece at a time in bulk; the
     same text with a comment at the end goes through the line loop.  Both
     give the same vertices and lift data, on every model and whether the
-    text has one, two or three chunks."""
+    text has one, two or three pieces."""
     from curvespace.flatcurves import _CHUNK
 
     spans = set()
@@ -737,7 +741,7 @@ def test_bulk_chunks_load_as_the_line_loop_does():
 
 
 def test_faults_in_a_later_chunk_are_named_by_the_line_loop():
-    """One fault in the second or third chunk of a three-chunk text: the
+    """One fault in the second or third piece of a three-piece text: the
     error names the faulty line as ``text.splitlines()`` counts it, with the
     text the line loop gives.  Faults that the grammar allows (a blank line,
     a CRLF break, spaces around the numbers) load the same vertices."""
@@ -764,20 +768,20 @@ def test_faults_in_a_later_chunk_are_named_by_the_line_loop():
     starts = [len(head)]
     for row in rows:
         starts.append(starts[-1] + len(row) + 1)
-    for chunk in (2, 3):
+    for piece in (2, 3):
         for k, (fault, message) in enumerate(faults):
-            # a row about 2,000 characters further into the chunk per fault
-            at = next(i for i, start in enumerate(starts) if start > (chunk - 1) * _CHUNK + 500 + 2_000 * k)
+            # a row about _CHUNK / 32 characters further into the piece per fault
+            at = next(i for i, start in enumerate(starts) if start > (piece - 1 + (k + 1) / 32) * _CHUNK)
             x, _, y = rows[at].partition(",")
             line = fault(x, y)
             text = head + "\n".join(rows[:at] + [line] + rows[at + 1 :]) + "\n"
             got = _outcome(text)
-            assert got == _outcome(text + "# c"), (chunk, line)
+            assert got == _outcome(text + "# c"), (piece, line)
             if message is None:
-                assert got == clean, (chunk, line)
+                assert got == clean, (piece, line)
             else:
                 lineno = text.splitlines().index(line) + 1
-                assert got == f"line {lineno}: " + message.format(line.strip()), (chunk, line)
+                assert got == f"line {lineno}: " + message.format(line.strip()), (piece, line)
     # a last line with no comma and no newline
     text = head + "\n".join(rows) + "\n0.5;0.5"
     assert _outcome(text) == f"line {len(rows) + 2}: expected 'x,y'"
