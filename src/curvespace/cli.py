@@ -36,9 +36,11 @@ def _surface(args) -> SurfaceSpec:
 
 
 def _element(args, surface: SurfaceSpec) -> STWord:
-    if getattr(args, "word", None) is not None:
+    if args.word is not None and args.curve:
+        raise WordParseError("provide --word or a curve file, not both")
+    if args.word is not None:
         return st_parse(args.word, surface)
-    if getattr(args, "curve", None):
+    if args.curve:
         return lift(read_curve_file(args.curve), surface)
     raise WordParseError("provide --word or a curve file")
 

@@ -194,7 +194,7 @@ def decompose(xi: STWord) -> LiftDecomposition:
 def st_parse(text: str, surface: SurfaceSpec) -> STWord:
     """Parse the word grammar extended with the reserved fiber letter ``f``."""
     rec = surface_record(surface)
-    letters = parse_letters(text, rec.names, rec.letters)
+    letters = parse_letters(text, rec.names)
     fidx = len(rec.names)
     base: list[int] = []
     fiber = 0

@@ -29,9 +29,10 @@ by regime:
   word of at most ``L / 2 + 2`` letters is geodesic, a relator subword of
   fewer than ``L / 2`` letters is its element's only geodesic spelling, and
   a half relator's only other one is its complement (:func:`_band_steps`).
-  Conjugacy and primitive roots work on the minimal-length conjugates,
-  found through the same band.  Nothing is capped: every answer is decided
-  in polynomial time;
+  Conjugacy and primitive roots work on one list of minimal-length
+  conjugates, found through the same band, and conjugators come from
+  rotations, as on free groups (:func:`_cyclic_conjugator`).  Nothing is
+  capped: every answer is decided in polynomial time;
 * projective plane: the parity of the exponent sum; sphere: the empty word.
 
 Words are normalized only over the surface presentations that
@@ -542,14 +543,24 @@ def _equal_conjugator(rec, lu, lv) -> Letters | None:
     return () if lu == lv else None
 
 
+def _cyclic_conjugator(forms, sv: Letters, cv: Letters) -> Letters | None:
+    """Some ``t`` with ``t u t^-1 = cv sv cv^-1``, or None, where each ``(x,
+    c)`` in ``forms`` spells ``u = c x c^-1``: by an ``x == sv`` first, else
+    by the first ``x`` with ``sv`` its rotation ``x[:r]^-1 x x[:r]``."""
+    for x, c in forms:
+        if x == sv:
+            return cv + invert_letters(c)
+    for x, c in forms:
+        r = _rotation(x, sv)
+        if r is not None:
+            return cv + invert_letters(c + x[:r])
+    return None
+
+
 def _free_conjugator(rec, lu, lv) -> Letters | None:
     pu, su = cyclic_free_reduce(lu)
     pv, sv = cyclic_free_reduce(lv)
-    r = _rotation(su, sv)
-    if r is None:
-        return None
-    # v = pv * rot_r(su) * pv^-1 and rot_r(su) = su[:r]^-1 su su[:r]
-    return pv + invert_letters(su[:r]) + invert_letters(pu)
+    return _cyclic_conjugator([(su, pu)], sv, pv)
 
 
 def _klein_conjugator(rec, lu, lv) -> Letters | None:
@@ -572,17 +583,10 @@ def _klein_conjugator(rec, lu, lv) -> Letters | None:
 # normal forms x with conjugators c (the element is c x c^-1).
 
 
-class _Conjugates(namedtuple("_Conjugates", "forms rotations")):
-    """Minimal-length conjugates ``(x, c)`` of one element.  With ``rotations``
-    the list holds one form per cyclic word, and every rotation of each is a
-    minimal conjugate in normal form too; without it, it holds them all."""
-
-    __slots__ = ()
-
-
-def _minimal_conjugates(letters, band: _Band) -> _Conjugates:
-    """The minimal-length conjugates of the element with normal form
-    ``letters``.
+def _minimal_conjugates(letters, band: _Band) -> list[tuple[Letters, Letters]]:
+    """The minimal-length conjugates ``(x, c)`` of the element with normal
+    form ``letters``: every minimal conjugate in normal form is a listed
+    ``x`` or a rotation of one.
 
     Two minimal conjugates are joined by an annulus of relator faces one
     face thick, so one is a rotation of a geodesic spelling of the other (a
@@ -593,11 +597,11 @@ def _minimal_conjugates(letters, band: _Band) -> _Conjugates:
     holds half a relator of one side, swapping it puts a spelling of that
     side through a vertex of the other, and rotations reach it.  So a cyclic
     word with a half-relator window (read around the cycle) needs only the
-    search along first letters, which finds every minimal conjugate (a
+    search along first letters, which lists every minimal conjugate (a
     shorter one found on the way restarts it).  A cyclic word with no such
     window is minimal, every rotation is its own only spelling of that
     length, and its other minimal conjugates are the rotations of its ring
-    partners.
+    partners, which the list holds with it.
     """
     half = band.L // 2
     x, c = letters, ()
@@ -613,7 +617,7 @@ def _minimal_conjugates(letters, band: _Band) -> _Conjugates:
             partners = _ring_partners(x, band) if ring else []
             partners = [(t, c + band.pieces[d]) for t, d in partners]
             if not any(_cyclic_half_window(t, band) for t, _ in partners):
-                return _Conjugates([(x, c), *partners], True)
+                return [(x, c), *partners]
         seen = {x: c}
         queue = [x]
         shorter = None
@@ -631,14 +635,14 @@ def _minimal_conjugates(letters, band: _Band) -> _Conjugates:
                     seen[t] = cs + (y,)
                     queue.append(t)
         if shorter is None:
-            return _Conjugates(list(seen.items()), False)
+            return list(seen.items())
         x, c = shorter
 
 
 def _ring_partners(x: Letters, band: _Band) -> list[tuple[Letters, int]]:
     """The ring partners of the cyclic word ``x``, each with its offset ``d``:
     the normal forms ``t`` of ``d^-1 x d``, the minimal conjugates on the far
-    sides of rings of relator faces around ``x``.
+    sides of rings of relator faces around ``x``, one per cyclic word.
 
     The offsets ``d`` are those that start a walk once around the band over
     ``x`` back to ``d`` without meeting offset 1 (:func:`_ring_offsets`).
@@ -646,18 +650,22 @@ def _ring_partners(x: Letters, band: _Band) -> list[tuple[Letters, int]]:
     ``t`` is the normal form of that product.  Offsets ``x[:k]`` and
     ``x[-k:]^-1`` are skipped; their walks spell rotations of ``x``.  ``x``
     reads no half relator cyclically, so ``k < L / 2`` and such an offset is
-    a relator subword, its own normal form."""
+    a relator subword, its own normal form.  A partner that is a rotation of
+    ``x`` or of an earlier partner is dropped: rings around ``x`` reach one
+    cyclic word from several offsets."""
     start = (1 << len(band.pieces)) - 2
     for k in range(1, band.L // 2):
         for r in (x[:k], invert_letters(x[-k:])):
             d = band.index.get(r)
             if d is not None:
                 start &= ~(1 << d)
-    return [
-        (_dehn_normalize(invert_letters(band.pieces[d]) + x + band.pieces[d], band)[0], d)
-        for d in _bits(_ring_offsets(x, band, start) & start)
-        if _ring_offsets(x, band, 1 << d) >> d & 1
-    ]
+    partners = []
+    for d in _bits(_ring_offsets(x, band, start) & start):
+        if _ring_offsets(x, band, 1 << d) >> d & 1:
+            t = _dehn_normalize(invert_letters(band.pieces[d]) + x + band.pieces[d], band)[0]
+            if all(_rotation(y, t) is None for y in (x, *(p for p, _ in partners))):
+                partners.append((t, d))
+    return partners
 
 
 def _cyclic_half_window(x: Letters, band: _Band) -> bool:
@@ -689,18 +697,8 @@ def _dehn_conjugator(rec, lu, lv) -> Letters | None:
         return () if lu == lv else None
     if not _abelian_conjugacy_possible(rec.presentation, lu, lv):
         return None
-    cu = _minimal_conjugates(lu, rec.band)
-    sv, conj_v = _minimal_conjugates(lv, rec.band).forms[0]
-    # the two kinds of class (forms with rotations, or all of them) are
-    # never conjugate, and neither branch finds a conjugator across them
-    if cu.rotations:
-        for s, conj in cu.forms:
-            r = _rotation(s, sv)
-            if r is not None:
-                return conj_v + invert_letters(conj + s[:r])
-        return None
-    conj = dict(cu.forms).get(sv)
-    return None if conj is None else conj_v + invert_letters(conj)
+    sv, cv = _minimal_conjugates(lv, rec.band)[0]
+    return _cyclic_conjugator(_minimal_conjugates(lu, rec.band), sv, cv)
 
 
 def _abelian_conjugacy_possible(pres, lu, lv) -> bool:
@@ -774,7 +772,7 @@ def _dehn_root(rec, letters) -> tuple[Letters, int]:
     if exponents is None:
         return letters, 1
     band = rec.band
-    x, c = _minimal_conjugates(letters, band).forms[0]
+    x, c = _minimal_conjugates(letters, band)[0]
     n = len(x)
     live = _band_live(x, band)
     for e in range(n, 1, -1):
@@ -865,7 +863,7 @@ class STWord(namedtuple("STWord", "surface base fiber residue", defaults=(None,)
 
 
 class SurfaceRecord(
-    namedtuple("SurfaceRecord", "presentation regime engine order names letters lifts fiber band")
+    namedtuple("SurfaceRecord", "presentation regime engine order names lifts fiber band")
 ):
     """What every call over one surface reads, resolved once by
     :func:`surface_record`.
@@ -874,11 +872,10 @@ class SurfaceRecord(
     :class:`~curvespace.surfaces.Regime` (the classification's case split)
     and ``engine`` that regime's.  Where the tangent-bundle group is finite,
     ``order`` is 2 or 4; elsewhere it is None.  ``names`` are the generator
-    names and then the fiber letter ``f``, ``letters`` their one-letter
-    tokens (:func:`parse_letters`), ``lifts`` the lift of each generator at
-    fiber zero and ``fiber`` the fiber class.  ``band`` holds the relator
-    index and band of the closed hyperbolic engine (:func:`_band_tables`);
-    on the other regimes it is None."""
+    names and then the fiber letter ``f``, ``lifts`` the lift of each
+    generator at fiber zero and ``fiber`` the fiber class.  ``band`` holds
+    the relator index and band of the closed hyperbolic engine
+    (:func:`_band_tables`); on the other regimes it is None."""
 
     __slots__ = ()
 
@@ -916,7 +913,7 @@ def surface_record(spec: SurfaceSpec) -> SurfaceRecord:
     names = pres.names() + ("f",)
     engine = _ENGINES[reg]
     band = _band_tables(pres) if engine is _DEHN_ENGINE else None
-    rec = SurfaceRecord(pres, reg, engine, order, names, _letter_table(names), (), None, band)
+    rec = SurfaceRecord(pres, reg, engine, order, names, (), None, band)
     lifts = tuple(rec.lift((x,), 0) for x in range(1, len(names)))
     return rec._replace(lifts=lifts, fiber=rec.lift((), 1))
 
@@ -978,18 +975,16 @@ def _check_length(length: int) -> None:
         raise WordParseError(f"the word expands to more than {_MAX_WORD_LETTERS} letters")
 
 
-def parse_letters(text: str, names: tuple[str, ...], table: dict[str, int] | None = None) -> Letters:
+def parse_letters(text: str, names: tuple[str, ...]) -> Letters:
     """Parse the word grammar over the given generator names.
 
     Lowercase names, uppercase = inverse, ``^`` powers, juxtaposition with
     spaces, and ``1`` for the empty word.  A word whose powers add up to
     more than ``_MAX_WORD_LETTERS`` letters is rejected before it is spelled
-    out.  Tokens of one letter are looked up in ``table``, the names' letter
-    table (:func:`_letter_table`, looked up when not given); the rest go
-    through the token grammar.
+    out.  Tokens of one letter are looked up in the names' letter table
+    (:func:`_letter_table`); the rest go through the token grammar.
     """
-    if table is None:
-        table = _letter_table(names)
+    table = _letter_table(names)
     out: list[int] = []
     for token in text.split():
         letter = table.get(token)

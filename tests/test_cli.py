@@ -7,8 +7,13 @@ import types
 
 import pytest
 
-from curvespace import st_parse
+from curvespace import classify_pi1, st_parse
+from curvespace.classify import regular_homotopy_equivalent
 from curvespace.cli import main
+from curvespace.stbundle import st_is_conjugate, st_multiply
+from curvespace.words import AmbientMismatchError, Word, conjugating_element
+
+from conftest import GENUS2, TORUS, W
 
 
 FIG8 = """model=plane
@@ -166,6 +171,67 @@ def test_invalid_inputs_exit2(capsys):
     # over the cap on a surface's generators, so no presentation is built
     code, _, err = run(capsys, "classify", "--surface", "orientable:99999999999:0", "--word", "a1")
     assert code == 2 and "at most 64 are supported" in err
+
+
+def test_word_and_curve_file_together_exit2(capsys, curves):
+    """An element comes from ``--word`` or from a curve file, never both: the
+    file is not silently ignored, whether or not it exists."""
+    _, circle = curves
+    for command in ("classify", "verify"):
+        for path in (circle, "missing.curve"):
+            code, out, err = run(capsys, command, "--surface", "orientable:1:0", "--word", "a1", path)
+            assert code == 2 and not out, (command, path)
+            assert err == "error: provide --word or a curve file, not both\n", (command, path)
+
+
+def _classify_cli(*argv):
+    raise SystemExit(main(["classify", *argv]))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda: classify_pi1(TORUS, st_parse("a1", GENUS2)),
+            ValueError,
+            "element does not live over the given surface",
+        ),
+        (
+            lambda: regular_homotopy_equivalent(TORUS, st_parse("a1", TORUS), st_parse("a1", GENUS2)),
+            ValueError,
+            "elements do not live over the given surface",
+        ),
+        (
+            lambda: st_multiply(st_parse("a1", TORUS), st_parse("a1", GENUS2)),
+            AmbientMismatchError,
+            "tangent-bundle words over different surfaces",
+        ),
+        (
+            lambda: st_is_conjugate(st_parse("a1", GENUS2), st_parse("a1", TORUS)),
+            AmbientMismatchError,
+            "tangent-bundle words over different surfaces",
+        ),
+        (
+            lambda: conjugating_element(W("a1", TORUS), W("a1", GENUS2)),
+            AmbientMismatchError,
+            "conjugacy needs a common presentation",
+        ),
+        (lambda: Word._make((W("a1", TORUS).ambient, (1,), ())), TypeError, "Expected 2 arguments, got 3"),
+        (lambda: _classify_cli("--surface", "orientable:1:0"), SystemExit, "provide --word or a curve file"),
+    ],
+    ids=["classify", "reghom", "st_multiply", "st_is_conjugate", "conjugator", "word_make", "cli_no_element"],
+)
+def test_mismatched_inputs_are_refused(capsys, call, error, message):
+    """Operands over different surfaces or presentations, a word record with
+    a third field, and a ``classify`` with no element each fail with their
+    own message (the CLI's on standard error, with exit 2)."""
+    with pytest.raises(error) as info:
+        call()
+    if error is SystemExit:
+        assert info.value.code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    else:
+        assert str(info.value) == message
 
 
 def test_non_ascii_digits_in_a_surface_exit2(capsys):

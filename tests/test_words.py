@@ -3,7 +3,7 @@ import tracemalloc
 
 import pytest
 
-from curvespace import Generator, Presentation, SurfaceSpec, presentation, st_presentation
+from curvespace import Generator, Presentation, SurfaceSpec, classify_pi1, presentation, st_presentation
 from curvespace.surfaces import euler_characteristic
 from curvespace.words import (
     AmbientMismatchError,
@@ -13,6 +13,7 @@ from curvespace.words import (
     _abelian_conjugacy_possible,
     _band_steps,
     _band_tables,
+    _cyclic_half_window,
     _dehn_shorten,
     _lex_key,
     _minimal_conjugates,
@@ -139,12 +140,15 @@ def test_conjugacy_basics():
         for m in (0, 1, -1, 2):
             lu, lv = st_word(surface, u.letters, 0), st_word(surface, v.letters, m)
             assert not st_is_conjugate(lu, lv) and not st_is_conjugate(lv, lu), (surface, left, m)
-    for surface, pair, kinds in (
-        (GENUS2, ("B2 A1 b2 a2", "A1 a2"), [False, True]),
-        (NONOR3, ("c1 C2", "c1 c3 c1^2 c3 c2"), [True, False]),
+    # the general search lists every minimal conjugate, and so one with a
+    # cyclic half-relator window; the other path lists none
+    for surface, pair, searched in (
+        (GENUS2, ("B2 A1 b2 a2", "A1 a2"), [True, False]),
+        (NONOR3, ("c1 C2", "c1 c3 c1^2 c3 c2"), [False, True]),
     ):
         band = surface_record(surface).band
-        assert [_minimal_conjugates(W(x, surface).letters, band).rotations for x in pair] == kinds
+        forms = [_minimal_conjugates(W(x, surface).letters, band) for x in pair]
+        assert [any(_cyclic_half_window(t, band) for t, _ in f) for f in forms] == searched
 
 
 def test_conjugacy_oracle_search_small():
@@ -301,6 +305,32 @@ def test_primitive_root_of_a_square_that_is_not_geodesic():
     x = W(NOT_GEODESIC_SQUARE_ROOT, NONOR3)
     assert primitive_root(multiply(x, x)) == (x, 2)
     assert decompose(st_parse(f"{x} {x}", NONOR3)).k == 2
+
+
+# a normal-form word, its own primitive root, whose cube is shorter than
+# three times it
+NOT_GEODESIC_CUBE_ROOT = "c1^3 c2 C1^2 c3"
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="_dehn_root tries only exponents that divide the length of a minimal conjugate; "
+    "on nonorientable genus 3 the cube of a 7-letter minimal word normalizes to 19 letters",
+)
+def test_primitive_root_of_a_cube_that_is_not_geodesic():
+    """``x^3`` has 19 letters, a prime, so no exponent above 1 is tried; the
+    root, the decomposition and the Thm 6 I generator all miss ``x``, which
+    lies in the centralizer of ``x^3``."""
+    x = W(NOT_GEODESIC_CUBE_ROOT, NONOR3)
+    assert primitive_root(x) == (x, 1)
+    cube = multiply(multiply(x, x), x)
+    assert (len(x), len(cube)) == (7, 19)
+    assert str(cube) == "c1^3 c2 C1^2 c3 c1 C3^2 c2 c3 C2^2 c1 c2 C1^2 c3"
+    assert primitive_root(cube) == (x, 3)
+    xi = st_parse(str(cube), NONOR3)
+    assert decompose(xi).k == 3
+    assert classify_pi1(NONOR3, xi).group.witnesses[0].base == x
 
 
 def test_normal_form_laws_random():
