@@ -31,10 +31,6 @@ from .oracle import SearchBound, VERIFY_BOUND, verify_classification
 _INPUT_ERRORS = (ValueError, OSError)
 
 
-def _surface(args) -> SurfaceSpec:
-    return SurfaceSpec.parse(args.surface)
-
-
 def _element(args, surface: SurfaceSpec) -> STWord:
     if args.word is not None and args.curve:
         raise WordParseError("provide --word or a curve file, not both")
@@ -56,7 +52,7 @@ def _emit(lines) -> None:
 
 
 def _cmd_group(args) -> int:
-    spec = _surface(args)
+    spec = SurfaceSpec.parse(args.surface)
     base = presentation(spec)
     st = st_presentation(spec)
     if args.format == "structured":
@@ -82,7 +78,7 @@ def _cmd_group(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    spec = _surface(args)
+    spec = SurfaceSpec.parse(args.surface)
     xi = _element(args, spec)
     report = classify_pi1(spec, xi)
     _emit(report.structured() if args.format == "structured" else report.text())
@@ -90,7 +86,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_pin(args) -> int:
-    spec = _surface(args)
+    spec = SurfaceSpec.parse(args.surface)
     group = classify_pin(spec, args.n)
     case = "Thm 8 I" if group.kind.name in ("Z", "SYMBOLIC_SPHERE_SUM") else "Thm 8 II"
     if args.format == "structured":
@@ -101,7 +97,7 @@ def _cmd_pin(args) -> int:
 
 
 def _cmd_lift(args) -> int:
-    spec = _surface(args)
+    spec = SurfaceSpec.parse(args.surface)
     curve = read_curve_file(args.curve)
     el = lift(curve, spec)
     _emit(f"word={st_text(el)}" if args.format == "structured" else st_text(el))
@@ -109,7 +105,7 @@ def _cmd_lift(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    spec = _surface(args)
+    spec = SurfaceSpec.parse(args.surface)
     xi = st_parse(args.word, spec)
     dec = decompose(xi)
     if args.format == "structured":
@@ -120,7 +116,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_reghom(args) -> int:
-    spec = _surface(args)
+    spec = SurfaceSpec.parse(args.surface)
     u = _reghom_input(args.inputs[0], spec)
     v = _reghom_input(args.inputs[1], spec)
     verdict = regular_homotopy_equivalent(spec, u, v)
@@ -133,7 +129,7 @@ def _cmd_reghom(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    spec = _surface(args)
+    spec = SurfaceSpec.parse(args.surface)
     xi = _element(args, spec)
     bound = SearchBound(args.bound_length, args.bound_fiber, VERIFY_BOUND.max_depth)
     outcome = verify_classification(spec, xi, bound)

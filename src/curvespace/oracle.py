@@ -157,12 +157,13 @@ def _reduced_words(names_count: int, max_len: int):
         layer = nxt
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def bounded_elements(surface: SurfaceSpec, bound: SearchBound) -> tuple[STWord, ...]:
     """Every normal-form element with base length and |fiber| inside the box,
     in enumeration order: base length, then shortlex on the letters (a
     generator before its inverse, generators in presentation order), then
-    fiber."""
+    fiber.  Only the 16 boxes used last are kept: one box can hold over
+    10 MB (genus 3 at :data:`VERIFY_BOUND`: 122,983 elements, 13.4 MB)."""
     order = surface_record(surface).order
     if order:
         # the whole finite group, in residue order: residue r is r % half

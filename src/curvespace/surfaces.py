@@ -2,12 +2,16 @@
 
 A surface is described by orientability, genus and puncture count; the genus
 of a nonorientable surface counts crosscaps (the projective plane is genus 1).
-Closed surfaces carry the standard one-relator presentations, punctured ones
-are free.  The unit tangent circle bundle gets the extension presentation:
-one extra generator ``f`` (the class of an oriented fiber), a commutation
-relator for every surface generator (twisted when the generator reverses
-orientation), and, for closed surfaces, the surface relator set equal to
-``f**chi`` where chi is the Euler characteristic.
+:func:`regime` is the one place where a surface's engine is chosen, and
+:func:`presentation` builds every surface's group by one rule: closed
+surfaces with generators carry the standard one-relator presentations,
+punctured ones are free.  The unit tangent circle bundle gets the extension
+presentation: one extra generator ``f`` (the class of an oriented fiber), a
+commutation relator for every surface generator (twisted when the generator
+reverses orientation), and, for closed surfaces, the surface relator set
+equal to ``f**chi`` where chi is the Euler characteristic.  Over the sphere
+and the projective plane that group is finite cyclic, of the order in
+:data:`FINITE_ORDERS`.
 """
 
 from __future__ import annotations
@@ -106,6 +110,11 @@ def regime(spec: SurfaceSpec) -> Regime:
     return Regime.CLOSED_NONORIENTABLE_HYPERBOLIC
 
 
+#: the regimes whose tangent-bundle group is finite, with its order; both
+#: groups are cyclic and their fiber class has order 2
+FINITE_ORDERS = {Regime.SPHERE: 2, Regime.RP2: 4}
+
+
 class Generator(namedtuple("Generator", "name character")):
     """A group generator together with its orientation character (+1 or -1)."""
 
@@ -167,62 +176,23 @@ class Presentation(
         return " ".join(parts)
 
 
-def _orientable_generators(genus: int) -> list[Generator]:
-    gens = []
-    for i in range(1, genus + 1):
-        gens.append(Generator(f"a{i}", +1))
-        gens.append(Generator(f"b{i}", +1))
-    return gens
-
-
-def _crosscap_generators(genus: int) -> list[Generator]:
-    return [Generator(f"c{i}", -1) for i in range(1, genus + 1)]
-
-
-def _puncture_generators(punctures: int) -> list[Generator]:
-    return [Generator(f"z{i}", +1) for i in range(1, punctures)]
-
-
-def _orientable_relator(genus: int) -> tuple[int, ...]:
-    # product of commutators [a_i, b_i]
-    out: list[int] = []
-    for i in range(genus):
-        a, b = 2 * i + 1, 2 * i + 2
-        out += [a, b, -a, -b]
-    return tuple(out)
-
-
-def _crosscap_relator(genus: int) -> tuple[int, ...]:
-    out: list[int] = []
-    for i in range(1, genus + 1):
-        out += [i, i]
-    return tuple(out)
-
-
 @cache
 def presentation(spec: SurfaceSpec) -> Presentation:
     """Standard presentation of the fundamental group of the surface, built
-    once per surface."""
-    if spec.punctures > 0:
-        if spec.orientable:
-            gens = _orientable_generators(spec.genus)
-        else:
-            gens = _crosscap_generators(spec.genus)
-        gens += _puncture_generators(spec.punctures)
-        return Presentation(tuple(gens), (), surface=spec)
+    once per surface: the handles ``a_i b_i`` (character +1) or crosscaps
+    ``c_i`` (character -1), then ``z1 ... z(p-1)`` for ``p`` punctures, and
+    one relator, ``[a1,b1]...[ag,bg]`` or ``c1^2...ck^2``, exactly when the
+    surface is closed and has generators."""
+    g = spec.genus
     if spec.orientable:
-        if spec.genus == 0:
-            return Presentation((), (), surface=spec)
-        return Presentation(
-            tuple(_orientable_generators(spec.genus)),
-            (_orientable_relator(spec.genus),),
-            surface=spec,
-        )
-    return Presentation(
-        tuple(_crosscap_generators(spec.genus)),
-        (_crosscap_relator(spec.genus),),
-        surface=spec,
-    )
+        gens = [Generator(f"{x}{i}", +1) for i in range(1, g + 1) for x in "ab"]
+        relator = tuple(x for a in range(1, 2 * g, 2) for x in (a, a + 1, -a, -a - 1))
+    else:
+        gens = [Generator(f"c{i}", -1) for i in range(1, g + 1)]
+        relator = tuple(x for c in range(1, g + 1) for x in (c, c))
+    gens += [Generator(f"z{i}", +1) for i in range(1, spec.punctures)]
+    relators = (relator,) if relator and not spec.punctures else ()
+    return Presentation(tuple(gens), relators, surface=spec)
 
 
 @cache
@@ -230,34 +200,22 @@ def st_presentation(spec: SurfaceSpec) -> Presentation:
     """Presentation of the fundamental group of the unit tangent bundle.
 
     The fiber generator is always called ``f`` and always comes last.  The
-    sphere and the projective plane are finite cyclic (orders 2 and 4) and are
-    emitted as such.  Everywhere else the surface relator lifts to ``f**chi``
-    and each surface generator x satisfies ``x f x^-1 = f**eps(x)``.  Built
-    once per surface.
+    sphere and the projective plane are finite cyclic (:data:`FINITE_ORDERS`)
+    and are emitted as ``<f | f^order>``.  Everywhere else the surface
+    relator lifts to ``f**chi`` and each surface generator x satisfies
+    ``x f x^-1 = f**eps(x)``.  Built once per surface.
     """
-    reg = regime(spec)
-    if reg is Regime.SPHERE:
-        f = Generator("f", +1)
-        return Presentation((f,), ((1, 1),), surface=spec, lifted=True)
-    if reg is Regime.RP2:
-        f = Generator("f", +1)
-        return Presentation((f,), ((1, 1, 1, 1),), surface=spec, lifted=True)
-
+    f = Generator("f", +1)
+    order = FINITE_ORDERS.get(regime(spec))
+    if order:
+        return Presentation((f,), ((1,) * order,), surface=spec, lifted=True)
     base = presentation(spec)
-    gens = base.generators + (Generator("f", +1),)
-    fidx = len(gens)  # letter number of f
-    relators: list[tuple[int, ...]] = []
-    if base.relators:
-        chi = euler_characteristic(spec)
-        lifted_relator = base.relators[0] + (fidx,) * (-chi)
-        relators.append(lifted_relator)
-    for i, g in enumerate(base.generators):
-        x = i + 1
-        if g.character == +1:
-            relators.append((x, fidx, -x, -fidx))
-        else:
-            relators.append((x, fidx, -x, fidx))
-    return Presentation(gens, tuple(relators), surface=spec, lifted=True)
+    fidx = len(base.generators) + 1  # letter number of f
+    # the surface relator, if any, lifted to f**chi
+    relators = [r + (fidx,) * -euler_characteristic(spec) for r in base.relators]
+    for x, g in enumerate(base.generators, 1):
+        relators.append((x, fidx, -x, -g.character * fidx))
+    return Presentation(base.generators + (f,), tuple(relators), surface=spec, lifted=True)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ fiber shift described below), finds conjugators and finds primitive roots.
 A surface's regime is resolved once, on its first use, into a
 :class:`SurfaceRecord` (:func:`surface_record`) that holds its engine, the
 closed hyperbolic engine's relator band and what the tangent-bundle module
-asks of the surface; every call reads that.  The engines take the record
-and answer in plain letters; :func:`conjugating_element` and
+asks of the surface; every call reads that.  :meth:`SurfaceRecord.normalize`
+gives a range-checked normal form with its fiber shift.  The engines take
+the record and answer in plain letters; :func:`conjugating_element` and
 :func:`primitive_root` wrap their answers in a :class:`Word`.  Normal forms
 by regime:
 
@@ -57,6 +58,7 @@ from collections.abc import Callable
 from functools import cache, lru_cache
 
 from .surfaces import (
+    FINITE_ORDERS,
     Presentation,
     Regime,
     SurfaceSpec,
@@ -491,24 +493,13 @@ def _dirty_moves(w, band, live, lo, hi):
     return None
 
 
-def normalize_with_fiber(letters, pres: Presentation) -> tuple[Letters, int]:
-    """Normal-form letters and the fiber exponent picked up by relator moves.
-
-    The shift is nonzero only on the closed hyperbolic regimes and the
-    projective plane: free reduction is exact, the torus/Klein relators lift
-    without any fiber twist (their Euler characteristic vanishes), and on
-    the projective plane ``c1^2`` is the fiber class upstairs.  A letter
-    outside the generator range raises :class:`WordParseError`."""
-    return _record(pres).normalize(letters)
-
-
 # ---------------------------------------------------------------------------
 # public word operations
 
 
 def word(pres: Presentation, letters) -> Word:
     """Normal-form word over ``pres`` from raw letters."""
-    nf, _ = normalize_with_fiber(tuple(letters), pres)
+    nf, _ = _record(pres).normalize(tuple(letters))
     return Word(pres, nf)
 
 
@@ -870,17 +861,25 @@ class SurfaceRecord(
 
     ``presentation`` is the surface's, ``regime`` its
     :class:`~curvespace.surfaces.Regime` (the classification's case split)
-    and ``engine`` that regime's.  Where the tangent-bundle group is finite,
-    ``order`` is 2 or 4; elsewhere it is None.  ``names`` are the generator
-    names and then the fiber letter ``f``, ``lifts`` the lift of each
-    generator at fiber zero and ``fiber`` the fiber class.  ``band`` holds
+    and ``engine`` that regime's.  ``order`` is the tangent-bundle group's
+    order where :data:`~curvespace.surfaces.FINITE_ORDERS` lists one, else
+    None.  ``names`` are the generator names and then the fiber letter
+    ``f``, ``lifts`` the lift of each generator at fiber zero and ``fiber``
+    the fiber class.  ``band`` holds
     the relator index and band of the closed hyperbolic engine
     (:func:`_band_tables`); on the other regimes it is None."""
 
     __slots__ = ()
 
     def normalize(self, letters) -> tuple[Letters, int]:
-        """:func:`normalize_with_fiber` over this surface."""
+        """Normal-form letters and the fiber exponent picked up by relator
+        moves.
+
+        The shift is nonzero only on the closed hyperbolic regimes and the
+        projective plane: free reduction is exact, the torus/Klein relators
+        lift without any fiber twist (their Euler characteristic vanishes),
+        and on the projective plane ``c1^2`` is the fiber class upstairs.  A
+        letter outside the generator range raises :class:`WordParseError`."""
         n = len(self.presentation.generators)
         for x in letters:
             if x == 0 or abs(x) > n:
@@ -907,9 +906,7 @@ def surface_record(spec: SurfaceSpec) -> SurfaceRecord:
     element operations look up no regime after that."""
     pres = presentation(spec)
     reg = regime(spec)
-    # the finite tangent-bundle groups are cyclic of order 2 over the sphere
-    # and 4 over the projective plane
-    order = {Regime.SPHERE: 2, Regime.RP2: 4}.get(reg)
+    order = FINITE_ORDERS.get(reg)
     names = pres.names() + ("f",)
     engine = _ENGINES[reg]
     band = _band_tables(pres) if engine is _DEHN_ENGINE else None

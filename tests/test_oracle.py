@@ -187,3 +187,13 @@ def test_verify_classification_reports_doctored_answers(monkeypatch):
         assert outcome.passed is False, (surface, text)
         assert outcome.detail == detail
         assert st_text(outcome.counterexample) == counterexample
+
+
+def test_box_cache_keeps_at_most_sixteen_boxes():
+    """A box is cached per (surface, bound), and boxes can hold millions of
+    bytes, so the cache keeps only the 16 used last: after 17 distinct
+    bounds it has dropped one."""
+    for fiber in range(17):
+        bound = SearchBound(1, fiber, 1)
+        assert len(bounded_elements(TORUS, bound)) == 5 * (2 * fiber + 1)
+    assert bounded_elements.cache_info().currsize <= 16

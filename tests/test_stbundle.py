@@ -13,7 +13,6 @@ from curvespace.words import (
     invert_letters,
     klein_coordinates,
     multiply,
-    normalize_with_fiber,
     primitive_root,
     spell_klein,
     surface_record,
@@ -140,7 +139,7 @@ def test_st_is_conjugate_examples():
     w = ST("c1^2 c3^2", NONOR3)
     root, k = primitive_root(w.base)
     assert (str(root), k) == ("c1^2 c2 c3^2", 2)
-    conjugated = normalize_with_fiber(root.letters + w.base.letters + invert_letters(root.letters), root.ambient)
+    conjugated = surface_record(NONOR3).normalize(root.letters + w.base.letters + invert_letters(root.letters))
     assert conjugated == (w.base.letters, 2)
     assert st_is_conjugate(w, ST("c1^2 c3^2 f^2", NONOR3))
     assert not st_is_conjugate(w, ST("c1^2 c3^2 F^2", NONOR3))
@@ -295,7 +294,7 @@ def test_normal_forms_normalize_with_no_fiber_shift():
             if u.letters and surface not in (SPHERE, RP2):
                 found.append(primitive_root(u)[0])
             for w in found:
-                assert normalize_with_fiber(w.letters, pres) == (w.letters, 0), (surface, w.letters)
+                assert surface_record(surface).normalize(w.letters) == (w.letters, 0), (surface, w.letters)
 
 
 def test_inverse_and_associativity_random():
@@ -484,7 +483,7 @@ def test_only_a_reversing_root_shifts_the_fiber():
         n = len(pres.generators)
         for z in range(-n, n + 1):
             if z:
-                assert normalize_with_fiber((z, -z), pres) == ((), 0), (surface, z)
+                assert surface_record(surface).normalize((z, -z)) == ((), 0), (surface, z)
         preserving = reversing = 0
         for _ in range(80):
             letters = [rng.randrange(1, n + 1) * rng.choice((1, -1)) for _ in range(rng.randrange(1, 7))]
@@ -493,7 +492,7 @@ def test_only_a_reversing_root_shifts_the_fiber():
                 if not w.letters:
                     continue
                 r = primitive_root(w)[0].letters
-                conjugated = normalize_with_fiber(r + w.letters + invert_letters(r), pres)
+                conjugated = surface_record(surface).normalize(r + w.letters + invert_letters(r))
                 if pres.word_character(r) > 0:
                     preserving += 1
                     assert conjugated == (w.letters, 0), (surface, str(w))
@@ -553,7 +552,7 @@ def test_projective_plane_normalizes_with_the_fiber_shift():
     pres = presentation(RP2)
     for e in range(-7, 8):
         letters = (1,) * e if e >= 0 else (-1,) * -e
-        assert normalize_with_fiber(letters, pres) == (((1,) if e % 2 else ()), e // 2)
+        assert surface_record(RP2).normalize(letters) == (((1,) if e % 2 else ()), e // 2)
     for k in range(-5, 6):
         for m in range(-3, 4):
             letters = (1,) * k if k >= 0 else (-1,) * -k
@@ -630,7 +629,7 @@ def test_no_regime_lookup_after_a_surface_is_first_used(monkeypatch):
         st_invert(st_multiply(u, v))
         st_text(u)
         base_character(v)
-        normalize_with_fiber(letters, presentation(surface))
+        surface_record(surface).normalize(letters)
         st_parse(st_text(u), surface)
         surface_record(surface).fiber
     assert calls == []

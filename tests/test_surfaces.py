@@ -154,6 +154,35 @@ def test_surface_presentations():
     assert [g.character for g in pn.generators] == [-1, -1, +1]
 
 
+def test_presentations_on_a_grid():
+    """Generators, characters and relators of every surface with orientable
+    genus 0-4 or 1-5 crosscaps and 0-3 punctures, against spellings written
+    out here, and the two finite tangent-bundle presentations."""
+    for orientable, genera in ((True, range(5)), (False, range(1, 6))):
+        for g in genera:
+            for p in range(4):
+                pres = presentation(SurfaceSpec(orientable, g, p))
+                if orientable:
+                    handles = [f"a{i} b{i}" for i in range(1, g + 1)]
+                    relator = " ".join(f"a{i} b{i} A{i} B{i}" for i in range(1, g + 1))
+                else:
+                    handles = [f"c{i}" for i in range(1, g + 1)]
+                    relator = " ".join(f"c{i}^2" for i in range(1, g + 1))
+                punctures = [f"z{i}" for i in range(1, p)]
+                where = (orientable, g, p)
+                assert " ".join(pres.names()) == " ".join(handles + punctures), where
+                crosscaps = 0 if orientable else g
+                assert [c for _, c in pres.generators] == [-1] * crosscaps + [+1] * (
+                    len(pres.generators) - crosscaps
+                ), where
+                expected = (relator,) if relator and p == 0 else ()
+                assert tuple(pres.spell(r) for r in pres.relators) == expected, where
+    for spec, relator in ((SPHERE, "f^2"), (RP2, "f^4")):
+        st = st_presentation(spec)
+        assert st.names() == ("f",)
+        assert [st.spell(r) for r in st.relators] == [relator]
+
+
 def test_st_presentation_torus():
     p = st_presentation(TORUS)
     assert p.names() == ("a1", "b1", "f")

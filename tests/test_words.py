@@ -17,6 +17,7 @@ from curvespace.words import (
     _dehn_shorten,
     _lex_key,
     _minimal_conjugates,
+    _record,
     _relator_move,
     _rotation,
     conjugating_element,
@@ -25,7 +26,6 @@ from curvespace.words import (
     invert_letters,
     klein_coordinates,
     multiply,
-    normalize_with_fiber,
     parse_letters,
     parse_word,
     primitive_root,
@@ -69,7 +69,7 @@ def test_words_need_a_surface_presentation():
     )
     for pres, letters in cases:
         u = Word(pres, letters)
-        for call in (lambda: word(pres, letters), lambda: multiply(u, u), lambda: normalize_with_fiber(letters, pres)):
+        for call in (lambda: word(pres, letters), lambda: multiply(u, u), lambda: _record(pres).normalize(letters)):
             with pytest.raises(ValueError, match="stbundle|surface presentation"):
                 call()
 
