@@ -5,6 +5,12 @@ Exit status: 0 success, 1 negative verdict (reghom false / verify fail),
 2 invalid input.  Every query is decided: the closed hyperbolic engine has
 no search cap, so no subcommand reports an undecided answer.
 
+``main`` parses the surface once and hands it to the subcommand, whose
+handler returns its exit code with its text and its structured lines;
+``main`` prints the ones ``--format`` names.  ``classify``, ``decompose``
+and ``verify`` read their element from ``--word`` or a curve file, through
+the same reader as ``lift`` and the two ``reghom`` inputs.
+
 Grammars (frozen):
 
 * surface: ``<orientable|nonorientable>:<genus>:<punctures>``, at most 64
@@ -31,116 +37,77 @@ from .oracle import SearchBound, VERIFY_BOUND, verify_classification
 _INPUT_ERRORS = (ValueError, OSError)
 
 
-def _element(args, surface: SurfaceSpec) -> STWord:
-    if args.word is not None and args.curve:
+def _element(word: str | None, path: str | None, surface: SurfaceSpec) -> STWord:
+    """The element a word or a curve file spells.  ``None`` is an absent
+    input, while an empty path is read (and fails) like any other; the
+    subcommands whose curve file is optional pass an empty one as ``None``."""
+    if word is not None and path is not None:
         raise WordParseError("provide --word or a curve file, not both")
-    if args.word is not None:
-        return st_parse(args.word, surface)
-    if args.curve:
-        return lift(read_curve_file(args.curve), surface)
-    raise WordParseError("provide --word or a curve file")
+    if word is not None:
+        return st_parse(word, surface)
+    if path is None:
+        raise WordParseError("provide --word or a curve file")
+    return lift(read_curve_file(path), surface)
 
 
-def _reghom_input(token: str, surface: SurfaceSpec) -> STWord:
-    if token.startswith("word:"):
-        return st_parse(token[len("word:") :], surface)
-    return lift(read_curve_file(token), surface)
-
-
-def _emit(lines) -> None:
-    print("\n".join(lines) if not isinstance(lines, str) else lines)
-
-
-def _cmd_group(args) -> int:
-    spec = SurfaceSpec.parse(args.surface)
+def _cmd_group(args, spec):
     base = presentation(spec)
     st = st_presentation(spec)
-    if args.format == "structured":
-        lines = []
-        for tag, pres in (("base", base), ("st", st)):
-            lines.append(f"{tag}.generators=" + " ".join(pres.names()))
-            for g in pres.generators:
-                lines.append(f"{tag}.character.{g.name}={'+1' if g.character > 0 else '-1'}")
-            for i, rel in enumerate(pres.relators, start=1):
-                lines.append(f"{tag}.relator.{i}={pres.spell(rel)}")
-        _emit(lines)
-    else:
-        _emit(
-            [
-                f"surface {spec}",
-                "fundamental group:",
-                presentation_text(base),
-                "tangent-bundle fundamental group:",
-                presentation_text(st),
-            ]
-        )
-    return 0
+    structured = []
+    for tag, pres in (("base", base), ("st", st)):
+        structured.append(f"{tag}.generators=" + " ".join(pres.names()))
+        for g in pres.generators:
+            structured.append(f"{tag}.character.{g.name}={'+1' if g.character > 0 else '-1'}")
+        for i, rel in enumerate(pres.relators, start=1):
+            structured.append(f"{tag}.relator.{i}={pres.spell(rel)}")
+    text = [f"surface {spec}", "fundamental group:", presentation_text(base),
+            "tangent-bundle fundamental group:", presentation_text(st)]
+    return 0, text, structured
 
 
-def _cmd_classify(args) -> int:
-    spec = SurfaceSpec.parse(args.surface)
-    xi = _element(args, spec)
-    report = classify_pi1(spec, xi)
-    _emit(report.structured() if args.format == "structured" else report.text())
-    return 0
+def _cmd_classify(args, spec):
+    report = classify_pi1(spec, _element(args.word, args.curve or None, spec))
+    return 0, [report.text()], [report.structured()]
 
 
-def _cmd_pin(args) -> int:
-    spec = SurfaceSpec.parse(args.surface)
+def _cmd_pin(args, spec):
     group = classify_pin(spec, args.n)
     case = "Thm 8 I" if group.kind.name in ("Z", "SYMBOLIC_SPHERE_SUM") else "Thm 8 II"
-    if args.format == "structured":
-        _emit([f"n={args.n}", f"case={case}", f"kind={group.label()}", f"detail={group.describe()}"])
-    else:
-        _emit(f"pi_{args.n} of the curve space on {spec}: {group.describe()}  [{case}]")
-    return 0
+    text = [f"pi_{args.n} of the curve space on {spec}: {group.describe()}  [{case}]"]
+    return 0, text, [f"n={args.n}", f"case={case}", f"kind={group.label()}", f"detail={group.describe()}"]
 
 
-def _cmd_lift(args) -> int:
-    spec = SurfaceSpec.parse(args.surface)
-    curve = read_curve_file(args.curve)
-    el = lift(curve, spec)
-    _emit(f"word={st_text(el)}" if args.format == "structured" else st_text(el))
-    return 0
+def _cmd_lift(args, spec):
+    word = st_text(_element(None, args.curve, spec))
+    return 0, [word], [f"word={word}"]
 
 
-def _cmd_decompose(args) -> int:
-    spec = SurfaceSpec.parse(args.surface)
-    xi = st_parse(args.word, spec)
+def _cmd_decompose(args, spec):
+    xi = _element(args.word, args.curve or None, spec)
     dec = decompose(xi)
-    if args.format == "structured":
-        _emit([f"root={st_text(dec.root_lift)}", f"k={dec.k}", f"l={dec.l}"])
-    else:
-        _emit(f"{st_text(xi)} = ({st_text(dec.root_lift)})^{dec.k} * f^{dec.l}")
-    return 0
+    root = st_text(dec.root_lift)
+    text = [f"{st_text(xi)} = ({root})^{dec.k} * f^{dec.l}"]
+    return 0, text, [f"root={root}", f"k={dec.k}", f"l={dec.l}"]
 
 
-def _cmd_reghom(args) -> int:
-    spec = SurfaceSpec.parse(args.surface)
-    u = _reghom_input(args.inputs[0], spec)
-    v = _reghom_input(args.inputs[1], spec)
+def _cmd_reghom(args, spec):
+    u, v = (_element(token[len("word:") :], None, spec) if token.startswith("word:") else _element(None, token, spec)
+            for token in args.inputs)
     verdict = regular_homotopy_equivalent(spec, u, v)
-    if args.format == "structured":
-        _emit([f"lift.1={st_text(u)}", f"lift.2={st_text(v)}", f"equivalent={'true' if verdict else 'false'}"])
-    else:
-        msg = "regularly homotopic" if verdict else "not regularly homotopic"
-        _emit(f"{st_text(u)} vs {st_text(v)}: {msg}")
-    return 0 if verdict else 1
+    text = [f"{st_text(u)} vs {st_text(v)}: {'regularly homotopic' if verdict else 'not regularly homotopic'}"]
+    structured = [f"lift.1={st_text(u)}", f"lift.2={st_text(v)}", f"equivalent={'true' if verdict else 'false'}"]
+    return 0 if verdict else 1, text, structured
 
 
-def _cmd_verify(args) -> int:
-    spec = SurfaceSpec.parse(args.surface)
-    xi = _element(args, spec)
+def _cmd_verify(args, spec):
+    xi = _element(args.word, args.curve or None, spec)
     bound = SearchBound(args.bound_length, args.bound_fiber, VERIFY_BOUND.max_depth)
     outcome = verify_classification(spec, xi, bound)
-    if args.format == "structured":
-        lines = [f"verified={'pass' if outcome.passed else 'fail'}", f"detail={outcome.detail}"]
-        if outcome.counterexample is not None:
-            lines.append(f"counterexample={st_text(outcome.counterexample)}")
-        _emit(lines)
-    else:
-        _emit(("PASS: " if outcome.passed else "FAIL: ") + outcome.detail)
-    return 0 if outcome.passed else 1
+    structured = [f"verified={'pass' if outcome.passed else 'fail'}", f"detail={outcome.detail}"]
+    if outcome.counterexample is not None:
+        structured.append(f"counterexample={st_text(outcome.counterexample)}")
+    text = [("PASS: " if outcome.passed else "FAIL: ") + outcome.detail]
+    return 0 if outcome.passed else 1, text, structured
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -150,12 +117,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, word=False, curve=False, bounds=False):
+    def common(p, element=False, bounds=False):
         p.add_argument("--surface", required=True, help="orientable:g:p or nonorientable:k:p")
         p.add_argument("--format", choices=("text", "structured"), default="text")
-        if word:
+        if element:
             p.add_argument("--word", help="element of the tangent-bundle group")
-        if curve:
             p.add_argument("curve", nargs="?", help="curve file (alternative to --word)")
         if bounds:
             p.add_argument("--bound-length", type=int, default=VERIFY_BOUND.max_word_length)
@@ -166,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_group)
 
     p = sub.add_parser("classify", help="fundamental group of the curve space at an element")
-    common(p, word=True, curve=True)
+    common(p, element=True)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("pin", help="higher homotopy groups of the curve space")
@@ -180,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_lift)
 
     p = sub.add_parser("decompose", help="root-and-fiber decomposition of an element")
-    common(p, word=True)
+    common(p, element=True)
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("reghom", help="decide regular-homotopy equivalence of two inputs")
@@ -189,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_reghom)
 
     p = sub.add_parser("verify", help="cross-check a classification against the oracle")
-    common(p, word=True, curve=True, bounds=True)
+    common(p, element=True, bounds=True)
     p.set_defaults(func=_cmd_verify)
 
     return parser
@@ -198,8 +164,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # before Python 3.13, argparse reads "--word=--" as an empty list
+    for name, value in vars(args).items():
+        if value == []:
+            parser.error(f"argument --{name.replace('_', '-')}: expected one argument")
     try:
-        return args.func(args)
+        code, text, structured = args.func(args, SurfaceSpec.parse(args.surface))
+        print("\n".join(structured if args.format == "structured" else text))
+        return code
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -80,7 +80,14 @@ class SurfaceSpec(namedtuple("SurfaceSpec", "orientable genus punctures")):
             raise SurfaceError(
                 f"bad surface {text!r}; expected e.g. 'orientable:2:0'"
             )
-        return cls(m.group(1) == "orientable", int(m.group(2)), int(m.group(3)))
+        try:
+            genus, punctures = (int(m.group(i).lstrip("0") or "0") for i in (2, 3))
+        except ValueError:
+            # int() refuses more than 4300 digits: a count far over the cap
+            raise SurfaceError(
+                f"the surface has more than {_MAX_GENERATORS} generators; at most {_MAX_GENERATORS} are supported"
+            ) from None
+        return cls(m.group(1) == "orientable", genus, punctures)
 
     def __str__(self) -> str:
         side = "orientable" if self.orientable else "nonorientable"

@@ -940,7 +940,7 @@ def _token_power(token: str, names: tuple[str, ...]) -> tuple[int, int]:
     m = _TOKEN.fullmatch(token)
     if not m:
         raise WordParseError(f"bad token {token!r}")
-    name, power = m.group(1), int(m.group(2) or 1)
+    name, power = m.group(1), m.group(2) or "1"
     sign = 1
     if name[0].isupper():
         sign = -1
@@ -949,7 +949,14 @@ def _token_power(token: str, names: tuple[str, ...]) -> tuple[int, int]:
         idx = names.index(name) + 1
     except ValueError:
         raise WordParseError(f"unknown generator {name!r}") from None
-    return idx, sign * power
+    if power[0] == "-":
+        sign, power = -sign, power[1:]
+    power = power.lstrip("0") or "0"
+    if len(power) > len(str(_MAX_WORD_LETTERS)):
+        # over the cap whatever the rest of the word, and int() refuses a
+        # string of more than 4300 digits
+        _check_length(_MAX_WORD_LETTERS + 1)
+    return idx, sign * int(power)
 
 
 @lru_cache(maxsize=128)

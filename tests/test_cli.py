@@ -124,7 +124,7 @@ def test_group_output(capsys):
     assert "st.relator.1=a1 b1 A1 B1 a2 b2 A2 B2 f^2" in out.splitlines()
 
 
-def test_decompose(capsys):
+def test_decompose(capsys, tmp_path):
     code, out, _ = run(
         capsys,
         "decompose",
@@ -137,6 +137,14 @@ def test_decompose(capsys):
     )
     assert code == 0
     assert out.splitlines() == ["root=a1 b1", "k=2", "l=1"]
+    # a curve file, read as classify and verify read it, answers for its lift
+    path = tmp_path / "torus.curve"
+    path.write_text("model=torus\n0.5,0.5\n1.2,0.6\n1.5,0.5\n")
+    torus = ("--surface", "orientable:1:0")
+    assert run(capsys, "lift", *torus, str(path)) == (0, "a1\n", "")
+    for fmt in ("text", "structured"):
+        by_word = run(capsys, "decompose", *torus, "--format", fmt, "--word", "a1")
+        assert by_word[0] == 0 and by_word == run(capsys, "decompose", *torus, "--format", fmt, str(path))
 
 
 def test_verify_pass_and_bounds(capsys):
@@ -171,13 +179,24 @@ def test_invalid_inputs_exit2(capsys):
     # over the cap on a surface's generators, so no presentation is built
     code, _, err = run(capsys, "classify", "--surface", "orientable:99999999999:0", "--word", "a1")
     assert code == 2 and "at most 64 are supported" in err
+    # no element; decompose reads it like classify, with no traceback
+    assert run(capsys, "decompose", "--surface", "orientable:2:0") == (
+        2, "", "error: provide --word or a curve file\n"
+    )
+    # an empty token: no element where a curve file is optional, else a
+    # path that cannot be read
+    torus = ("--surface", "orientable:1:0")
+    assert run(capsys, "classify", *torus, "") == (2, "", "error: provide --word or a curve file\n")
+    no_file = "error: [Errno 2] No such file or directory: ''\n"
+    assert run(capsys, "lift", *torus, "") == (2, "", no_file)
+    assert run(capsys, "reghom", *torus, "", "word:a1") == (2, "", no_file)
 
 
 def test_word_and_curve_file_together_exit2(capsys, curves):
     """An element comes from ``--word`` or from a curve file, never both: the
     file is not silently ignored, whether or not it exists."""
     _, circle = curves
-    for command in ("classify", "verify"):
+    for command in ("classify", "decompose", "verify"):
         for path in (circle, "missing.curve"):
             code, out, err = run(capsys, command, "--surface", "orientable:1:0", "--word", "a1", path)
             assert code == 2 and not out, (command, path)

@@ -10,7 +10,8 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
 
-from curvespace import cli  # noqa: E402
+from curvespace import SurfaceSpec, cli  # noqa: E402
+from curvespace.surfaces import SurfaceError  # noqa: E402
 
 SIDES = ("orientable", "nonorientable")
 # the largest surfaces under the cap, and the smallest and the far ones over it
@@ -18,7 +19,7 @@ AT_CAP = ("orientable:32:0", "nonorientable:64:0", "orientable:0:65", "orientabl
 OVER_CAP = (
     "orientable:33:0", "nonorientable:65:0", "orientable:0:66", "orientable:1:64", "nonorientable:2:64",
     "orientable:99999999999999999999:0", "nonorientable:12345678901234567890:0",
-    "orientable:0:99999999999999999999",
+    "orientable:0:99999999999999999999", "orientable:" + "9" * 5000 + ":0",
 )
 MALFORMED = (
     "", " ", "orientable", "orientable:1", "orientable:1:0:0", "orientable:-1:0", "orientable:1:-1",
@@ -69,3 +70,14 @@ def test_cli_group_rejects_specs_over_the_generator_cap_at_once(capsys):
         code, err, elapsed = _group(capsys, surface)
         assert code == 2 and "at most 64 are supported" in err, surface
         assert elapsed < 1, (surface, elapsed)
+
+
+def test_counts_past_int_digits_limit_are_over_the_generator_cap():
+    """A genus or puncture count of 5,000 digits, past int()'s default
+    limit, is over the generator cap for a caller of the library too;
+    leading zeros do not count."""
+    for text in ("orientable:" + "9" * 5000 + ":0", "nonorientable:1:" + "9" * 5000):
+        with pytest.raises(SurfaceError) as info:
+            SurfaceSpec.parse(text)
+        assert str(info.value) == "the surface has more than 64 generators; at most 64 are supported"
+    assert SurfaceSpec.parse("orientable:" + "0" * 5000 + "1:" + "0" * 5000) == SurfaceSpec(True, 1, 0)

@@ -10,7 +10,8 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
 
-from curvespace import cli  # noqa: E402
+from curvespace import SurfaceSpec, cli, st_parse  # noqa: E402
+from curvespace.words import WordParseError  # noqa: E402
 
 # each surface with its generators and the fiber
 SURFACES = {"orientable:0:0": ("f",), "orientable:1:0": ("a1", "b1", "f"), "nonorientable:2:0": ("c1", "c2", "f")}
@@ -23,7 +24,7 @@ ODD = ("1", "-", "^", "^2", "a1^", "a1^^2", "-a1", "a1-", "a1^+2", "a1^-", "a\u0
 # words whose powers add up to more than 10^6 letters, in one token or across
 # tokens; each is rejected before its letters are classified
 OVER_CAP = ("a1^1000001", "F^1000001", "c1^-1000001", "a1^600000 A1^500000", "f^999999 f f",
-            "c2^500001 c1^500000", "a1 a1 a1 b1^999998")
+            "c2^500001 c1^500000", "a1 a1 a1 b1^999998", "a1^" + "9" * 5000)
 SPACES = (" ", "  ", "\t", " \n ")
 
 # exponents stay at most 10^4: a single power just under the cap takes up to
@@ -90,3 +91,16 @@ def test_cli_classify_rejects_words_over_the_letter_cap(capsys):
             code, err, elapsed = _classify(capsys, surface, text)
             assert code == 2 and "expands to more than 1000000 letters" in err, (surface, text, err)
             assert elapsed < 2, (surface, text, elapsed)
+
+
+def test_powers_past_int_digits_limit_are_over_the_letter_cap():
+    """A power of 5,000 digits, past int()'s default limit, is over the
+    letter cap for a caller of the library too; leading zeros do not count,
+    so 5,000 zeros and a 2 read as 2."""
+    torus = SurfaceSpec(True, 1, 0)
+    for text in ("a1^" + "9" * 5000, "A1^-" + "9" * 5000):
+        with pytest.raises(WordParseError) as info:
+            st_parse(text, torus)
+        assert str(info.value) == "the word expands to more than 1000000 letters"
+    assert st_parse("a1^" + "0" * 5000 + "2", torus) == st_parse("a1^2", torus)
+    assert st_parse("A1^-" + "0" * 5000 + "2", torus) == st_parse("a1^2", torus)
