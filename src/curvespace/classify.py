@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import namedtuple
 from enum import Enum
 
-from .surfaces import Regime, SurfaceSpec, regime
+from .surfaces import FINITE_ORDERS, Regime, SurfaceSpec, regime
 from .words import SurfaceRecord, klein_coordinates, spell_klein, surface_record
 from .stbundle import (
     STWord,
@@ -223,11 +223,11 @@ def classify_pi1(surface: SurfaceSpec, xi: STWord) -> ClassificationReport:
 
 
 def classify_pin(surface: SurfaceSpec, n: int) -> GroupDescription:
-    """Higher homotopy of the space of curves; nontrivial only over the
-    sphere and the projective plane."""
+    """Higher homotopy of the space of curves; nontrivial exactly where the
+    tangent-bundle group is finite (over the sphere and the projective plane)."""
     if n < 2:
         raise ValueError("classify_pin needs n >= 2")
-    if regime(surface) in (Regime.SPHERE, Regime.RP2):
+    if regime(surface) in FINITE_ORDERS:
         if n == 2:
             return GroupDescription(Kind.Z)
         return GroupDescription(Kind.SYMBOLIC_SPHERE_SUM, sphere_sum_degree=n)

@@ -1,25 +1,21 @@
-"""Independent brute-force verifiers.
+"""Brute-force verifiers.
 
-Nothing here trusts the normal-form engines: triviality is re-derived by
-breadth-first insertion of relator conjugates, centralizers by exhaustive
-enumeration of a bounded box of elements, and classifications by comparing
-the enumerated centralizer against products of the emitted witnesses.
+Only :func:`bounded_is_trivial` is free of the normal-form engines: it
+re-derives triviality by breadth-first insertion of relator conjugates.
+Centralizers come from exhaustive enumeration of a bounded box of elements,
+and classifications from comparing the enumerated centralizer against
+products of the emitted witnesses; those boxes and products are built with
+the engines (``st_word``, ``st_multiply``), so they check the decision tree,
+not the normal forms.
 Results are deterministic: fixed enumeration order, fixed tie-breaks.
 """
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from functools import lru_cache
 
-from .surfaces import (
-    Presentation,
-    SurfaceSpec,
-    exponent_vector,
-    presentation,
-    smith_diagonal,
-)
+from .surfaces import Presentation, SurfaceSpec, abelianization, presentation
 from .words import Word, free_reduce, invert_letters, surface_record
 from . import stbundle
 from .stbundle import STWord, st_multiply, st_word
@@ -73,25 +69,6 @@ def _relator_variants(pres: Presentation) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(variants))
 
 
-def _abelian_certificate_nontrivial(u: Word) -> bool:
-    """True if the abelianization already shows ``u != 1``.
-
-    The exponent vector of ``u`` lies in the lattice spanned by the relator
-    rows exactly when adding it as one more row keeps the number of nonzero
-    Smith invariant factors and their product: the two lattices then have
-    the same rank, and their index in the common saturation is that product.
-    """
-    pres = u.ambient
-    n = len(pres.generators)
-    rows = [exponent_vector(pres, rel) for rel in pres.relators]
-
-    def invariants(matrix):
-        nonzero = [d for d in smith_diagonal(matrix, n) if d]
-        return len(nonzero), math.prod(nonzero)
-
-    return invariants(rows) != invariants(rows + [exponent_vector(pres, u.letters)])
-
-
 def bounded_is_trivial(u: Word, bound: SearchBound = SearchBound()):
     """True / False / ``UNDECIDED``.
 
@@ -109,7 +86,11 @@ def bounded_is_trivial(u: Word, bound: SearchBound = SearchBound()):
     variants = _relator_variants(pres)
     if not variants:
         return False  # free group: free reduction is a complete decision
-    if _abelian_certificate_nontrivial(u):
+    # u's exponent row lies in the relator lattice exactly when adding it as
+    # a relator changes neither the rank nor the product of the invariant
+    # factors: the lattices then have the same rank, and their index in the
+    # common saturation is that product
+    if abelianization(pres) != abelianization(pres._replace(relators=pres.relators + (u.letters,))):
         return False
     cap_len = bound.max_word_length + max(len(v) for v in variants)
     seen = {start}
@@ -325,7 +306,7 @@ def verify_classification(
             )
     if kind is Kind.KLEIN_BOTTLE_GROUP:
         x, y = witnesses
-        rel = st_multiply(st_multiply(st_multiply(x, y), stbundle.st_invert(x)), y)
+        rel = st_multiply(stbundle.st_conjugate(y, x), y)
         if not stbundle.st_is_trivial(rel):
             return VerificationOutcome(False, "witnesses fail the Klein-bottle relation", rel)
     return VerificationOutcome(

@@ -85,8 +85,10 @@ Letters = tuple[int, ...]
 
 
 class Word(namedtuple("Word", "ambient letters")):
-    """A group element over the :class:`Presentation` ``ambient``, stored as
-    its normal-form letters."""
+    """A group element over the :class:`Presentation` ``ambient``, spelled by
+    ``letters``.  :func:`word` and :func:`parse_word` store the normal form,
+    but ``Word(ambient, raw)`` keeps any spelling, so the operations that
+    read a word normalize it first."""
 
     __slots__ = ()
 
@@ -505,16 +507,6 @@ def word(pres: Presentation, letters) -> Word:
 
 def normal_form(u: Word) -> Word:
     return word(u.ambient, u.letters)
-
-
-def multiply(u: Word, v: Word) -> Word:
-    if u.ambient != v.ambient:
-        raise AmbientMismatchError("cannot multiply words over different presentations")
-    return word(u.ambient, u.letters + v.letters)
-
-
-def invert(u: Word) -> Word:
-    return word(u.ambient, invert_letters(u.letters))
 
 
 # -- conjugacy --------------------------------------------------------------

@@ -1,7 +1,7 @@
 import pytest
 
 from curvespace import SurfaceSpec, presentation, st_parse
-from curvespace.words import parse_word
+from curvespace.words import invert_letters, parse_word, word
 
 
 SPHERE = SurfaceSpec(True, 0, 0)
@@ -32,6 +32,14 @@ def W(text, surface):
 
 def ST(text, surface):
     return st_parse(text, surface)
+
+
+def mul(u, v):
+    return word(u.ambient, u.letters + v.letters)
+
+
+def inv(u):
+    return word(u.ambient, invert_letters(u.letters))
 
 
 @pytest.fixture

@@ -9,10 +9,8 @@ from curvespace.words import (
     TrivialWordError,
     Word,
     conjugating_element,
-    invert,
     invert_letters,
     klein_coordinates,
-    multiply,
     primitive_root,
     spell_klein,
     surface_record,
@@ -46,6 +44,8 @@ from conftest import (
     SPHERE,
     TORUS,
     ST,
+    inv,
+    mul,
 )
 
 
@@ -289,7 +289,7 @@ def test_normal_forms_normalize_with_no_fiber_shift():
 
         for _ in range(120):
             u, t = random_word(rng.randrange(13)), random_word(rng.randrange(5))
-            v = multiply(multiply(t, u), invert(t))
+            v = mul(mul(t, u), inv(t))
             found = [u, v, conjugating_element(u, v)]
             if u.letters and surface not in (SPHERE, RP2):
                 found.append(primitive_root(u)[0])
@@ -460,7 +460,7 @@ def test_primitive_root_commutes_with_its_element():
             if not w.letters:
                 continue
             r, k = primitive_root(w)
-            assert multiply(r, w) == multiply(w, r), (surface, str(w), str(r))
+            assert mul(r, w) == mul(w, r), (surface, str(w), str(r))
             assert word(pres, r.letters * k) == w, (surface, str(w), str(r), k)
     for surface in (SPHERE, RP2):
         assert surface_record(surface).engine.root is None

@@ -23,7 +23,7 @@ from curvespace.flatcurves import CurveOnSurface, Model, Polyline, lift
 from curvespace.classify import GroupDescription, Kind, classify_pi1
 from curvespace.oracle import SearchBound, VerificationOutcome, bounded_is_trivial
 
-from conftest import ALL_REGIME_SAMPLES, KLEIN, GENUS2, RP2, SPHERE, ST, TORUS, W
+from conftest import ALL_REGIME_SAMPLES, KLEIN, GENUS2, NONOR3, RP2, SPHERE, ST, TORUS, W
 
 
 def test_regime_table():
@@ -275,6 +275,47 @@ def test_smith_diagonal_by_determinantal_divisors():
                     cases.append((rows, len(pres.generators)))
     for rows, ncols in cases:
         assert smith_diagonal(rows, ncols) == _determinantal_diagonal(rows, ncols), rows
+
+
+def test_abelian_certificate_by_determinantal_divisors():
+    """``bounded_is_trivial`` answers a definite False exactly when adding
+    the word's exponent row to the relator rows changes the number of
+    nonzero invariant factors or their product, computed here from minors.
+    Half the words are shuffles of relators and of a word with its inverse,
+    whose rows lie in the relator lattice."""
+    x, y = Generator("x", +1), Generator("y", +1)
+    presentations = (
+        Presentation((x, y), ((1,) * 6, (1, 2, -1, -2))),
+        Presentation((x, y), ((1, 1, 1, 1, 2, 2), (1, 1, -2, -2))),
+        st_presentation(KLEIN),
+        presentation(NONOR3),
+        presentation(GENUS2),
+    )
+    rng = random.Random(61)
+    bound = SearchBound(4, 1, 1)
+
+    def invariants(rows, ncols):
+        nonzero = [d for d in _determinantal_diagonal(rows, ncols) if d]
+        return len(nonzero), math.prod(nonzero)
+
+    for pres in presentations:
+        n = len(pres.generators)
+        rows = [list(exponent_vector(pres, rel)) for rel in pres.relators]
+        before = invariants(rows, n)
+        verdicts = set()
+        for _ in range(300):
+            letters = [rng.choice((1, -1)) * rng.randint(1, n) for _ in range(rng.randrange(9))]
+            if rng.random() < 0.5:
+                letters += [-a for a in letters]
+                for _ in range(rng.randrange(3)):
+                    letters += rng.choice(pres.relators)
+                rng.shuffle(letters)
+            row = list(exponent_vector(pres, letters))
+            certified = invariants(rows + [row], n) != before
+            verdict = bounded_is_trivial(Word(pres, tuple(letters)), bound)
+            assert (verdict is False) == certified, (pres.spell(letters), verdict)
+            verdicts.add(certified)
+        assert verdicts == {False, True}, pres
 
 
 def test_klein_st_presentation_matches_product_form():

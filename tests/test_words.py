@@ -6,7 +6,6 @@ import pytest
 from curvespace import Generator, Presentation, SurfaceSpec, classify_pi1, presentation, st_presentation
 from curvespace.surfaces import euler_characteristic
 from curvespace.words import (
-    AmbientMismatchError,
     TrivialWordError,
     Word,
     WordParseError,
@@ -22,10 +21,8 @@ from curvespace.words import (
     _rotation,
     conjugating_element,
     free_reduce,
-    invert,
     invert_letters,
     klein_coordinates,
-    multiply,
     parse_letters,
     parse_word,
     primitive_root,
@@ -36,16 +33,14 @@ from curvespace.words import (
 from curvespace.stbundle import decompose, st_is_conjugate, st_parse, st_text, st_word
 from curvespace.oracle import SearchBound, bounded_is_trivial
 
-from conftest import GENUS2, GENUS3, KLEIN, NONOR3, PUNCTURED_TORUS, RP2, TORUS, W
+from conftest import GENUS2, GENUS3, KLEIN, NONOR3, PUNCTURED_TORUS, RP2, TORUS, W, inv, mul
 
 
 def test_multiply_and_invert_basics():
     u = W("a1", TORUS)
-    assert multiply(u, invert(u)).letters == ()
-    assert str(multiply(W("a1 b1", GENUS2), W("B1", GENUS2))) == "a1"
+    assert mul(u, inv(u)).letters == ()
+    assert str(mul(W("a1 b1", GENUS2), W("B1", GENUS2))) == "a1"
     assert len(W("a1 b1 a2", GENUS2)) == 3
-    with pytest.raises(AmbientMismatchError):
-        multiply(W("a1", TORUS), W("a1", GENUS2))
 
 
 def test_relator_is_trivial_with_oracle():
@@ -69,7 +64,7 @@ def test_words_need_a_surface_presentation():
     )
     for pres, letters in cases:
         u = Word(pres, letters)
-        for call in (lambda: word(pres, letters), lambda: multiply(u, u), lambda: _record(pres).normalize(letters)):
+        for call in (lambda: word(pres, letters), lambda: mul(u, u), lambda: _record(pres).normalize(letters)):
             with pytest.raises(ValueError, match="stbundle|surface presentation"):
                 call()
 
@@ -104,7 +99,7 @@ def test_character_is_homomorphism():
         lu = tuple(rng.choice([1, 2, 3, -1, -2, -3]) for _ in range(rng.randrange(6)))
         lv = tuple(rng.choice([1, 2, 3, -1, -2, -3]) for _ in range(rng.randrange(6)))
         u, v = word(pres, lu), word(pres, lv)
-        assert _character(multiply(u, v)) == _character(u) * _character(v)
+        assert _character(mul(u, v)) == _character(u) * _character(v)
 
 
 def test_conjugacy_basics():
@@ -116,9 +111,9 @@ def test_conjugacy_basics():
     t = conjugating_element(u, v)
     assert t is not None
     # t u t^-1 == v, checked through the engine and the oracle
-    lhs = multiply(multiply(t, u), invert(t))
+    lhs = mul(mul(t, u), inv(t))
     assert lhs.letters == v.letters
-    assert bounded_is_trivial(multiply(lhs, invert(v))) is True
+    assert bounded_is_trivial(mul(lhs, inv(v))) is True
     # equal abelianizations, not conjugate: mapping onto F(x, y) (genus 2:
     # b1, b2 -> 1; nonorientable genus 4: c1, c2, c3, c4 -> x, X, y, Y)
     # sends the first two pairs to the distinct cyclic words x x y y and
@@ -165,7 +160,7 @@ def test_conjugacy_oracle_search_small():
         lv = tuple(rng.choice(alphabet) for _ in range(rng.randrange(4)))
         u, v = word(pres, lu), word(pres, lv)
         brute = any(
-            multiply(multiply(word(pres, t), u), invert(word(pres, t))).letters == v.letters
+            mul(mul(word(pres, t), u), inv(word(pres, t))).letters == v.letters
             for t in candidates
         )
         engine = conjugating_element(u, v) is not None
@@ -185,8 +180,8 @@ def test_klein_conjugacy_closed_form():
     assert conjugating_element(h_inv, word(pres, spell_klein(1, -1))) is None
     # h g h^-1 = g^-1
     g = W("c1 c2", KLEIN)
-    assert conjugating_element(g, invert(g)) is not None
-    assert conjugating_element(g, multiply(g, g)) is None
+    assert conjugating_element(g, inv(g)) is not None
+    assert conjugating_element(g, mul(g, g)) is None
 
 
 def test_primitive_root_free():
@@ -227,7 +222,7 @@ def test_primitive_root_genus2_with_oracle():
     u = W("a1 b1 A1 a1 b1 A1", GENUS2)  # (a1 b1 a1^-1)^2 spelled reduced
     root, k = primitive_root(u)
     assert k == 2
-    assert not multiply(multiply(root, root), invert(u)).letters
+    assert not mul(mul(root, root), inv(u)).letters
     # oracle: no root of exponent >= 3 among short words
     pres = presentation(GENUS2)
     alphabet = [1, 2, 3, 4, -1, -2, -3, -4]
@@ -238,8 +233,8 @@ def test_primitive_root_genus2_with_oracle():
         cand = word(pres, letters)
         if not cand.letters:
             continue
-        cube = multiply(multiply(cand, cand), cand)
-        assert multiply(cube, invert(u)).letters
+        cube = mul(mul(cand, cand), cand)
+        assert mul(cube, inv(u)).letters
 
 
 def test_primitive_root_errors():
@@ -292,7 +287,7 @@ NOT_GEODESIC_SQUARE_ROOT = "C3 c1^2 c2 c3^2 C1"
 
 def test_square_shorter_than_twice_its_root():
     x = W(NOT_GEODESIC_SQUARE_ROOT, NONOR3)
-    assert (len(x), len(multiply(x, x))) == (7, 12)
+    assert (len(x), len(mul(x, x))) == (7, 12)
 
 
 @pytest.mark.xfail(
@@ -303,7 +298,7 @@ def test_square_shorter_than_twice_its_root():
 )
 def test_primitive_root_of_a_square_that_is_not_geodesic():
     x = W(NOT_GEODESIC_SQUARE_ROOT, NONOR3)
-    assert primitive_root(multiply(x, x)) == (x, 2)
+    assert primitive_root(mul(x, x)) == (x, 2)
     assert decompose(st_parse(f"{x} {x}", NONOR3)).k == 2
 
 
@@ -324,7 +319,7 @@ def test_primitive_root_of_a_cube_that_is_not_geodesic():
     lies in the centralizer of ``x^3``."""
     x = W(NOT_GEODESIC_CUBE_ROOT, NONOR3)
     assert primitive_root(x) == (x, 1)
-    cube = multiply(multiply(x, x), x)
+    cube = mul(mul(x, x), x)
     assert (len(x), len(cube)) == (7, 19)
     assert str(cube) == "c1^3 c2 C1^2 c3 c1 C3^2 c2 c3 C2^2 c1 c2 C1^2 c3"
     assert primitive_root(cube) == (x, 3)
@@ -345,8 +340,8 @@ def test_normal_form_laws_random():
                 letters = tuple(rng.choice(alphabet) for _ in range(rng.randrange(7)))
                 ws.append(word(pres, letters))
             a, b, c = ws
-            assert multiply(multiply(a, b), c).letters == multiply(a, multiply(b, c)).letters
-            assert multiply(a, invert(a)).letters == ()
+            assert mul(mul(a, b), c).letters == mul(a, mul(b, c)).letters
+            assert mul(a, inv(a)).letters == ()
 
 
 def test_parse_and_spell_roundtrip():
@@ -734,9 +729,9 @@ def test_conjugacy_across_a_ring_of_relator_faces():
     are not rotations of one spelling, and conjugation by the letter across
     the ring (``a1``) relates them."""
     u, v = W("b1 A1 B1 B2 a1 b1", GENUS2), W("b2 a2 B2^2 A2 b1", GENUS2)
-    assert multiply(multiply(W("a1", GENUS2), u), W("A1", GENUS2)) == v
+    assert mul(mul(W("a1", GENUS2), u), W("A1", GENUS2)) == v
     t = conjugating_element(u, v)
-    assert multiply(multiply(t, u), invert(t)) == v
+    assert mul(mul(t, u), inv(t)) == v
 
 
 def _sliced_rotation(s, t):
