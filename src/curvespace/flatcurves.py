@@ -386,32 +386,29 @@ def _bulk_points(piece: str):
 
 def _line_points(lines, lineno: int, comments: bool, screened: bool):
     """The vertices of ``lines``, numbered from ``lineno + 1``, checked one
-    line at a time."""
+    line at a time.  Each line is stripped once, after its comment is cut:
+    ``str.strip()`` removes only the ends, where it also takes U+001C to
+    U+001F that ``float()`` refuses, so the stripped line is the one parsed
+    and the one quoted in an error."""
     isfinite = math.isfinite
     points = []
-    for lineno, raw in enumerate(lines, start=lineno + 1):
-        if comments and "#" in raw:
-            raw = raw.partition("#")[0]
-        # float() ignores the whitespace around a number, so a line is
-        # stripped only to skip it when blank or to quote it in an error
-        xs, comma, ys = raw.partition(",")
+    for lineno, line in enumerate(lines, start=lineno + 1):
+        if comments and "#" in line:
+            line = line.partition("#")[0]
+        line = line.strip()
+        if not line:
+            continue
+        xs, comma, ys = line.partition(",")
         if not comma or "," in ys:
-            if not comma and not raw.strip():
-                continue
             raise CurveError(f"line {lineno}: expected 'x,y'")
-        if not (screened or raw.strip().isascii() and "_" not in raw):
-            raise CurveError(f"line {lineno}: bad coordinates {raw.strip()!r}")
+        if not (screened or line.isascii() and "_" not in line):
+            raise CurveError(f"line {lineno}: bad coordinates {line!r}")
         try:
             x, y = float(xs), float(ys)
         except ValueError:
-            # str.strip() also removes U+001F, which float() keeps
-            xs, _, ys = raw.strip().partition(",")
-            try:
-                x, y = float(xs), float(ys)
-            except ValueError:
-                raise CurveError(f"line {lineno}: bad coordinates {raw.strip()!r}") from None
+            raise CurveError(f"line {lineno}: bad coordinates {line!r}") from None
         if not (isfinite(x) and isfinite(y)):
-            raise CurveError(f"line {lineno}: coordinates must be finite, not {raw.strip()!r}")
+            raise CurveError(f"line {lineno}: coordinates must be finite, not {line!r}")
         points.append((x, y))
     return points
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 
-from .surfaces import Presentation, SurfaceSpec, abelianization, presentation
+from .surfaces import SurfaceSpec, abelianization, presentation
 from .words import Word, free_reduce, invert_letters, surface_record
 from . import stbundle
 from .stbundle import STWord, st_multiply, st_word
@@ -25,8 +25,12 @@ from .classify import Kind, classify_pi1
 class SearchBound(namedtuple("SearchBound", "max_word_length max_fiber max_depth")):
     """Caps for the brute-force searches.
 
-    ``max_word_length`` bounds enumerated base words, ``max_fiber`` the fiber
-    exponents, ``max_depth`` the BFS depth for relator insertions.
+    A box (:func:`bounded_elements`) holds base words of at most
+    ``max_word_length`` letters and fiber exponents of at most ``max_fiber``
+    in absolute value.  :func:`bounded_is_trivial` reads no fiber bound: it
+    inserts relator copies to BFS depth ``max_depth`` and keeps intermediate
+    words of at most ``max_word_length`` letters plus the longest relator.
+    :func:`verify_classification` never reads ``max_depth``.
     """
 
     __slots__ = ()
@@ -59,16 +63,6 @@ _STATE_CAP = 120_000
 _MAX_ENUMERATION = 200_000
 
 
-@lru_cache(maxsize=None)
-def _relator_variants(pres: Presentation) -> tuple[tuple[int, ...], ...]:
-    variants = set()
-    for rel in pres.relators:
-        for base in (rel, invert_letters(rel)):
-            for i in range(len(base)):
-                variants.add(base[i:] + base[:i])
-    return tuple(sorted(variants))
-
-
 def bounded_is_trivial(u: Word, bound: SearchBound = SearchBound()):
     """True / False / ``UNDECIDED``.
 
@@ -83,7 +77,10 @@ def bounded_is_trivial(u: Word, bound: SearchBound = SearchBound()):
     if not start:
         return True
     pres = u.ambient
-    variants = _relator_variants(pres)
+    # every rotation of every relator and of its inverse, in a fixed order
+    variants = sorted(
+        {r[i:] + r[:i] for rel in pres.relators for r in (rel, invert_letters(rel)) for i in range(len(r))}
+    )
     if not variants:
         return False  # free group: free reduction is a complete decision
     # u's exponent row lies in the relator lattice exactly when adding it as

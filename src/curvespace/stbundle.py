@@ -73,24 +73,19 @@ def st_invert(u: STWord) -> STWord:
 
 
 def st_power(u: STWord, e: int) -> STWord:
-    """``u**e`` by repeated squaring: O(log |e|) products, none for
-    ``e = 1``.  Normal forms are canonical, so any bracketing of the product
-    gives the same element."""
+    """``u**e`` by repeated squaring: ``floor(log2 e) + popcount(e) - 1``
+    products for ``e > 0``, none for ``e = 1``.  Normal forms are canonical,
+    so any bracketing of the product gives the same element."""
     if e < 0:
         return st_power(st_invert(u), -e)
-    if e == 0:
-        return st_identity(u.surface)
-    while not e & 1:
-        u = st_multiply(u, u)
-        e >>= 1
-    acc = u
-    e >>= 1
+    acc = None
     while e:
-        u = st_multiply(u, u)
         if e & 1:
-            acc = st_multiply(acc, u)
+            acc = u if acc is None else st_multiply(acc, u)
         e >>= 1
-    return acc
+        if e:
+            u = st_multiply(u, u)
+    return st_identity(u.surface) if acc is None else acc
 
 
 def st_is_trivial(u: STWord) -> bool:

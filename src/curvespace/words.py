@@ -575,16 +575,23 @@ def _minimal_conjugates(letters, band: _Band) -> list[tuple[Letters, Letters]]:
     face thick, so one is a rotation of a geodesic spelling of the other (a
     chain of conjugations by the first letters of geodesic spellings, layer 1
     of the band) or lies on the far side of a ring of faces around it (see
-    :func:`_ring_partners`).  A ring whose faces hold no half relator of
-    either side has ``L/2 - 1`` letters of each on every face; if some face
-    holds half a relator of one side, swapping it puts a spelling of that
-    side through a vertex of the other, and rotations reach it.  So a cyclic
-    word with a half-relator window (read around the cycle) needs only the
-    search along first letters, which lists every minimal conjugate (a
-    shorter one found on the way restarts it).  A cyclic word with no such
-    window is minimal, every rotation is its own only spelling of that
-    length, and its other minimal conjugates are the rotations of its ring
-    partners, which the list holds with it.
+    :func:`_ring_partners`).  A cyclic word with a half-relator window (read
+    around the cycle) needs only the search along first letters, which lists
+    every minimal conjugate (a shorter one found on the way restarts it).  A
+    cyclic word ``x`` with no such window is minimal, every rotation is its
+    own only spelling of that length, and its other minimal conjugates are
+    the rotations of its ring partners, which the list holds with it.
+
+    Those partners read no half relator either, so no search starts from
+    them.  In the universal cover every vertex has degree ``L``, and two
+    edges at a vertex are consecutive in a relator exactly when they are
+    adjacent around it.  At the end of a one-letter spoke from the ring to a
+    partner, the partner's two edges are separated by the spoke and by
+    ``L - 3 >= 3`` edges, so no relator subword of the partner passes a
+    spoke.  And no face of the ring holds half a relator of the partner: it
+    would leave ``L/2 - 2`` letters of ``x`` there, and swapping the half
+    would run the partner through the vertices of ``x``, whose only spelling
+    makes it a rotation of ``x``.  So every face holds ``L/2 - 1`` of each.
     """
     half = band.L // 2
     x, c = letters, ()
@@ -598,9 +605,7 @@ def _minimal_conjugates(letters, band: _Band) -> list[tuple[Letters, Letters]]:
             # L/2 - 1 letters of it
             ring = len(x) % (half - 1) == 0 and len(x) > half
             partners = _ring_partners(x, band) if ring else []
-            partners = [(t, c + band.pieces[d]) for t, d in partners]
-            if not any(_cyclic_half_window(t, band) for t, _ in partners):
-                return [(x, c), *partners]
+            return [(x, c), *((t, c + band.pieces[d]) for t, d in partners)]
         seen = {x: c}
         queue = [x]
         shorter = None
@@ -731,15 +736,11 @@ def _free_root(rec, letters) -> tuple[Letters, int]:
 
 def _klein_root(rec, letters) -> tuple[Letters, int]:
     k, l = klein_coordinates(letters)
-    if l % 2 != 0:
-        # (g^k h^s)^|l| = g^k h^l for s = sign(l)
-        s = 1 if l > 0 else -1
-        return spell_klein(k, s), abs(l)
-    if k == 0:
-        # pure even power of h; every g^a h generates a cyclic group through
-        # it, so the root is only canonical by convention
-        s = 1 if l > 0 else -1
-        return spell_klein(0, s), abs(l)
+    if l % 2 != 0 or k == 0:
+        # (g^k h^s)^|l| = g^k h^l for s = sign(l); for a pure even power of
+        # h (k = 0) every g^a h generates a cyclic group through it, so the
+        # root h^s is only canonical by convention
+        return spell_klein(k, 1 if l > 0 else -1), abs(l)
     d = math.gcd(abs(k), abs(l) // 2)
     return spell_klein(k // d, l // d), d
 
@@ -1007,12 +1008,11 @@ def parse_word(text: str, pres: Presentation) -> Word:
 
 def st_text(u: STWord) -> str:
     """Text of a tangent-bundle element: the base word, then the fiber
-    power; a finite group's residue as a power of ``f`` (sphere) or of the
-    crosscap lift ``c1`` (projective plane)."""
-    if u.residue is not None:
-        if surface_record(u.surface).order == 2:
-            return "f" if u.residue else "1"
-        return {0: "1", 1: "c1", 2: "c1^2", 3: "c1^3"}[u.residue]
+    power.  On the projective plane, the finite group with a generator, the
+    residue is spelled as a power of the crosscap lift ``c1``; the sphere's
+    base is empty and its fiber is 0 or 1, so it reads ``1`` or ``f``."""
+    if u.residue is not None and u.base.ambient.generators:
+        return u.base.ambient.spell((1,) * u.residue)
     base = u.base.ambient.spell(u.base.letters) if u.base.letters else ""
     if u.fiber == 0:
         return base or "1"

@@ -176,6 +176,9 @@ def test_verify_classification_reports_doctored_answers(monkeypatch):
          "a witness product fails to commute", "C2^7"),
         (TORUS, "a1", GroupDescription(Kind.ZXZ, (ST("a1", TORUS), ST("f", TORUS))),
          "a centralizer element is not a witness product", "b1 F^3"),
+        # no witnesses give no products, so the first centralizer element is uncovered
+        (TORUS, "a1", GroupDescription(Kind.Z),
+         "a centralizer element is not a witness product", "F^3"),
         (NONOR3, "c1^2", GroupDescription(Kind.KLEIN_BOTTLE_GROUP, (ST("f", NONOR3), ST("c1", NONOR3))),
          "witnesses fail the Klein-bottle relation", "c1^2 f^2"),
     )

@@ -318,11 +318,17 @@ def test_parse_print_roundtrip():
         (SPHERE, "f"),
         (RP2, "c1^3"),
     ]
-    for surface, text in cases:
+    # every residue of both finite groups prints as it is spelled: a power
+    # of f on the sphere, of the crosscap lift on the projective plane
+    finite = [(SPHERE, "1"), (SPHERE, "f"), (RP2, "1"), (RP2, "c1"), (RP2, "c1^2"), (RP2, "c1^3")]
+    for surface, text in cases + finite:
         u = st_parse(text, surface)
         assert st_parse(st_text(u), surface) == u
         with pytest.raises(AttributeError):
             u.fiber = 0
+    for surface, text in finite:
+        assert st_text(st_parse(text, surface)) == text
+    assert [st_text(st_parse(t, RP2)) for t in ("f", "c1 f", "F", "C1")] == ["c1^2", "c1^3", "c1^2", "c1^3"]
 
 
 def test_power():
@@ -344,6 +350,27 @@ def test_power():
     # a long power: quadratic when each factor renormalized the product
     d = decompose(ST("a1^4000", GENUS2))
     assert st_text(d.root_lift) == "a1" and (d.k, d.l) == (4000, 0)
+
+
+def test_power_takes_one_product_per_squaring_and_per_extra_bit(monkeypatch):
+    """``st_power(u, e)`` squares ``floor(log2 e)`` times and multiplies in
+    each further set bit of ``e``: ``floor(log2 e) + popcount(e) - 1``
+    products, none for ``e = 1``."""
+    import curvespace.stbundle as stbundle
+
+    calls = []
+
+    def counted(u, v):
+        calls.append(1)
+        return st_multiply(u, v)
+
+    monkeypatch.setattr(stbundle, "st_multiply", counted)
+    u = ST("a1 b2 f", GENUS2)
+    for e in range(1, 65):
+        calls.clear()
+        power = stbundle.st_power(u, e)
+        assert len(calls) == e.bit_length() - 1 + bin(e).count("1") - 1, e
+        assert power.base == word(presentation(GENUS2), u.base.letters * e)
 
 
 def test_st_word_checks_its_letters():

@@ -1,3 +1,4 @@
+import math
 import random
 import tracemalloc
 
@@ -18,8 +19,10 @@ from curvespace.words import (
     _minimal_conjugates,
     _record,
     _relator_move,
+    _ring_partners,
     _rotation,
     conjugating_element,
+    cyclic_free_reduce,
     free_reduce,
     invert_letters,
     klein_coordinates,
@@ -33,7 +36,7 @@ from curvespace.words import (
 from curvespace.stbundle import decompose, st_is_conjugate, st_parse, st_text, st_word
 from curvespace.oracle import SearchBound, bounded_is_trivial
 
-from conftest import GENUS2, GENUS3, KLEIN, NONOR3, PUNCTURED_TORUS, RP2, TORUS, W, inv, mul
+from conftest import ALL_REGIME_SAMPLES, GENUS2, GENUS3, KLEIN, NONOR3, PUNCTURED_TORUS, RP2, TORUS, W, inv, mul
 
 
 def test_multiply_and_invert_basics():
@@ -216,6 +219,22 @@ def test_primitive_root_klein():
     u = word(presentation(KLEIN), spell_klein(0, 4))
     root, k = primitive_root(u)
     assert klein_coordinates(root.letters) == (0, 1) and k == 4
+    # every g^k h^l in a grid: an odd l or a pure power of h has the root
+    # g^k h^sign(l) to the |l|; otherwise g and h^2 share the gcd
+    pres = presentation(KLEIN)
+    for k in range(-6, 7):
+        for l in range(-6, 7):
+            if k == l == 0:
+                continue
+            u = word(pres, spell_klein(k, l))
+            root, e = primitive_root(u)
+            if l % 2 or k == 0:
+                want = (k, 1 if l > 0 else -1), abs(l)
+            else:
+                d = math.gcd(abs(k), abs(l) // 2)
+                want = (k // d, l // d), d
+            assert (klein_coordinates(root.letters), e) == want, (k, l)
+            assert word(pres, root.letters * e) == u, (k, l)
 
 
 def test_primitive_root_genus2_with_oracle():
@@ -732,6 +751,61 @@ def test_conjugacy_across_a_ring_of_relator_faces():
     assert mul(mul(W("a1", GENUS2), u), W("A1", GENUS2)) == v
     t = conjugating_element(u, v)
     assert mul(mul(t, u), inv(t)) == v
+
+
+def test_ring_partners_read_no_half_relator():
+    """A cyclic word with no half-relator window lists its ring partners
+    with it and searches no further; that is complete because no partner
+    reads a half relator either.  Ring words are built from
+    ``(L/2 - 1)``-letter relator subwords, normalized and cyclically
+    reduced; each partner must read no half relator and be listed."""
+    rng = random.Random(31)
+    with_partners = 0
+    for surface in (GENUS2, GENUS3, SurfaceSpec(False, 4, 0)):
+        rec = surface_record(surface)
+        band = rec.band
+        piece = band.L // 2 - 1
+        for _ in range(2000):
+            letters = ()
+            for _ in range(rng.randint(2, 4)):
+                start = rng.randrange(band.L)
+                letters += rng.choice(band.cycles)[start : start + piece]
+            x = rec.normalize(letters)[0]
+            while cyclic_free_reduce(x)[0]:
+                x = rec.normalize(cyclic_free_reduce(x)[1])[0]
+            if not x or len(x) % piece or _cyclic_half_window(x, band):
+                continue
+            partners = _ring_partners(x, band)
+            listed = [t for t, _ in _minimal_conjugates(x, band)]
+            for t, _ in partners:
+                assert not _cyclic_half_window(t, band), (surface, x, t)
+                assert t in listed, (surface, x, t)
+            with_partners += bool(partners)
+    # 98 ring words have partners at this seed
+    assert with_partners >= 50
+
+
+def test_conjugators_conjugate_on_every_regime():
+    """Every conjugator found conjugates: ``s u s^-1 == v`` for seeded
+    pairs ``v = t u t^-1`` and for unrelated pairs, on every regime."""
+    rng = random.Random(41)
+    found = 0
+    for surface in ALL_REGIME_SAMPLES + (SurfaceSpec(False, 4, 0), GENUS3):
+        pres = presentation(surface)
+        n = len(pres.generators)
+
+        def letters(most):
+            return tuple(rng.choice((1, -1)) * rng.randint(1, n) for _ in range(rng.randint(0, most) if n else 0))
+
+        for _ in range(300):
+            u, t = word(pres, letters(8)), word(pres, letters(4))
+            for v in (mul(mul(t, u), inv(t)), word(pres, letters(8))):
+                s = conjugating_element(u, v)
+                if s is not None:
+                    assert mul(mul(s, u), inv(s)) == v, (surface, u, v, s)
+                    found += 1
+    # 3,555 of the 6,000 pairs have a conjugator at this seed
+    assert found >= 3000
 
 
 def _sliced_rotation(s, t):
