@@ -101,8 +101,7 @@ def _cmd_reghom(args, spec):
 
 def _cmd_verify(args, spec):
     xi = _element(args.word, args.curve or None, spec)
-    bound = SearchBound(args.bound_length, args.bound_fiber, VERIFY_BOUND.max_depth)
-    outcome = verify_classification(spec, xi, bound)
+    outcome = verify_classification(spec, xi, SearchBound(args.bound_length, args.bound_fiber))
     structured = [f"verified={'pass' if outcome.passed else 'fail'}", f"detail={outcome.detail}"]
     if outcome.counterexample is not None:
         structured.append(f"counterexample={st_text(outcome.counterexample)}")

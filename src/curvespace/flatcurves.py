@@ -50,11 +50,11 @@ chart path changes cell only a few times, so most vertices skip the test.
 
 ``load_curve`` reads the file text one piece of about ``_CHUNK`` characters
 at a time.  A piece of a text with no comments, no ``_`` and no non-ASCII
-character, whose lines are each ``x,y`` ended by ``\n``, is converted in
+character, whose lines are each ``x,y`` ended by ``\\n``, is converted in
 bulk: ``float`` is mapped over its fields, and the piece is kept if the
-values sum to a finite number.  Every other piece is split into lines and
-read by the line loop, which names the first faulty line, so the errors
-and their line numbers do not depend on the path.  Besides the text,
+values sum to a finite number.  Every other piece is split at each ``\\n``
+and read by the line loop, which names the first faulty line, so the
+errors and their line numbers do not depend on the path.  Besides the text,
 ``load_curve`` holds the vertex tuple it returns, built straight from the
 pieces' points, and one piece with its lines or its fields, never a list
 of every line, vertex or edge direction.  A curve's lift data (deck class
@@ -322,16 +322,16 @@ def lift(curve: CurveOnSurface, surface: SurfaceSpec) -> STWord:
 # ---------------------------------------------------------------------------
 # file format
 
-#: every ASCII character but "," and the line breaks of ``str.splitlines``
-_NOT_SEPARATORS = bytes(c for c in range(128) if c not in b",\n\r\x0b\x0c\x1c\x1d\x1e")
+#: every ASCII character but "," and "\n", the one character that ends a line
+_NOT_SEPARATORS = bytes(c for c in range(128) if c not in b",\n")
 
 
 def _chunks(text: str, start: int, size: int = _CHUNK):
     """``text`` from ``start`` on, in pieces of about ``size`` characters,
-    each cut just after a ``\\n``.  A ``\\n`` ends a line for
-    ``str.splitlines`` whatever comes before or after it, so the pieces
-    split into exactly the lines of the whole text from ``start`` on, while
-    at most one piece and its lines are held at a time."""
+    each cut just after a ``\\n``.  Only a ``\\n`` ends a line, so the
+    pieces split into exactly the lines of the whole text from ``start`` on,
+    while at most one piece and its lines are held at a time; at ``size``
+    zero each piece is one line."""
     end = len(text)
     while start < end:
         cut = text.find("\n", start + size) + 1 or end
@@ -343,17 +343,17 @@ def _chunk_points(text: str, start: int, lineno: int, comments: bool, screened: 
     """The vertices of the lines of ``text`` from ``start`` on, one list per
     piece; line ``lineno + 1`` begins at ``start``.  A piece of a screened
     text with no comments is converted in bulk (:func:`_bulk_points`); any
-    other piece, or one that the bulk conversion turns down, goes through
-    the line loop (:func:`_line_points`), the only code that names a line
-    fault.  So the first fault of the first faulty piece is raised, with
-    its line number."""
+    other piece, or one that the bulk conversion turns down, is split at
+    each ``\\n`` and goes through the line loop (:func:`_line_points`), the
+    only code that names a line fault.  So the first fault of the first
+    faulty piece is raised, with its line number."""
     bulk = screened and not comments
     for piece in _chunks(text, start):
         points = _bulk_points(piece) if bulk else None
         if points is None:
-            lines = piece.splitlines()
+            lines = piece.split("\n")
             points = _line_points(lines, lineno, comments, screened)
-            lineno += len(lines)
+            lineno += len(lines) - 1  # after a piece's last "\n", no line
         else:
             lineno += len(points)
         yield points
@@ -388,8 +388,8 @@ def _line_points(lines, lineno: int, comments: bool, screened: bool):
     """The vertices of ``lines``, numbered from ``lineno + 1``, checked one
     line at a time.  Each line is stripped once, after its comment is cut:
     ``str.strip()`` removes only the ends, where it also takes U+001C to
-    U+001F that ``float()`` refuses, so the stripped line is the one parsed
-    and the one quoted in an error."""
+    U+001F, U+0085, U+2028 and U+2029 that ``float()`` refuses, so the
+    stripped line is the one parsed and the one quoted in an error."""
     isfinite = math.isfinite
     points = []
     for lineno, line in enumerate(lines, start=lineno + 1):
@@ -417,20 +417,20 @@ def load_curve(text: str) -> CurveOnSurface:
     """Parse the curve file format and validate the curve.
 
     Line 1: ``model=plane|torus|klein``; then one ``x,y`` pair per line, with
-    finite ASCII decimal coordinates.  ``#`` starts a comment; blank lines
-    are ignored.  Validation computes the curve's lift data, which ``lift``
-    then reuses.
+    finite ASCII decimal coordinates.  Only ``\\n`` ends a line: a lone
+    ``\\r`` or another line separator stays inside its line.  ``#`` starts
+    a comment; blank lines are ignored.  Validation computes the curve's
+    lift data, which ``lift`` then reuses.
     """
     comments = "#" in text
     # float() also reads digit-group underscores and non-ASCII digits, so a
     # coordinate line, stripped, must be ASCII with no "_"; only the lines
     # of a text that fails this screen are checked
     screened = text.isascii() and "_" not in text
-    # the header is looked for one "\n"-ended piece at a time, so finding
-    # it does not split the whole text into lines
-    lines = chain.from_iterable(p.splitlines(keepends=True) for p in _chunks(text, 0, 0))
+    # the header is looked for one line at a time, so finding it does not
+    # split the whole text into lines
     offset = 0
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(_chunks(text, 0, 0), start=1):
         offset += len(raw)
         if comments and "#" in raw:
             raw = raw.partition("#")[0]

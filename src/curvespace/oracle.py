@@ -22,38 +22,35 @@ from .stbundle import STWord, st_multiply, st_word
 from .classify import Kind, classify_pi1
 
 
-class SearchBound(namedtuple("SearchBound", "max_word_length max_fiber max_depth")):
-    """Caps for the brute-force searches.
-
-    A box (:func:`bounded_elements`) holds base words of at most
+class SearchBound(namedtuple("SearchBound", "max_word_length max_fiber")):
+    """The box of :func:`bounded_elements`: base words of at most
     ``max_word_length`` letters and fiber exponents of at most ``max_fiber``
-    in absolute value.  :func:`bounded_is_trivial` reads no fiber bound: it
-    inserts relator copies to BFS depth ``max_depth`` and keeps intermediate
-    words of at most ``max_word_length`` letters plus the longest relator.
-    :func:`verify_classification` never reads ``max_depth``.
-    """
+    in absolute value.  The defaults are :data:`VERIFY_BOUND`."""
 
     __slots__ = ()
 
-    def __new__(cls, max_word_length: int = 8, max_fiber: int = 4, max_depth: int = 6):
-        if max_word_length < 1 or max_depth < 1 or max_fiber < 0:
+    def __new__(cls, max_word_length: int = 4, max_fiber: int = 3):
+        if max_word_length < 1 or max_fiber < 0:
             raise ValueError("bounds must be positive (fiber may be zero)")
-        return super().__new__(cls, max_word_length, max_fiber, max_depth)
+        return super().__new__(cls, max_word_length, max_fiber)
 
     @classmethod
     def _make(cls, iterable):
         return cls(*super()._make(iterable))
 
 
-#: default bounds for :func:`verify_classification`, sized so that the full
+#: default box for :func:`verify_classification`, sized so that the full
 #: acceptance battery stays well under a minute
-VERIFY_BOUND = SearchBound(max_word_length=4, max_fiber=3, max_depth=4)
+VERIFY_BOUND = SearchBound()
 
-#: :func:`bounded_is_trivial`'s verdict when the box neither reaches the
+#: :func:`bounded_is_trivial`'s verdict when the search neither reaches the
 #: empty word nor certifies nontriviality
 UNDECIDED = "undecided"
 
-# hard cap on BFS states, independent of the requested bounds
+# the BFS layers, the letters an intermediate word may have beyond the
+# longest relator, and the states it may hold
+_BFS_DEPTH = 6
+_BFS_LETTERS = 8
 _STATE_CAP = 120_000
 
 #: most (reduced base word, fiber) candidates that an element box, and most
@@ -63,15 +60,17 @@ _STATE_CAP = 120_000
 _MAX_ENUMERATION = 200_000
 
 
-def bounded_is_trivial(u: Word, bound: SearchBound = SearchBound()):
+def bounded_is_trivial(u: Word):
     """True / False / ``UNDECIDED``.
 
     A definite False needs an abelianization certificate, which is asked
     first: the BFS can never reach the empty word from a word it certifies.
     Otherwise BFS over free reduction plus insertion of rotated relator
     copies answers True when the empty word is reached, and the verdict is
-    undecided at this bound when the layers or ``_STATE_CAP`` states run
-    out.  Never answers False for a word that is actually trivial.
+    undecided when ``_BFS_DEPTH`` layers or ``_STATE_CAP`` states run out;
+    intermediate words keep at most ``_BFS_LETTERS`` letters beyond the
+    longest relator.  Never answers False for a word that is actually
+    trivial.
     """
     start = free_reduce(u.letters)
     if not start:
@@ -89,10 +88,10 @@ def bounded_is_trivial(u: Word, bound: SearchBound = SearchBound()):
     # common saturation is that product
     if abelianization(pres) != abelianization(pres._replace(relators=pres.relators + (u.letters,))):
         return False
-    cap_len = bound.max_word_length + max(len(v) for v in variants)
+    cap_len = _BFS_LETTERS + max(len(v) for v in variants)
     seen = {start}
     frontier = [start]
-    for _ in range(bound.max_depth):
+    for _ in range(_BFS_DEPTH):
         nxt = []
         for w in frontier:
             for var in variants:
@@ -203,9 +202,7 @@ def _product(table: dict, u: STWord, v: STWord) -> STWord:
 def bounded_centralizer(
     surface: SurfaceSpec, xi: STWord, bound: SearchBound = VERIFY_BOUND
 ) -> tuple[STWord, ...]:
-    """All bounded elements commuting with ``xi``, deterministically ordered.
-    The default box is ``VERIFY_BOUND``: ``SearchBound()`` passes the
-    enumeration cap on closed hyperbolic surfaces."""
+    """All bounded elements commuting with ``xi``, deterministically ordered."""
     table: dict = {}
     out = []
     for el in bounded_elements(surface, bound):
@@ -230,14 +227,12 @@ class VerificationOutcome(
         return self.passed
 
 
-def _witness_products(witnesses, bound: SearchBound):
+def _witness_products(surface: SurfaceSpec, witnesses, bound: SearchBound):
     """Products w1^e1 ... wd^ed over every witness, exponents capped so that
-    everything inside the enumeration box is reachable."""
+    everything inside the enumeration box is reachable; with no witnesses,
+    the empty product, the identity."""
     emax = bound.max_word_length + bound.max_fiber
-    if not witnesses:
-        return []
     _check_enumeration((2 * emax + 1) ** len(witnesses), "witness products", bound)
-    surface = witnesses[0].surface
     table: dict = {}
     products = [stbundle.st_identity(surface)]
     for w in witnesses:
@@ -250,7 +245,7 @@ def _witness_products(witnesses, bound: SearchBound):
 
 
 def verify_classification(
-    surface: SurfaceSpec, xi: STWord, bound: SearchBound | None = None
+    surface: SurfaceSpec, xi: STWord, bound: SearchBound = VERIFY_BOUND
 ) -> VerificationOutcome:
     """Check an emitted classification against the enumerated centralizer.
 
@@ -259,7 +254,6 @@ def verify_classification(
     answers must (i) commute and (ii) cover every enumerated centralizer
     element by a bounded witness product.
     """
-    bound = bound or VERIFY_BOUND
     report = classify_pi1(surface, xi)
     kind = report.group.kind
     xi = report.element
@@ -290,7 +284,7 @@ def verify_classification(
         )
 
     witnesses = report.group.witnesses
-    products = _witness_products(witnesses, bound)
+    products = _witness_products(surface, witnesses, bound)
     table: dict = {}
     for p in products:
         if _product(table, p, xi) != _product(table, xi, p):

@@ -647,14 +647,15 @@ def test_load_curve_holds_one_piece_of_lines():
 
 def test_line_numbers_across_chunk_cuts():
     """A text of more than two pieces is split into the lines that
-    ``text.splitlines()`` gives, numbered the same, whichever line break
-    straddles the first piece mark."""
+    ``text.split("\\n")`` gives, numbered the same, whichever separator
+    straddles the first piece mark.  A ``\\r``, U+000B, U+001C or U+2028
+    before the ``\\n`` is padding at the end of its line."""
     from curvespace.flatcurves import _CHUNK
 
     n = 4_000
     verts = tuple((math.cos(2 * math.pi * k / n), math.sin(2 * math.pi * k / n)) for k in range(n))
     rows = [f"{x!r},{y!r}" for x, y in verts]
-    breaks = ("\n", "\r\n", "\x0b", "\x1c", "\u2028", "\r", "\n\n", "\n  # a comment\n")
+    breaks = ("\n", "\r\n", "\x0b\n", "\x1c\n", "\u2028\n", "\n\n", "\n  # a comment\n")
     seps = [breaks[k % len(breaks)] for k in range(n - 1)]
 
     head = "model=plane\n#"
@@ -671,7 +672,7 @@ def test_line_numbers_across_chunk_cuts():
         starts.append(offset)
         offset += len(sep)
     fault = n - 100
-    for brk in ("\r\n", "\x0b", "\x1c", "\u2028", "\n\n", "\n  # a comment\n"):
+    for brk in ("\r\n", "\x0b\n", "\x1c\n", "\u2028\n", "\n\n", "\n  # a comment\n"):
         # pad the first comment so that a ``brk`` begins just before the mark
         last = max(start for start, sep in zip(starts, seps) if sep == brk and start < _CHUNK)
         pad = _CHUNK - 1 - last
@@ -681,9 +682,33 @@ def test_line_numbers_across_chunk_cuts():
         broken = rows[:fault] + ["0.5,oops"] + rows[fault + 1 :]
         text = text_of(broken, pad)
         assert text.index("0.5,oops") > _CHUNK
-        lineno = text.splitlines().index("0.5,oops") + 1
+        lineno = [line.strip() for line in text.split("\n")].index("0.5,oops") + 1
         with pytest.raises(CurveError, match=f"^line {lineno}: bad coordinates '0.5,oops'$"):
             load_curve(text)
+
+
+def test_only_newline_ends_a_line(tmp_path):
+    """Only ``\\n`` ends a line.  U+000B, U+000C, U+001C to U+001E, U+0085,
+    U+2028 and U+2029 at the end of a line are stripped; inside a field the
+    ones that ``float()`` refuses give bad coordinates, as U+001F does, and
+    U+000B and U+000C pad a field as a space does.  A lone ``\\r`` stays
+    inside its line; a file with ``\\r`` line ends loads through
+    universal newlines."""
+    square = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
+    for ch in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029":
+        with pytest.raises(CurveError, match="^line 5: bad coordinates 'x,0'$"):
+            load_curve(f"model=plane\n0,0{ch}\n1,0\n1,1\nx,0\n")
+    for ch in "\x1c\x1d\x1e\x1f\x85\u2028\u2029":
+        line = f"0{ch},0"
+        with pytest.raises(CurveError, match=f"^line 2: bad coordinates {re.escape(repr(line))}$"):
+            load_curve(f"model=plane\n{line}\n1,0\n1,1\n0,1\n")
+    for ch in "\x0b\x0c":
+        assert load_curve(f"model=plane\n0{ch},0\n1,0\n1,1\n0,1\n").polyline.vertices == square
+    with pytest.raises(CurveError, match="^line 2: expected 'x,y'$"):
+        load_curve("model=plane\n0,0\r1,0\n1,1\n0,1\n")
+    path = tmp_path / "cr.curve"
+    path.write_bytes(b"model=plane\r0,0\r1,0\r1,1\r0,1\r")
+    assert read_curve_file(str(path)).polyline.vertices == square
 
 
 def _chunk_curves():

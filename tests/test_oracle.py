@@ -32,24 +32,39 @@ def test_bounded_is_trivial_undecided_vs_certificate(monkeypatch):
     from curvespace import oracle
 
     pres = presentation(NONOR3)
+    monkeypatch.setattr(oracle, "_BFS_DEPTH", 1)
     # c1^2 c2^2 c3^2 is the relator: trivial, found by one deletion
-    assert bounded_is_trivial(Word(pres, pres.relators[0]), SearchBound(8, 4, 1)) is True
+    assert bounded_is_trivial(Word(pres, pres.relators[0])) is True
     # (1,1,0) is not a multiple of (2,2,2): certificate gives a definite no
-    assert bounded_is_trivial(Word(pres, (1, 2)), SearchBound(6, 4, 1)) is False
+    monkeypatch.setattr(oracle, "_BFS_LETTERS", 6)
+    assert bounded_is_trivial(Word(pres, (1, 2))) is False
     # the commutator [c1, c2] is abelian-invisible but nontrivial (c1 and c2
     # generate a free subgroup): small bounds answer undecided, never False
-    verdict = bounded_is_trivial(Word(pres, (1, 2, -1, -2)), SearchBound(6, 4, 1))
+    verdict = bounded_is_trivial(Word(pres, (1, 2, -1, -2)))
     assert verdict is UNDECIDED
     with pytest.raises(ValueError, match="bounds must be positive"):
-        SearchBound(0, 1, 1)
+        SearchBound(0, 1)
     # the genus-2 relator with its conjugate by a2 inserted after the fifth
     # letter: trivial, and its exponent vector gives no certificate; holding
     # _STATE_CAP states, the BFS answers undecided, not False
     rel = presentation(GENUS2).relators[0]
     nested = Word(presentation(GENUS2), rel[:5] + (3,) + rel + (-3,) + rel[5:])
-    assert bounded_is_trivial(nested, SearchBound(8, 4, 4)) is True
+    monkeypatch.setattr(oracle, "_BFS_DEPTH", 4)
+    monkeypatch.setattr(oracle, "_BFS_LETTERS", 8)
+    assert bounded_is_trivial(nested) is True
     monkeypatch.setattr(oracle, "_STATE_CAP", 3)
-    assert bounded_is_trivial(nested, SearchBound(8, 4, 4)) is UNDECIDED
+    assert bounded_is_trivial(nested) is UNDECIDED
+
+
+def test_default_box_is_verify_bound():
+    """``SearchBound()`` is the verify box, and the CLI's ``verify``
+    defaults are its two fields."""
+    from curvespace import cli
+
+    assert SearchBound() == VERIFY_BOUND == SearchBound(4, 3)
+    assert SearchBound._fields == ("max_word_length", "max_fiber")
+    args = cli.build_parser().parse_args(["verify", "--surface", "orientable:1:0", "--word", "a1"])
+    assert (args.bound_length, args.bound_fiber) == VERIFY_BOUND
 
 
 def test_finite_regime_element_tables():
@@ -66,8 +81,8 @@ def test_box_candidates_count_the_enumeration():
     for generators in range(4):
         for length in range(1, 5):
             walked = sum(1 for _ in _reduced_words(generators, length))
-            assert _box_candidates(generators, SearchBound(length, 2, 1)) == 5 * walked
-    huge = _box_candidates(64, SearchBound(10**9, 3, 1))
+            assert _box_candidates(generators, SearchBound(length, 2)) == 5 * walked
+    huge = _box_candidates(64, SearchBound(10**9, 3))
     assert _MAX_ENUMERATION < huge < 200 * _MAX_ENUMERATION
 
 
@@ -91,7 +106,7 @@ def test_default_centralizer_box_fits_closed_hyperbolic_surfaces():
 
 
 def test_torus_centralizer_is_the_box():
-    bound = SearchBound(3, 2, 4)
+    bound = SearchBound(3, 2)
     xi = ST("a1 b1 f", TORUS)
     cent = bounded_centralizer(TORUS, xi, bound)
     assert set(cent) == set(bounded_elements(TORUS, bound))
@@ -99,7 +114,7 @@ def test_torus_centralizer_is_the_box():
 
 def test_klein_centralizer_of_odd_element():
     """For g h the centralizer is exactly the powers of g h in the box."""
-    bound = SearchBound(4, 3, 4)
+    bound = SearchBound(4, 3)
     xi = ST("c1", KLEIN)  # c1 = g h in the semidirect coordinates
     cent = set(bounded_centralizer(KLEIN, xi, bound))
     powers = set()
@@ -111,7 +126,7 @@ def test_klein_centralizer_of_odd_element():
 
 
 def test_centralizer_contains_identity_inverse_and_self():
-    bound = SearchBound(3, 2, 4)
+    bound = SearchBound(3, 2)
     for surface, text in ((KLEIN, "c1 c2"), (GENUS2, "a1"), (NONOR3, "c1^2")):
         xi = st_parse(text, surface)
         cent = bounded_centralizer(surface, xi, bound)
@@ -130,7 +145,7 @@ def test_centralizer_of_reversing_elements_matches_plain_products():
     """Orientation-reversing elements flip the fiber of what they commute
     past, so each fiber copy of a base needs the right sign; the reference
     makes two full products per element."""
-    bound = SearchBound(3, 2, 4)
+    bound = SearchBound(3, 2)
     for surface, text in ((KLEIN, "c1"), (KLEIN, "c2 f^2"), (NONOR3, "c1"), (NONOR3, "c1 c2 c3 F")):
         xi = ST(text, surface)
         reference = tuple(
@@ -140,7 +155,7 @@ def test_centralizer_of_reversing_elements_matches_plain_products():
 
 
 def test_centralizer_order_is_deterministic():
-    bound = SearchBound(3, 2, 4)
+    bound = SearchBound(3, 2)
     a = bounded_centralizer(KLEIN, ST("c1", KLEIN), bound)
     b = bounded_centralizer(KLEIN, ST("c1", KLEIN), bound)
     assert a == b
@@ -155,9 +170,9 @@ def test_verify_classification_examples():
     assert verify_classification(TORUS, ST("a1", TORUS)).passed
     assert verify_classification(NONOR3, ST("c1^2", NONOR3)).passed
     assert not VerificationOutcome(False, "x")
-    # the products run over every witness, whatever the BFS depth
+    # the products run over every witness
     for surface, text in ((TORUS, "a1"), (KLEIN, "c1 c2")):
-        assert verify_classification(surface, ST(text, surface), SearchBound(3, 2, 1)).passed
+        assert verify_classification(surface, ST(text, surface), SearchBound(3, 2)).passed
 
 
 def test_verify_classification_reports_doctored_answers(monkeypatch):
@@ -176,7 +191,8 @@ def test_verify_classification_reports_doctored_answers(monkeypatch):
          "a witness product fails to commute", "C2^7"),
         (TORUS, "a1", GroupDescription(Kind.ZXZ, (ST("a1", TORUS), ST("f", TORUS))),
          "a centralizer element is not a witness product", "b1 F^3"),
-        # no witnesses give no products, so the first centralizer element is uncovered
+        # with no witnesses the only product is the empty one, the identity,
+        # so the first centralizer element, F^3, is uncovered
         (TORUS, "a1", GroupDescription(Kind.Z),
          "a centralizer element is not a witness product", "F^3"),
         (NONOR3, "c1^2", GroupDescription(Kind.KLEIN_BOTTLE_GROUP, (ST("f", NONOR3), ST("c1", NONOR3))),
@@ -190,6 +206,14 @@ def test_verify_classification_reports_doctored_answers(monkeypatch):
         assert outcome.passed is False, (surface, text)
         assert outcome.detail == detail
         assert st_text(outcome.counterexample) == counterexample
+    # the empty product is the identity: at fiber bound 0 it covers the
+    # box's first element, and a1 is the first one left uncovered
+    xi = ST("a1", TORUS)
+    doctored = classify_pi1(TORUS, xi)._replace(group=GroupDescription(Kind.Z))
+    monkeypatch.setattr(oracle, "classify_pi1", lambda s, x: doctored)
+    outcome = verify_classification(TORUS, xi, SearchBound(4, 0))
+    assert outcome.detail == "a centralizer element is not a witness product"
+    assert st_text(outcome.counterexample) == "a1"
 
 
 def test_box_cache_keeps_at_most_sixteen_boxes():
@@ -197,6 +221,6 @@ def test_box_cache_keeps_at_most_sixteen_boxes():
     bytes, so the cache keeps only the 16 used last: after 17 distinct
     bounds it has dropped one."""
     for fiber in range(17):
-        bound = SearchBound(1, fiber, 1)
+        bound = SearchBound(1, fiber)
         assert len(bounded_elements(TORUS, bound)) == 5 * (2 * fiber + 1)
     assert bounded_elements.cache_info().currsize <= 16

@@ -90,7 +90,9 @@ def test_rp2_residues():
     assert ST("c1^2 F", RP2) == st_identity(RP2)
 
 
-def test_genus2_relator_lift_with_oracle():
+def test_genus2_relator_lift_with_oracle(monkeypatch):
+    from curvespace import oracle
+
     pres = presentation(GENUS2)
     rel = st_word(GENUS2, pres.relators[0], 0)
     # the surface relator equals f^chi = f^-2 upstairs
@@ -100,7 +102,9 @@ def test_genus2_relator_lift_with_oracle():
     lifted = st_presentation(GENUS2)
     f = len(lifted.generators)
     w = Word(lifted, pres.relators[0] + (f,) * 2)
-    assert bounded_is_trivial(w, SearchBound(12, 4, 4)) is True
+    monkeypatch.setattr(oracle, "_BFS_DEPTH", 4)
+    monkeypatch.setattr(oracle, "_BFS_LETTERS", 12)
+    assert bounded_is_trivial(w) is True
 
 
 def test_torus_is_abelian():
@@ -329,6 +333,11 @@ def test_parse_print_roundtrip():
     for surface, text in finite:
         assert st_text(st_parse(text, surface)) == text
     assert [st_text(st_parse(t, RP2)) for t in ("f", "c1 f", "F", "C1")] == ["c1^2", "c1^3", "c1^2", "c1^3"]
+    # an element prints as its text form
+    for surface in ALL_REGIME_SAMPLES:
+        letters = (1, 1) if presentation(surface).generators else ()
+        xi = st_word(surface, letters, 3)
+        assert str(xi) == st_text(xi)
 
 
 def test_power():
@@ -467,7 +476,7 @@ def test_one_conjugacy_rule_matches_the_case_split():
                 verdicts.add(verdict)
         assert verdicts == {True, False}, text
     for surface in ABELIAN:
-        box = bounded_elements(surface, SearchBound(3, 2, 1))
+        box = bounded_elements(surface, SearchBound(3, 2))
         verdicts = {(a, b): st_is_conjugate(a, b) for a in box for b in box}
         assert verdicts == {(a, b): a == b for a in box for b in box}, surface
 

@@ -21,6 +21,7 @@ from curvespace.words import Word, free_reduce
 from curvespace.stbundle import decompose
 from curvespace.flatcurves import CurveOnSurface, Model, Polyline, lift
 from curvespace.classify import GroupDescription, Kind, classify_pi1
+from curvespace import oracle
 from curvespace.oracle import SearchBound, VerificationOutcome, bounded_is_trivial
 
 from conftest import ALL_REGIME_SAMPLES, KLEIN, GENUS2, NONOR3, RP2, SPHERE, ST, TORUS, W
@@ -277,7 +278,7 @@ def test_smith_diagonal_by_determinantal_divisors():
         assert smith_diagonal(rows, ncols) == _determinantal_diagonal(rows, ncols), rows
 
 
-def test_abelian_certificate_by_determinantal_divisors():
+def test_abelian_certificate_by_determinantal_divisors(monkeypatch):
     """``bounded_is_trivial`` answers a definite False exactly when adding
     the word's exponent row to the relator rows changes the number of
     nonzero invariant factors or their product, computed here from minors.
@@ -292,7 +293,8 @@ def test_abelian_certificate_by_determinantal_divisors():
         presentation(GENUS2),
     )
     rng = random.Random(61)
-    bound = SearchBound(4, 1, 1)
+    monkeypatch.setattr(oracle, "_BFS_DEPTH", 1)
+    monkeypatch.setattr(oracle, "_BFS_LETTERS", 4)
 
     def invariants(rows, ncols):
         nonzero = [d for d in _determinantal_diagonal(rows, ncols) if d]
@@ -312,13 +314,13 @@ def test_abelian_certificate_by_determinantal_divisors():
                 rng.shuffle(letters)
             row = list(exponent_vector(pres, letters))
             certified = invariants(rows + [row], n) != before
-            verdict = bounded_is_trivial(Word(pres, tuple(letters)), bound)
+            verdict = bounded_is_trivial(Word(pres, tuple(letters)))
             assert (verdict is False) == certified, (pres.spell(letters), verdict)
             verdicts.add(certified)
         assert verdicts == {False, True}, pres
 
 
-def test_klein_st_presentation_matches_product_form():
+def test_klein_st_presentation_matches_product_form(monkeypatch):
     """The Klein tangent-bundle group is also presented by generators g, h, f
     with h g = g^-1 h, h f = f^-1 h, g f = f g; check both relator sets map
     to consequences of the other under g -> c1 c2, h -> c2^-1 (and back),
@@ -328,16 +330,17 @@ def test_klein_st_presentation_matches_product_form():
         (Generator("g", +1), Generator("h", -1), Generator("f", +1)),
         ((2, 1, -2, 1), (2, 3, -2, 3), (1, 3, -1, -3)),
     )
-    bound = SearchBound(max_word_length=12, max_fiber=4, max_depth=4)
+    monkeypatch.setattr(oracle, "_BFS_DEPTH", 4)
+    monkeypatch.setattr(oracle, "_BFS_LETTERS", 12)
 
     # g -> c1 c2, h -> c2^-1, f -> f  (letters in crosscap form: 1,2,3)
     into_crosscap = {1: (1, 2), -1: (-2, -1), 2: (-2,), -2: (2,), 3: (3,), -3: (-3,)}
     for rel in product_form.relators:
         image = free_reduce(sum((into_crosscap[x] for x in rel), ()))
-        assert bounded_is_trivial(Word(crosscap, image), bound) is True
+        assert bounded_is_trivial(Word(crosscap, image)) is True
 
     # c1 -> g h, c2 -> h^-1, f -> f  (letters in product form: 1,2,3)
     into_product = {1: (1, 2), -1: (-2, -1), 2: (-2,), -2: (2,), 3: (3,), -3: (-3,)}
     for rel in crosscap.relators:
         image = free_reduce(sum((into_product[x] for x in rel), ()))
-        assert bounded_is_trivial(Word(product_form, image), bound) is True
+        assert bounded_is_trivial(Word(product_form, image)) is True

@@ -34,7 +34,8 @@ from curvespace.words import (
     word,
 )
 from curvespace.stbundle import decompose, st_is_conjugate, st_parse, st_text, st_word
-from curvespace.oracle import SearchBound, bounded_is_trivial
+from curvespace import oracle
+from curvespace.oracle import bounded_is_trivial
 
 from conftest import ALL_REGIME_SAMPLES, GENUS2, GENUS3, KLEIN, NONOR3, PUNCTURED_TORUS, RP2, TORUS, W, inv, mul
 
@@ -447,20 +448,21 @@ def test_letter_table_parses_as_the_grammar():
     assert _parsed(parse_letters, "b1 " * 1_000_001 + "q9", names) == too_long
 
 
-def test_is_trivial_oracle_agreement_sweep():
+def test_is_trivial_oracle_agreement_sweep(monkeypatch):
     """Engine vs relator-insertion BFS over genus-2 words: exhaustive on
     short words, randomized up to length 8.  'Undecided' counts as agreement
     only against an engine 'nontrivial'."""
     import itertools
 
     pres = presentation(GENUS2)
-    bound = SearchBound(max_word_length=8, max_fiber=4, max_depth=2)
+    monkeypatch.setattr(oracle, "_BFS_DEPTH", 2)
+    monkeypatch.setattr(oracle, "_BFS_LETTERS", 8)
     alphabet = [1, 2, 3, 4, -1, -2, -3, -4]
 
     def check(letters):
         w = word(pres, free_reduce(letters))
         engine = not w.letters
-        orac = bounded_is_trivial(w, bound)
+        orac = bounded_is_trivial(w)
         if engine:
             assert orac is True, letters
         else:
@@ -703,10 +705,11 @@ def test_move_table_is_the_swap_orbit_minimum():
                 assert _band_steps(band, a, d) == expected, (surface, a, piece)
 
 
-def test_moves_hold_in_the_group_by_the_oracle():
+def test_moves_hold_in_the_group_by_the_oracle(monkeypatch):
     """Every move ``(y, d', s)`` out of offset ``d`` at letter ``a`` has
     ``a^-1 d y d'^-1 = 1`` by relator insertion alone."""
-    bound = SearchBound(max_depth=2)
+    monkeypatch.setattr(oracle, "_BFS_DEPTH", 2)
+    monkeypatch.setattr(oracle, "_BFS_LETTERS", 8)
     checked = 0
     for surface in (GENUS2, GENUS3, NONOR3, SurfaceSpec(False, 4, 0)):
         pres = presentation(surface)
@@ -715,7 +718,7 @@ def test_moves_hold_in_the_group_by_the_oracle():
             for d, piece in enumerate(band.pieces):
                 for y, k, _ in _band_steps(band, a, d)[0]:
                     letters = (-a,) + piece + (y,) + invert_letters(band.pieces[k])
-                    assert bounded_is_trivial(Word(pres, letters), bound) is True, (surface, letters)
+                    assert bounded_is_trivial(Word(pres, letters)) is True, (surface, letters)
                     checked += 1
     assert checked == 1712
 
