@@ -48,11 +48,10 @@ ORIENTATION_PRESERVING_PREDICATE = (
 )
 
 
-class GroupDescription(
-    namedtuple("GroupDescription", "kind witnesses membership sphere_sum_degree")
-):
+class GroupDescription(namedtuple("GroupDescription", "kind witnesses sphere_sum_degree")):
     """A named group with generator witnesses living in the tangent-bundle
-    group of the classified surface."""
+    group of the classified surface; the index-two subgroup has none, and
+    its kind names its predicate, :data:`ORIENTATION_PRESERVING_PREDICATE`."""
 
     __slots__ = ()
 
@@ -60,7 +59,6 @@ class GroupDescription(
         cls,
         kind: Kind,
         witnesses: tuple[STWord, ...] = (),
-        membership: str | None = None,
         sphere_sum_degree: int | None = None,
     ):
         # rank check applies when witnesses are supplied at all (the higher
@@ -68,7 +66,7 @@ class GroupDescription(
         want = _RANK.get(kind)
         if want is not None and witnesses and len(witnesses) != want:
             raise ValueError(f"{kind.value} needs {want} witnesses")
-        return super().__new__(cls, kind, witnesses, membership, sphere_sum_degree)
+        return super().__new__(cls, kind, witnesses, sphere_sum_degree)
 
     @classmethod
     def _make(cls, iterable):
@@ -96,7 +94,7 @@ class GroupDescription(
         if k is Kind.FULL_ST_GROUP:
             return "the whole tangent-bundle fundamental group"
         if k is Kind.ORIENTATION_PRESERVING_SUBGROUP:
-            return "index-two subgroup of the tangent-bundle group: " + self.membership
+            return "index-two subgroup of the tangent-bundle group: " + ORIENTATION_PRESERVING_PREDICATE
         if k is Kind.TRIVIAL_GROUP:
             return "0"
         n = self.sphere_sum_degree
@@ -105,8 +103,7 @@ class GroupDescription(
 
 
 class ClassificationReport(
-    namedtuple("ClassificationReport", "surface element case group decomposition",
-               defaults=(None,))
+    namedtuple("ClassificationReport", "element case group decomposition", defaults=(None,))
 ):
     """The answer of :func:`classify_pi1`: the element, the case of the
     decision tree, the group, and ``(k, l)`` of the element's root-and-fiber
@@ -117,7 +114,7 @@ class ClassificationReport(
     def text(self) -> str:
         element = st_text(self.element)
         lines = [
-            f"surface:        {self.surface}",
+            f"surface:        {self.element.surface}",
             f"input:          {element}",
             f"tangent lift:   {element}",
         ]
@@ -128,8 +125,8 @@ class ClassificationReport(
         lines.append(f"pi_1 of curve space: {self.group.describe()}")
         for i, w in enumerate(self.group.witnesses, start=1):
             lines.append(f"  generator {i}:  {st_text(w)}")
-        if self.group.membership:
-            lines.append(f"  membership:   {self.group.membership}")
+        if self.group.kind is Kind.ORIENTATION_PRESERVING_SUBGROUP:
+            lines.append(f"  membership:   {ORIENTATION_PRESERVING_PREDICATE}")
         return "\n".join(lines)
 
     def structured(self) -> str:
@@ -154,7 +151,7 @@ def classify_pi1(surface: SurfaceSpec, xi: STWord) -> ClassificationReport:
     f = rec.fiber
 
     def report(case, group, dec=None):
-        return ClassificationReport(surface, xi, case, group, dec)
+        return ClassificationReport(xi, case, group, dec)
 
     if reg is Regime.SPHERE:
         return report("Thm 1", GroupDescription(Kind.Z2, (f,)))
@@ -200,11 +197,7 @@ def classify_pi1(surface: SurfaceSpec, xi: STWord) -> ClassificationReport:
 
     if base_trivial:
         if xi.fiber != 0:
-            group = GroupDescription(
-                Kind.ORIENTATION_PRESERVING_SUBGROUP,
-                membership=ORIENTATION_PRESERVING_PREDICATE,
-            )
-            return report("Thm 6 III a", group)
+            return report("Thm 6 III a", GroupDescription(Kind.ORIENTATION_PRESERVING_SUBGROUP))
         return report("Thm 6 III b", _full_group(rec))
 
     dec = decompose(xi)

@@ -49,12 +49,13 @@ which a coordinate lies in cell ``q`` and off every grid line.  A
 chart path changes cell only a few times, so most vertices skip the test.
 
 ``load_curve`` reads the file text one piece of about ``_CHUNK`` characters
-at a time.  A piece of a text with no comments, no ``_`` and no non-ASCII
-character, whose lines are each ``x,y`` ended by ``\\n``, is converted in
-bulk: ``float`` is mapped over its fields, and the piece is kept if the
-values sum to a finite number.  Every other piece is split at each ``\\n``
-and read by the line loop, which names the first faulty line, so the
-errors and their line numbers do not depend on the path.  Besides the text,
+at a time.  A piece with no comment, no ``_`` and no non-ASCII character,
+whose lines are each ``x,y`` ended by ``\\n``, is converted in bulk:
+``float`` is mapped over its fields, and the piece is kept if the values
+sum to a finite number.  Every other piece is split at each ``\\n`` and
+read by the line loop, which names the first faulty line, so the errors and
+their line numbers do not depend on the path.  Each piece is judged on
+its own, whatever the rest of the text holds.  Besides the text,
 ``load_curve`` holds the vertex tuple it returns, built straight from the
 pieces' points, and one piece with its lines or its fields, never a list
 of every line, vertex or edge direction.  A curve's lift data (deck class
@@ -339,20 +340,18 @@ def _chunks(text: str, start: int, size: int = _CHUNK):
         start = cut
 
 
-def _chunk_points(text: str, start: int, lineno: int, comments: bool, screened: bool):
+def _chunk_points(text: str, start: int, lineno: int):
     """The vertices of the lines of ``text`` from ``start`` on, one list per
-    piece; line ``lineno + 1`` begins at ``start``.  A piece of a screened
-    text with no comments is converted in bulk (:func:`_bulk_points`); any
-    other piece, or one that the bulk conversion turns down, is split at
-    each ``\\n`` and goes through the line loop (:func:`_line_points`), the
-    only code that names a line fault.  So the first fault of the first
-    faulty piece is raised, with its line number."""
-    bulk = screened and not comments
+    piece; line ``lineno + 1`` begins at ``start``.  Each piece is first
+    offered to the bulk conversion (:func:`_bulk_points`); a piece that it
+    turns down is split at each ``\\n`` and goes through the line loop
+    (:func:`_line_points`), the only code that names a line fault.  So the
+    first fault of the first faulty piece is raised, with its line number."""
     for piece in _chunks(text, start):
-        points = _bulk_points(piece) if bulk else None
+        points = _bulk_points(piece)
         if points is None:
             lines = piece.split("\n")
-            points = _line_points(lines, lineno, comments, screened)
+            points = _line_points(lines, lineno)
             lineno += len(lines) - 1  # after a piece's last "\n", no line
         else:
             lineno += len(points)
@@ -360,11 +359,15 @@ def _chunk_points(text: str, start: int, lineno: int, comments: bool, screened: 
 
 
 def _bulk_points(piece: str):
-    """The vertices of a piece whose only separators are one ``,`` and one
+    """The vertices of an ASCII piece with no ``_`` (which the line loop
+    refuses and ``float`` reads) whose only separators are one ``,`` and one
     ``\\n`` per line, or None for any other piece or if a value is not a
     finite float (a sum of floats is finite only if every term is).  Such a
     piece has one ``x,y`` line per vertex, so its fields are the strings
-    that the line loop would read."""
+    that the line loop would read; a ``#`` lies in a field, which ``float``
+    refuses."""
+    if not piece.isascii() or "_" in piece:
+        return None
     # one "," and one "\n" per line, but no "\n" after a last line that
     # ends the text
     seps = piece.encode("ascii").translate(None, _NOT_SEPARATORS)
@@ -384,16 +387,17 @@ def _bulk_points(piece: str):
     return list(zip(it, it))
 
 
-def _line_points(lines, lineno: int, comments: bool, screened: bool):
+def _line_points(lines, lineno: int):
     """The vertices of ``lines``, numbered from ``lineno + 1``, checked one
     line at a time.  Each line is stripped once, after its comment is cut:
     ``str.strip()`` removes only the ends, where it also takes U+001C to
     U+001F, U+0085, U+2028 and U+2029 that ``float()`` refuses, so the
-    stripped line is the one parsed and the one quoted in an error."""
+    stripped line is the one parsed and the one quoted in an error, which
+    must be ASCII with no ``_``, as ``float()`` reads both."""
     isfinite = math.isfinite
     points = []
     for lineno, line in enumerate(lines, start=lineno + 1):
-        if comments and "#" in line:
+        if "#" in line:
             line = line.partition("#")[0]
         line = line.strip()
         if not line:
@@ -401,7 +405,7 @@ def _line_points(lines, lineno: int, comments: bool, screened: bool):
         xs, comma, ys = line.partition(",")
         if not comma or "," in ys:
             raise CurveError(f"line {lineno}: expected 'x,y'")
-        if not (screened or line.isascii() and "_" not in line):
+        if not line.isascii() or "_" in line:
             raise CurveError(f"line {lineno}: bad coordinates {line!r}")
         try:
             x, y = float(xs), float(ys)
@@ -419,20 +423,16 @@ def load_curve(text: str) -> CurveOnSurface:
     Line 1: ``model=plane|torus|klein``; then one ``x,y`` pair per line, with
     finite ASCII decimal coordinates.  Only ``\\n`` ends a line: a lone
     ``\\r`` or another line separator stays inside its line.  ``#`` starts
-    a comment; blank lines are ignored.  Validation computes the curve's
-    lift data, which ``lift`` then reuses.
+    a comment, which sends only its own piece through the line loop; blank
+    lines are ignored.  Validation computes the lift data, which ``lift``
+    then reuses.
     """
-    comments = "#" in text
-    # float() also reads digit-group underscores and non-ASCII digits, so a
-    # coordinate line, stripped, must be ASCII with no "_"; only the lines
-    # of a text that fails this screen are checked
-    screened = text.isascii() and "_" not in text
     # the header is looked for one line at a time, so finding it does not
     # split the whole text into lines
     offset = 0
     for lineno, raw in enumerate(_chunks(text, 0, 0), start=1):
         offset += len(raw)
-        if comments and "#" in raw:
+        if "#" in raw:
             raw = raw.partition("#")[0]
         line = raw.strip()
         if not line:
@@ -449,7 +449,7 @@ def load_curve(text: str) -> CurveOnSurface:
         raise CurveError("empty curve file")
     # the tuple is built straight from the pieces' points, so no second
     # array of every vertex is held; a fault raises at its own piece
-    points = _chunk_points(text, offset, lineno, comments, screened)
+    points = _chunk_points(text, offset, lineno)
     curve = CurveOnSurface(model, Polyline(tuple(chain.from_iterable(points))))
     # the coordinates are finite, so the lift data is stored without the
     # finiteness pass that ``_lift_data`` runs on a directly built curve

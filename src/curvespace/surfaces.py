@@ -137,17 +137,15 @@ class Generator(namedtuple("Generator", "name character")):
         return cls(*super()._make(iterable))
 
 
-class Presentation(
-    namedtuple("Presentation", "generators relators surface lifted", defaults=(None, False))
-):
+class Presentation(namedtuple("Presentation", "generators relators surface", defaults=(None,))):
     """A finite presentation: a tuple of :class:`Generator` and a tuple of
     relators.
 
     Letters of relators (and of words over this presentation) are nonzero
     integers: ``+(i+1)`` is generator ``i``, negative means its inverse.
-    ``surface`` (a :class:`SurfaceSpec` or None) and ``lifted`` tag
-    presentations produced by :func:`presentation` / :func:`st_presentation`
-    so that word operations can pick the right normal-form engine.
+    ``surface`` (a :class:`SurfaceSpec` or None) tags the presentations
+    that :func:`presentation` and :func:`st_presentation` build; word
+    operations take only a surface's own :func:`presentation`.
     """
 
     __slots__ = ()
@@ -215,14 +213,14 @@ def st_presentation(spec: SurfaceSpec) -> Presentation:
     f = Generator("f", +1)
     order = FINITE_ORDERS.get(regime(spec))
     if order:
-        return Presentation((f,), ((1,) * order,), surface=spec, lifted=True)
+        return Presentation((f,), ((1,) * order,), surface=spec)
     base = presentation(spec)
     fidx = len(base.generators) + 1  # letter number of f
     # the surface relator, if any, lifted to f**chi
     relators = [r + (fidx,) * -euler_characteristic(spec) for r in base.relators]
     for x, g in enumerate(base.generators, 1):
         relators.append((x, fidx, -x, -g.character * fidx))
-    return Presentation(base.generators + (f,), tuple(relators), surface=spec, lifted=True)
+    return Presentation(base.generators + (f,), tuple(relators), surface=spec)
 
 
 # ---------------------------------------------------------------------------

@@ -36,10 +36,10 @@ by regime:
   capped: every answer is decided in polynomial time;
 * projective plane: the parity of the exponent sum; sphere: the empty word.
 
-Words are normalized only over the surface presentations that
-:func:`curvespace.surfaces.presentation` builds.  Tangent-bundle
-presentations (handled by :mod:`curvespace.stbundle`) and ad-hoc
-presentations without a surface (handled by the oracle) raise ``ValueError``.
+Words are normalized only over a surface's own presentation, the one that
+:func:`curvespace.surfaces.presentation` builds.  Any other, such as a
+tangent-bundle one (:mod:`curvespace.stbundle`), an ad-hoc one (the oracle)
+or a surface-tagged one with other relators, raises ``ValueError``.
 
 The relator moves carry a fiber exponent so that the tangent-bundle module
 can reuse them: the surface relator equals ``f**chi`` upstairs, so replacing
@@ -909,11 +909,14 @@ def surface_record(spec: SurfaceSpec) -> SurfaceRecord:
 
 
 def _record(pres: Presentation) -> SurfaceRecord:
-    if pres.lifted:
-        raise ValueError("tangent-bundle words are handled by the stbundle module")
-    if pres.surface is None:
-        raise ValueError("words need a surface presentation; the oracle handles ad-hoc ones")
-    return surface_record(pres.surface)
+    rec = None if pres.surface is None else surface_record(pres.surface)
+    # ``pres`` is nearly always the record's own object, compared at once
+    if rec is None or pres is not rec.presentation and pres != rec.presentation:
+        raise ValueError(
+            "words need a surface's own presentation; the stbundle module handles "
+            "tangent-bundle words and the oracle ad-hoc presentations"
+        )
+    return rec
 
 
 # ---------------------------------------------------------------------------

@@ -746,23 +746,77 @@ def _outcome(text):
     return curve.polyline.vertices, curve._lift_data
 
 
-def test_bulk_chunks_load_as_the_line_loop_does():
+def _commented(text):
+    """``text`` with `` # c`` at the end of every line, so that every piece
+    holds a comment and goes through the line loop."""
+    return text.replace("\n", " # c\n") + " # c"
+
+
+def _count_line_loops(monkeypatch):
+    """A list that counts the calls of the line loop from now on."""
+    from curvespace import flatcurves
+
+    calls = []
+    line_points = flatcurves._line_points
+
+    def spy(*args):
+        calls.append(args)
+        return line_points(*args)
+
+    monkeypatch.setattr(flatcurves, "_line_points", spy)
+    return calls
+
+
+def test_bulk_chunks_load_as_the_line_loop_does(monkeypatch):
     """A text with no comment is converted a piece at a time in bulk; the
-    same text with a comment at the end goes through the line loop.  Both
-    give the same vertices and lift data, on every model and whether the
-    text has one, two or three pieces."""
+    same text with a comment at the end of every line goes through the line
+    loop.  Both give the same vertices and lift data, on every model and
+    whether the text has one, two or three pieces."""
     from curvespace.flatcurves import _CHUNK
 
+    calls = _count_line_loops(monkeypatch)
     spans = set()
     for model, verts in _chunk_curves():
         text = _curve_text(model, verts)
         spans.add(len(text) // _CHUNK + 1)
         curve = load_curve(text)
         assert curve.polyline.vertices == verts
-        assert _outcome(text) == _outcome(text + "# c")
+        assert not calls
+        reference = _outcome(_commented(text))
+        assert len(calls) == len(text) // _CHUNK + 1
+        calls.clear()
+        assert _outcome(text) == reference
         # without a final newline
-        assert _outcome(text[:-1]) == _outcome(text + "# c")
+        assert _outcome(text[:-1]) == reference
+        assert not calls
     assert spans == {1, 2, 3}
+
+
+def test_a_comment_sends_only_its_own_piece_through_the_line_loop(monkeypatch):
+    """A comment line, ASCII or not, at the top of a three-piece text or
+    first in its first piece: the text loads the vertices and lift data that
+    it loads without the line, and the error that it gives with a blank line
+    there, and only a piece that holds the comment goes through the line
+    loop."""
+    model, verts = list(_chunk_curves())[-1]
+    text = _curve_text(model, verts)
+    head, _, body = text.partition("\n")
+    # a fault in the third piece
+    rows = body.split("\n")
+    at = len(rows) * 9 // 10
+    faulty = "\n".join(rows[:at] + ["nan,0.5"] + rows[at + 1 :])
+    clean = _outcome(text)
+    assert clean[0] == verts
+    calls = _count_line_loops(monkeypatch)
+    for comment in ("# header", "# caf\u00e9"):
+        for lines, loops in (([comment, head], 0), ([head, comment], 1)):
+            calls.clear()
+            assert _outcome("\n".join(lines + [body])) == clean
+            assert len(calls) == loops
+            blank = ["" if line == comment else line for line in lines]
+            got = _outcome("\n".join(lines + [faulty]))
+            assert got == _outcome("\n".join(blank + [faulty]))
+            assert got == f"line {at + 3}: coordinates must be finite, not 'nan,0.5'"
 
 
 def test_faults_in_a_later_chunk_are_named_by_the_line_loop():
@@ -801,7 +855,7 @@ def test_faults_in_a_later_chunk_are_named_by_the_line_loop():
             line = fault(x, y)
             text = head + "\n".join(rows[:at] + [line] + rows[at + 1 :]) + "\n"
             got = _outcome(text)
-            assert got == _outcome(text + "# c"), (piece, line)
+            assert got == _outcome(_commented(text)), (piece, line)
             if message is None:
                 assert got == clean, (piece, line)
             else:

@@ -119,6 +119,15 @@ def test_value_records_behave_as_records(name):
         setattr(record, record._fields[0], None)
 
 
+def test_records_hold_no_field_that_other_fields_decide():
+    """A presentation's engine follows from its surface and its relators, the
+    index-two answer's predicate from its kind, and a report's surface from
+    its element, so none of them is a field."""
+    assert Presentation._fields == ("generators", "relators", "surface")
+    assert GroupDescription._fields == ("kind", "witnesses", "sphere_sum_degree")
+    assert curvespace.ClassificationReport._fields == ("element", "case", "group", "decomposition")
+
+
 def test_parse_roundtrip():
     for spec in ALL_REGIME_SAMPLES:
         assert SurfaceSpec.parse(str(spec)) == spec

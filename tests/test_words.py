@@ -26,6 +26,7 @@ from curvespace.words import (
     free_reduce,
     invert_letters,
     klein_coordinates,
+    normal_form,
     parse_letters,
     parse_word,
     primitive_root,
@@ -59,18 +60,36 @@ def test_relator_is_trivial_with_oracle():
 
 def test_words_need_a_surface_presentation():
     """Words over a tangent-bundle or a surface-less presentation are
-    rejected, not normalized by the engine of the underlying surface."""
+    rejected, not normalized by the engine of the underlying surface, and
+    so are words over a surface-tagged presentation with other relators:
+    genus 2 with ``a1`` as a relator, where ``a1 = 1``, and the torus with
+    no relator, where ``a1 b1`` is not ``b1 a1``."""
     klein = Presentation((Generator("x", -1), Generator("y", +1)), ((1, 2, -1, 2),))
+    genus2 = presentation(GENUS2)
     cases = (
         (st_presentation(TORUS), (3, 1)),  # f a1, where f is not b1
         (st_presentation(GENUS2), (5, 1, 5)),  # f a1 f
         (klein, (1, 2, -1, 2)),  # its own relator
+        (genus2._replace(relators=genus2.relators + ((1,),)), (1,)),
+        (presentation(TORUS)._replace(relators=()), (1, 2)),
     )
     for pres, letters in cases:
-        u = Word(pres, letters)
-        for call in (lambda: word(pres, letters), lambda: mul(u, u), lambda: _record(pres).normalize(letters)):
-            with pytest.raises(ValueError, match="stbundle|surface presentation"):
+        u, v = Word(pres, letters), Word(pres, letters[::-1])
+        calls = (
+            lambda: word(pres, letters),
+            lambda: normal_form(u),
+            lambda: parse_word(pres.spell(letters), pres),
+            lambda: conjugating_element(u, v),
+            lambda: primitive_root(u),
+            lambda: mul(u, u),
+            lambda: _record(pres).normalize(letters),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="own presentation; the stbundle module .* the oracle"):
                 call()
+    # an equal presentation that is another object is the surface's own
+    twin = Presentation(*genus2)
+    assert twin is not genus2 and word(twin, (1, 2, -1)) == Word(twin, (1, 2, -1))
 
 
 def test_is_trivial_basics():
