@@ -47,6 +47,21 @@ ORIENTATION_PRESERVING_PREDICATE = (
     "elements whose base projection preserves orientation (character +1)"
 )
 
+# the text of every kind but the sphere sum, whose text depends on its degree
+_DESCRIPTIONS = {
+    Kind.Z2: "Z/2",
+    Kind.Z4: "Z/4",
+    Kind.Z: "Z",
+    Kind.ZXZ: "Z x Z",
+    Kind.ZXZXZ: "Z x Z x Z",
+    Kind.KLEIN_BOTTLE_GROUP: "Klein bottle group <x, y | x y x^-1 y>",
+    Kind.FULL_ST_GROUP: "the whole tangent-bundle fundamental group",
+    Kind.ORIENTATION_PRESERVING_SUBGROUP: (
+        "index-two subgroup of the tangent-bundle group: " + ORIENTATION_PRESERVING_PREDICATE
+    ),
+    Kind.TRIVIAL_GROUP: "0",
+}
+
 
 class GroupDescription(namedtuple("GroupDescription", "kind witnesses sphere_sum_degree")):
     """A named group with generator witnesses living in the tangent-bundle
@@ -78,25 +93,8 @@ class GroupDescription(namedtuple("GroupDescription", "kind witnesses sphere_sum
         return self.kind.value
 
     def describe(self) -> str:
-        k = self.kind
-        if k is Kind.Z2:
-            return "Z/2"
-        if k is Kind.Z4:
-            return "Z/4"
-        if k is Kind.Z:
-            return "Z"
-        if k is Kind.ZXZ:
-            return "Z x Z"
-        if k is Kind.ZXZXZ:
-            return "Z x Z x Z"
-        if k is Kind.KLEIN_BOTTLE_GROUP:
-            return "Klein bottle group <x, y | x y x^-1 y>"
-        if k is Kind.FULL_ST_GROUP:
-            return "the whole tangent-bundle fundamental group"
-        if k is Kind.ORIENTATION_PRESERVING_SUBGROUP:
-            return "index-two subgroup of the tangent-bundle group: " + ORIENTATION_PRESERVING_PREDICATE
-        if k is Kind.TRIVIAL_GROUP:
-            return "0"
+        if self.kind is not Kind.SYMBOLIC_SPHERE_SUM:
+            return _DESCRIPTIONS[self.kind]
         n = self.sphere_sum_degree
         first = "Z" if n == 3 else f"pi_{n}(S^2)"
         return f"{first} (+) pi_{n + 1}(S^2)"
@@ -161,10 +159,8 @@ def classify_pi1(surface: SurfaceSpec, xi: STWord) -> ClassificationReport:
         return report("Thm 4", GroupDescription(Kind.Z4, rec.lifts))
 
     if reg is Regime.TORUS:
-        if st_is_trivial(xi):
-            return report("Thm 2", _full_group(rec))
-        a1, b1 = rec.lifts
-        return report("Thm 2", GroupDescription(Kind.ZXZXZ, (a1, b1, f)))
+        kind = Kind.FULL_ST_GROUP if st_is_trivial(xi) else Kind.ZXZXZ
+        return report("Thm 2", GroupDescription(kind, rec.lifts + (f,)))
 
     if reg is Regime.KLEIN:
         k, l = klein_coordinates(xi.base.letters)

@@ -31,7 +31,7 @@ from .surfaces import SurfaceSpec, presentation, presentation_text, st_presentat
 from .words import WordParseError
 from .stbundle import STWord, st_parse, st_text, decompose
 from .flatcurves import lift, read_curve_file
-from .classify import classify_pi1, classify_pin, regular_homotopy_equivalent
+from .classify import Kind, classify_pi1, classify_pin, regular_homotopy_equivalent
 from .oracle import SearchBound, VERIFY_BOUND, verify_classification
 
 _INPUT_ERRORS = (ValueError, OSError)
@@ -57,7 +57,7 @@ def _cmd_group(args, spec):
     for tag, pres in (("base", base), ("st", st)):
         structured.append(f"{tag}.generators=" + " ".join(pres.names()))
         for g in pres.generators:
-            structured.append(f"{tag}.character.{g.name}={'+1' if g.character > 0 else '-1'}")
+            structured.append(f"{tag}.character.{g.name}={g.character:+d}")
         for i, rel in enumerate(pres.relators, start=1):
             structured.append(f"{tag}.relator.{i}={pres.spell(rel)}")
     text = [f"surface {spec}", "fundamental group:", presentation_text(base),
@@ -72,7 +72,7 @@ def _cmd_classify(args, spec):
 
 def _cmd_pin(args, spec):
     group = classify_pin(spec, args.n)
-    case = "Thm 8 I" if group.kind.name in ("Z", "SYMBOLIC_SPHERE_SUM") else "Thm 8 II"
+    case = "Thm 8 II" if group.kind is Kind.TRIVIAL_GROUP else "Thm 8 I"
     text = [f"pi_{args.n} of the curve space on {spec}: {group.describe()}  [{case}]"]
     return 0, text, [f"n={args.n}", f"case={case}", f"kind={group.label()}", f"detail={group.describe()}"]
 

@@ -12,6 +12,7 @@ Results are deterministic: fixed enumeration order, fixed tie-breaks.
 
 from __future__ import annotations
 
+import operator
 from collections import namedtuple
 from functools import lru_cache
 
@@ -25,11 +26,18 @@ from .classify import Kind, classify_pi1
 class SearchBound(namedtuple("SearchBound", "max_word_length max_fiber")):
     """The box of :func:`bounded_elements`: base words of at most
     ``max_word_length`` letters and fiber exponents of at most ``max_fiber``
-    in absolute value.  The defaults are :data:`VERIFY_BOUND`."""
+    in absolute value.  The defaults are :data:`VERIFY_BOUND`.  Both fields
+    are integers (anything :func:`operator.index` takes; stored as ``int``),
+    the length at least 1 and the fiber at least 0; other values raise
+    ``ValueError``."""
 
     __slots__ = ()
 
     def __new__(cls, max_word_length: int = 4, max_fiber: int = 3):
+        try:
+            max_word_length, max_fiber = operator.index(max_word_length), operator.index(max_fiber)
+        except TypeError:
+            raise ValueError(f"bounds must be integers, not {max_word_length!r} and {max_fiber!r}") from None
         if max_word_length < 1 or max_fiber < 0:
             raise ValueError("bounds must be positive (fiber may be zero)")
         return super().__new__(cls, max_word_length, max_fiber)
@@ -118,10 +126,7 @@ def _reduced_words(names_count: int, max_len: int):
     """All freely reduced letter tuples up to ``max_len``, shortest first."""
     yield ()
     layer: list[tuple[int, ...]] = [()]
-    alphabet = [i for i in range(1, names_count + 1)] + [
-        -i for i in range(1, names_count + 1)
-    ]
-    alphabet.sort(key=lambda x: (abs(x), 0 if x > 0 else 1))
+    alphabet = [x for i in range(1, names_count + 1) for x in (i, -i)]
     # with no generators every layer past the empty word is empty
     for _ in range(max_len if alphabet else 0):
         nxt = []

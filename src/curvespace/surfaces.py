@@ -16,6 +16,7 @@ and the projective plane that group is finite cyclic, of the order in
 
 from __future__ import annotations
 
+import operator
 import re
 from collections import namedtuple
 from enum import Enum
@@ -48,11 +49,22 @@ _MAX_GENERATORS = 64
 
 
 class SurfaceSpec(namedtuple("SurfaceSpec", "orientable genus punctures")):
-    """Orientability + genus + punctures.  Immutable and hashable."""
+    """Orientability + genus + punctures.  Immutable and hashable.
+
+    ``orientable`` must be ``True`` or ``False``, and genus and punctures
+    integers (anything :func:`operator.index` takes; stored as ``int``);
+    other values raise :class:`SurfaceError`, so equal records always
+    describe one surface and print one way."""
 
     __slots__ = ()
 
     def __new__(cls, orientable: bool, genus: int, punctures: int = 0):
+        if not isinstance(orientable, bool):
+            raise SurfaceError(f"orientable must be True or False, not {orientable!r}")
+        try:
+            genus, punctures = operator.index(genus), operator.index(punctures)
+        except TypeError:
+            raise SurfaceError(f"genus and punctures must be integers, not {genus!r} and {punctures!r}") from None
         if genus < 0:
             raise SurfaceError("genus must be nonnegative")
         if punctures < 0:
@@ -123,12 +135,13 @@ FINITE_ORDERS = {Regime.SPHERE: 2, Regime.RP2: 4}
 
 
 class Generator(namedtuple("Generator", "name character")):
-    """A group generator together with its orientation character (+1 or -1)."""
+    """A group generator together with its orientation character, the
+    integer +1 or -1 (a float such as ``1.0`` raises ``ValueError``)."""
 
     __slots__ = ()
 
     def __new__(cls, name: str, character: int):
-        if character not in (+1, -1):
+        if not isinstance(character, int) or character not in (+1, -1):
             raise ValueError("character must be +1 or -1")
         return super().__new__(cls, name, character)
 
@@ -289,8 +302,6 @@ def abelianization(pres: Presentation) -> tuple[int, tuple[int, ...]]:
 
 
 def presentation_text(pres: Presentation) -> str:
-    gens = " ".join(
-        f"{g.name}({'+1' if g.character > 0 else '-1'})" for g in pres.generators
-    )
+    gens = " ".join(f"{g.name}({g.character:+d})" for g in pres.generators)
     rels = "; ".join(pres.spell(r) for r in pres.relators) if pres.relators else "(none)"
     return f"generators: {gens or '(none)'}\nrelators:   {rels}"

@@ -30,10 +30,12 @@ by regime:
   word of at most ``L / 2 + 2`` letters is geodesic, a relator subword of
   fewer than ``L / 2`` letters is its element's only geodesic spelling, and
   a half relator's only other one is its complement (:func:`_band_steps`).
-  Conjugacy and primitive roots work on one list of minimal-length
-  conjugates, found through the same band, and conjugators come from
-  rotations, as on free groups (:func:`_cyclic_conjugator`).  Nothing is
-  capped: every answer is decided in polynomial time;
+  Conjugacy and primitive roots first read the H_1 class (:func:`_homology`):
+  conjugates share it, and it decides which root exponents are tried.  Both
+  then work on one list of minimal-length conjugates, found through the same
+  band, and conjugators come from rotations, as on free groups
+  (:func:`_cyclic_conjugator`).  Nothing is capped: every answer is decided
+  in polynomial time;
 * projective plane: the parity of the exponent sum; sphere: the empty word.
 
 Words are normalized only over a surface's own presentation, the one that
@@ -679,23 +681,22 @@ def _ring_offsets(x: Letters, band: _Band, start: int) -> int:
 
 
 def _dehn_conjugator(rec, lu, lv) -> Letters | None:
-    # abelianized certificate first: exponent vectors must agree modulo the
-    # relator row (zero for commutator relators, (2,...,2) for crosscaps)
+    # conjugates share their H_1 class, so compare the classes before any search
     if not lu or not lv:
         return () if lu == lv else None
-    if not _abelian_conjugacy_possible(rec.presentation, lu, lv):
+    if _homology(rec.presentation, lu) != _homology(rec.presentation, lv):
         return None
     sv, cv = _minimal_conjugates(lv, rec.band)[0]
     return _cyclic_conjugator(_minimal_conjugates(lu, rec.band), sv, cv)
 
 
-def _abelian_conjugacy_possible(pres, lu, lv) -> bool:
-    eu = [p - q for p, q in zip(exponent_vector(pres, lu), exponent_vector(pres, lv))]
-    if not pres.surface.orientable:
-        # difference must be an integer multiple of (2, 2, ..., 2)
-        t = eu[0]
-        return all(d == t for d in eu) and t % 2 == 0
-    return all(d == 0 for d in eu)
+def _homology(pres, letters) -> tuple[int, ...]:
+    """The class of ``letters`` in H_1 of a closed surface: the exponent
+    vector ``v`` on an orientable one; on a nonorientable one, whose relator
+    row is ``(2, ..., 2)``, the free coordinates ``v_i - v_0`` (``i >= 1``),
+    then ``v_0 mod 2``.  Two words have one image exactly when they agree."""
+    v = exponent_vector(pres, letters)
+    return v if pres.surface.orientable else tuple(x - v[0] for x in v[1:]) + (v[0] % 2,)
 
 
 # -- primitive roots ---------------------------------------------------------
@@ -750,8 +751,8 @@ def _dehn_root(rec, letters) -> tuple[Letters, int]:
     ``t^e`` a minimal conjugate ``x`` of the element, so ``t`` is spelled by
     the first ``len(x) / e`` letters of a geodesic spelling of ``x``: a
     layer of the band over ``x``.  Only exponents that divide ``len(x)`` and
-    the abelian invariants, and are odd on orientation-reversing elements,
-    are tried, largest first."""
+    that the H_1 class allows (:func:`_root_exponents`) are tried, largest
+    first."""
     exponents = _root_exponents(rec.presentation, letters)
     if exponents is None:
         return letters, 1
@@ -770,19 +771,14 @@ def _dehn_root(rec, letters) -> tuple[Letters, int]:
 
 
 def _root_exponents(pres, letters) -> Callable[[int], bool] | None:
-    """A test for the exponents ``e > 1`` that the abelian invariants and the
-    orientation character allow for an ``e``-th root, or None if they allow
-    none.  ``t^e`` has exponent vector ``e`` times that of ``t``, up to a
-    multiple of the relator row ((2, ..., 2) for crosscaps)."""
-    vector = exponent_vector(pres, letters)
-    if pres.surface.orientable:
-        g = math.gcd(*vector)
-        test = lambda e: g % e == 0
-    else:
-        g = math.gcd(*(v - vector[0] for v in vector))
-        odd = len(letters) % 2 == 1  # orientation reversing: e must be odd
-        test = lambda e: g % e == 0 and (e % 2 == 1 or (not odd and vector[0] % 2 == 0))
-    return None if g == 1 else test
+    """A test for the exponents ``e > 1`` that the H_1 class (:func:`_homology`)
+    allows for an ``e``-th root, or None if it allows none.  The class of
+    ``t^e`` is ``e`` times that of ``t``: ``e`` divides its free coordinates,
+    and an even ``e`` needs crosscap parity 0 (so orientation is preserved)."""
+    image = _homology(pres, letters)
+    free, parity = (image, 0) if pres.surface.orientable else (image[:-1], image[-1])
+    g = math.gcd(*free)
+    return None if g == 1 else lambda e: g % e == 0 and (e % 2 == 1 or parity == 0)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import pytest
 from curvespace import SurfaceSpec, classify_pi1, st_parse, verify_classification
 from curvespace.words import klein_coordinates
 from curvespace.stbundle import st_is_trivial, st_multiply, st_power, st_text
-from curvespace.classify import Kind, classify_pin, regular_homotopy_equivalent
+from curvespace.classify import _DESCRIPTIONS, GroupDescription, Kind, classify_pin, regular_homotopy_equivalent
 
 from conftest import GENUS2, GENUS3, KLEIN, NONOR3, RP2, SPHERE, TORUS, ST
 
@@ -208,6 +208,36 @@ def test_classify_pin():
     assert classify_pin(GENUS2, 2).kind is Kind.TRIVIAL_GROUP
     with pytest.raises(ValueError):
         classify_pin(SPHERE, 1)
+
+
+GROUP_TEXTS = {
+    (Kind.Z2, None): ("Z/2", "Z2"),
+    (Kind.Z4, None): ("Z/4", "Z4"),
+    (Kind.Z, None): ("Z", "Z"),
+    (Kind.ZXZ, None): ("Z x Z", "ZxZ"),
+    (Kind.ZXZXZ, None): ("Z x Z x Z", "ZxZxZ"),
+    (Kind.KLEIN_BOTTLE_GROUP, None): ("Klein bottle group <x, y | x y x^-1 y>", "KleinBottleGroup"),
+    (Kind.FULL_ST_GROUP, None): ("the whole tangent-bundle fundamental group", "FullSTGroup"),
+    (Kind.ORIENTATION_PRESERVING_SUBGROUP, None): (
+        "index-two subgroup of the tangent-bundle group: "
+        "elements whose base projection preserves orientation (character +1)",
+        "OrientationPreservingSubgroup",
+    ),
+    (Kind.TRIVIAL_GROUP, None): ("0", "TrivialGroup"),
+    (Kind.SYMBOLIC_SPHERE_SUM, 3): ("Z (+) pi_4(S^2)", "SymbolicSphereSum(3)"),
+    (Kind.SYMBOLIC_SPHERE_SUM, 5): ("pi_5(S^2) (+) pi_6(S^2)", "SymbolicSphereSum(5)"),
+}
+
+
+@pytest.mark.parametrize("kind, degree", GROUP_TEXTS, ids=lambda x: getattr(x, "name", str(x)))
+def test_group_texts(kind, degree):
+    group = GroupDescription(kind, sphere_sum_degree=degree)
+    assert (group.describe(), group.label()) == GROUP_TEXTS[kind, degree]
+
+
+def test_group_texts_cover_every_kind():
+    assert {kind for kind, _ in GROUP_TEXTS} == set(Kind)
+    assert set(_DESCRIPTIONS) == set(Kind) - {Kind.SYMBOLIC_SPHERE_SUM}
 
 
 def test_regular_homotopy_examples():

@@ -624,6 +624,18 @@ def test_pin_text_output(capsys):
         assert run(capsys, "pin", "--surface", surface, "--n", n) == (0, line + "\n", "")
 
 
+def test_pin_case_per_regime(capsys):
+    """Thm 8 I (a nontrivial group) exactly where the tangent-bundle group
+    is finite, over the sphere and the projective plane; Thm 8 II elsewhere."""
+    for surface in ("orientable:0:0", "nonorientable:1:0", "orientable:1:0", "nonorientable:2:0",
+                    "orientable:2:0", "nonorientable:3:0", "orientable:1:2"):
+        finite = surface in ("orientable:0:0", "nonorientable:1:0")
+        for n in range(2, 6):
+            code, out, err = run(capsys, "pin", "--surface", surface, "--n", str(n), "--format", "structured")
+            assert (code, err) == (0, "")
+            assert out.splitlines()[1] == ("case=Thm 8 I" if finite else "case=Thm 8 II"), (surface, n)
+
+
 def test_decompose_text_output(capsys):
     for surface, word, line in (
         ("orientable:2:0", "a1^3 f^2", "a1^3 f^2 = (a1)^3 * f^2"),

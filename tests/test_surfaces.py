@@ -7,7 +7,7 @@ from itertools import combinations
 import pytest
 
 import curvespace
-from curvespace import Generator, Presentation, SurfaceSpec, presentation, st_presentation
+from curvespace import Generator, Presentation, SurfaceSpec, presentation, st_parse, st_presentation
 from curvespace.surfaces import (
     Regime,
     SurfaceError,
@@ -57,6 +57,28 @@ def test_spec_validation():
         SurfaceSpec(True, 32)._replace(punctures=2)
     spec = SurfaceSpec(True, 2)
     assert repr(spec) == "SurfaceSpec(orientable=True, genus=2, punctures=0)"
+
+
+def test_records_that_hold_counts_take_integers_only():
+    """A float or string count, an orientability other than True and
+    False, or a float character is refused; integer-like counts are stored
+    as ``int``, so equal records describe one surface and print one way."""
+    for args in ((True, 2.0), (True, 2.5), (True, 2, 1.0), (True, "2"), ("yes", 1), (1, 1), (None, 2)):
+        with pytest.raises(SurfaceError):
+            SurfaceSpec(*args)
+    with pytest.raises(SurfaceError):
+        st_parse("a1", SurfaceSpec(True, 2.0))
+    for args in ((2.0, 1), (2, 1.5), ("3", 1), (None, 0)):
+        with pytest.raises(ValueError, match="integers"):
+            SearchBound(*args)
+    spec = SurfaceSpec(True, True, False)
+    assert spec == SurfaceSpec(True, 1, 0) and str(spec) == "orientable:1:0"
+    assert [type(x) for x in spec] == [bool, int, int]
+    bound = SearchBound(True, False)
+    assert bound == SearchBound(1, 0) and [type(x) for x in bound] == [int, int]
+    # the texts print the character with a sign, which needs an integer
+    with pytest.raises(ValueError, match="character must be"):
+        Generator("a1", 1.0)
 
 
 def test_surface_grammar_takes_ascii_digits_only():

@@ -5,21 +5,22 @@ import tracemalloc
 import pytest
 
 from curvespace import Generator, Presentation, SurfaceSpec, classify_pi1, presentation, st_presentation
-from curvespace.surfaces import euler_characteristic
+from curvespace.surfaces import abelianization, euler_characteristic
 from curvespace.words import (
     TrivialWordError,
     Word,
     WordParseError,
-    _abelian_conjugacy_possible,
     _band_steps,
     _band_tables,
     _cyclic_half_window,
     _dehn_shorten,
+    _homology,
     _lex_key,
     _minimal_conjugates,
     _record,
     _relator_move,
     _ring_partners,
+    _root_exponents,
     _rotation,
     conjugating_element,
     cyclic_free_reduce,
@@ -152,7 +153,7 @@ def test_conjugacy_basics():
         (NONOR3, "c1 C2", "c1 c3 c1^2 c3 c2"),
     ):
         u, v = W(left, surface), W(right, surface)
-        assert _abelian_conjugacy_possible(u.ambient, u.letters, v.letters)
+        assert _homology(u.ambient, u.letters) == _homology(u.ambient, v.letters)
         assert conjugating_element(u, v) is None
         assert conjugating_element(v, u) is None
         for m in (0, 1, -1, 2):
@@ -167,6 +168,53 @@ def test_conjugacy_basics():
         band = surface_record(surface).band
         forms = [_minimal_conjugates(W(x, surface).letters, band) for x in pair]
         assert [any(_cyclic_half_window(t, band) for t, _ in f) for f in forms] == searched
+
+
+def test_homology_images_agree_with_the_abelianization_certificate():
+    """Two words have one H_1 image exactly when adding ``u v^-1`` as a
+    relator leaves the abelianization unchanged, the oracle's certificate
+    (which shares only the exponent vector with the image).  The pairs mix
+    unrelated words, shuffles of one word, and shuffles with a relator, a
+    square, a single letter or every generator once added (the last is half
+    the crosscap relator row), so both verdicts are met often."""
+    rng = random.Random(34)
+    for surface in (TORUS, KLEIN, GENUS2, GENUS3, NONOR3, SurfaceSpec(False, 4), SurfaceSpec(False, 5)):
+        pres = presentation(surface)
+        n = len(pres.generators)
+        seen = set()
+        for _ in range(120):
+            u = [rng.choice((1, -1)) * rng.randrange(1, n + 1) for _ in range(rng.randrange(9))]
+            shape = rng.randrange(6)
+            if shape == 0:
+                v = [rng.choice((1, -1)) * rng.randrange(1, n + 1) for _ in range(rng.randrange(9))]
+            else:
+                letter = rng.randrange(1, n + 1)
+                extra = ((), pres.relators[0], (letter, letter), (letter,), tuple(range(1, n + 1)))
+                v = u + list(extra[shape - 1])
+                rng.shuffle(v)
+            u, v = tuple(u), tuple(v)
+            certified = abelianization(pres) == abelianization(
+                pres._replace(relators=pres.relators + (u + invert_letters(v),))
+            )
+            same = _homology(pres, u) == _homology(pres, v)
+            assert same == certified, (surface, u, v)
+            seen.add(same)
+        assert seen == {True, False}, surface
+
+
+def test_root_exponents_allow_the_exponent_of_a_power():
+    """The H_1 filter never rules out the exponent of an actual power."""
+    rng = random.Random(35)
+    for surface in (GENUS2, GENUS3, NONOR3, SurfaceSpec(False, 4)):
+        pres = presentation(surface)
+        n = len(pres.generators)
+        for _ in range(60):
+            t = [rng.choice((1, -1)) * rng.randrange(1, n + 1) for _ in range(rng.randrange(1, 9))]
+            e = rng.randrange(2, 7)
+            letters = word(pres, tuple(t) * e).letters
+            if letters:
+                allowed = _root_exponents(pres, letters)
+                assert allowed is not None and allowed(e), (surface, t, e)
 
 
 def test_conjugacy_oracle_search_small():
