@@ -158,10 +158,7 @@ class LiftDecomposition(namedtuple("LiftDecomposition", "root_lift k l")):
     __slots__ = ()
 
     def recompose(self) -> STWord:
-        return st_multiply(
-            st_power(self.root_lift, self.k),
-            st_word(self.root_lift.surface, (), self.l),
-        )
+        return st_multiply(st_power(self.root_lift, self.k), st_word(self.root_lift.surface, (), self.l))
 
 
 def decompose(xi: STWord) -> LiftDecomposition:
@@ -169,9 +166,7 @@ def decompose(xi: STWord) -> LiftDecomposition:
     if rec.engine.root is None:
         raise ValueError("no root decomposition on finite tangent-bundle groups")
     if not xi.base.letters:
-        raise TrivialWordError(
-            "the base class is trivial; the element is a pure fiber power"
-        )
+        raise TrivialWordError("the base class is trivial; the element is a pure fiber power")
     # the base is a normal form and so is the root: the engine takes it and
     # the root lifts at fiber zero as it is
     root, k = rec.engine.root(rec, xi.base.letters)

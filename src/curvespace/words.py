@@ -31,9 +31,10 @@ by regime:
   fewer than ``L / 2`` letters is its element's only geodesic spelling, and
   a half relator's only other one is its complement (:func:`_band_steps`).
   Conjugacy and primitive roots first read the H_1 class (:func:`_homology`):
-  conjugates share it, and it decides which root exponents are tried.  Both
-  then work on one list of minimal-length conjugates, found through the same
-  band, and conjugators come from rotations, as on free groups
+  conjugates share it, and a root's is ``1 / e`` of its ``e``-th power's,
+  which picks the exponents and pieces that a root is tried with.  Both then
+  work on minimal-length conjugates, found through the same band, and
+  conjugators come from rotations, as on free groups
   (:func:`_cyclic_conjugator`).  Nothing is capped: every answer is decided
   in polynomial time;
 * projective plane: the parity of the exponent sum; sphere: the empty word.
@@ -56,7 +57,7 @@ from __future__ import annotations
 import math
 import re
 from collections import namedtuple
-from collections.abc import Callable
+from collections.abc import Iterator
 from functools import cache, lru_cache
 
 from .surfaces import (
@@ -197,7 +198,7 @@ def spell_klein(k: int, l: int) -> Letters:
 # Dehn rewriting for closed hyperbolic regimes
 
 
-class _Band(namedtuple("_Band", "cycles at sign chi L pieces index steps letters ahead behind")):
+class _Band(namedtuple("_Band", "cycles at sign chi L pieces index classes steps letters ahead behind")):
     """Per-surface tables of the closed hyperbolic engine, built once into
     the surface's record (:attr:`SurfaceRecord.band`).
 
@@ -212,11 +213,11 @@ class _Band(namedtuple("_Band", "cycles at sign chi L pieces index steps letters
     (+1 on orientable surfaces, -1 for crosscaps) and ``letters`` every
     generator and its inverse.  The relator band (:func:`_dehn_normalize`):
     ``pieces`` lists the normal forms of the elements spelled by cyclic
-    subwords, the identity first, and ``index`` inverts it.  ``steps`` maps
+    subwords, the identity first, ``index`` inverts it and ``classes`` lists
+    them by the key of their H_1 class (:func:`_class_key`).  ``steps`` maps
     ``(a, d)`` to the moves ``(y, d', s)``, in shortlex letter order, with
     ``a^-1 d y = d' f^s`` and ``d'`` a piece, filled on first use by
-    :func:`_band_steps`; ``ahead`` and ``behind`` cache :func:`_band_live`.
-    """
+    :func:`_band_steps`; ``ahead`` and ``behind`` cache :func:`_band_live`."""
 
     __slots__ = ()
 
@@ -228,18 +229,30 @@ def _band_tables(pres: Presentation) -> _Band:
     half = L // 2
     cycles = (relator * 2, invert_letters(relator) * 2)
     letters = tuple(x for g in range(1, len(pres.generators) + 1) for x in (g, -g))
-    band = _Band(cycles, {}, sign, euler_characteristic(pres.surface), L, [()], {(): 0}, {}, letters, {}, {})
+    band = _Band(cycles, {}, sign, euler_characteristic(pres.surface), L, [()], {(): 0}, {0: [0]}, {}, letters, {}, {})
+    weight = {x: _class_key(_homology(pres, (x,))[0], L) for x in letters}
     for side, cycle in enumerate(cycles):
         for start in range(L):
             band.at[cycle[start : start + 2]] = band.at[cycle[start : start + half]] = (side, start)
             # a relator subword of under L/2 letters is its own normal form,
             # and a half relator's is the smaller of the two halves
-            halves = (cycle[start : start + half], _half_swap(band, cycle[start : start + half])[0])
-            for nf in (*(cycle[start : start + cut] for cut in range(1, half)), min(halves, key=_lex_key)):
+            least = min(cycle[start : start + half], _half_swap(band, cycle[start : start + half])[0], key=_lex_key)
+            key = 0
+            for nf, x in zip((*(cycle[start : start + cut] for cut in range(1, half)), least), cycle[start:]):
+                key += weight[x]
                 if nf not in band.index:
                     band.index[nf] = len(band.pieces)
+                    band.classes.setdefault(key, []).append(len(band.pieces))
                     band.pieces.append(nf)
     return band
+
+
+def _class_key(free: tuple[int, ...], L: int) -> int | None:
+    """Free H_1 coordinates as the digits of one integer in a base over
+    ``L``, exact and linear up to ``L / 2`` in size, the most that a piece's
+    reach; None for larger ones, which no piece has."""
+    width = L.bit_length()
+    return None if max(map(abs, free)) > L // 2 else sum(v << width * i for i, v in enumerate(free))
 
 
 def _relator_move(band: _Band, side: int, start: int, size: int) -> tuple[Letters, int]:
@@ -568,10 +581,10 @@ def _klein_conjugator(rec, lu, lv) -> Letters | None:
 # normal forms x with conjugators c (the element is c x c^-1).
 
 
-def _minimal_conjugates(letters, band: _Band) -> list[tuple[Letters, Letters]]:
+def _minimal_conjugates(letters, band: _Band) -> Iterator[tuple[Letters, Letters]]:
     """The minimal-length conjugates ``(x, c)`` of the element with normal
     form ``letters``: every minimal conjugate in normal form is a listed
-    ``x`` or a rotation of one.
+    ``x`` or a rotation of one, listed lazily.
 
     Two minimal conjugates are joined by an annulus of relator faces one
     face thick, so one is a rotation of a geodesic spelling of the other (a
@@ -603,11 +616,12 @@ def _minimal_conjugates(letters, band: _Band) -> list[tuple[Letters, Letters]]:
             x, c = _dehn_normalize(core, band)[0], c + p
             continue
         if not _cyclic_half_window(x, band):
+            yield x, c
             # a ring around such a word has at least two faces, each with
             # L/2 - 1 letters of it
-            ring = len(x) % (half - 1) == 0 and len(x) > half
-            partners = _ring_partners(x, band) if ring else []
-            return [(x, c), *((t, c + band.pieces[d]) for t, d in partners)]
+            if len(x) % (half - 1) == 0 and len(x) > half:
+                yield from ((t, c + band.pieces[d]) for t, d in _ring_partners(x, band))
+            return
         seen = {x: c}
         queue = [x]
         shorter = None
@@ -625,7 +639,8 @@ def _minimal_conjugates(letters, band: _Band) -> list[tuple[Letters, Letters]]:
                     seen[t] = cs + (y,)
                     queue.append(t)
         if shorter is None:
-            return list(seen.items())
+            yield from seen.items()
+            return
         x, c = shorter
 
 
@@ -686,17 +701,17 @@ def _dehn_conjugator(rec, lu, lv) -> Letters | None:
         return () if lu == lv else None
     if _homology(rec.presentation, lu) != _homology(rec.presentation, lv):
         return None
-    sv, cv = _minimal_conjugates(lv, rec.band)[0]
-    return _cyclic_conjugator(_minimal_conjugates(lu, rec.band), sv, cv)
+    sv, cv = next(_minimal_conjugates(lv, rec.band))
+    return _cyclic_conjugator(list(_minimal_conjugates(lu, rec.band)), sv, cv)
 
 
-def _homology(pres, letters) -> tuple[int, ...]:
-    """The class of ``letters`` in H_1 of a closed surface: the exponent
-    vector ``v`` on an orientable one; on a nonorientable one, whose relator
-    row is ``(2, ..., 2)``, the free coordinates ``v_i - v_0`` (``i >= 1``),
-    then ``v_0 mod 2``.  Two words have one image exactly when they agree."""
+def _homology(pres, letters) -> tuple[tuple[int, ...], int]:
+    """The H_1 class of ``letters`` on a closed surface, as free coordinates
+    and crosscap parity: ``(v, 0)`` for the exponent vector ``v`` if it is
+    orientable, else ``v_i - v_0`` (``i >= 1``) and ``v_0 mod 2``, as the
+    relator row is ``(2, ..., 2)``.  Two words agree exactly in one class."""
     v = exponent_vector(pres, letters)
-    return v if pres.surface.orientable else tuple(x - v[0] for x in v[1:]) + (v[0] % 2,)
+    return (v, 0) if pres.surface.orientable else (tuple(x - v[0] for x in v[1:]), v[0] % 2)
 
 
 # -- primitive roots ---------------------------------------------------------
@@ -747,38 +762,29 @@ def _klein_root(rec, letters) -> tuple[Letters, int]:
 
 
 def _dehn_root(rec, letters) -> tuple[Letters, int]:
-    """An ``e``-th root of an element has a minimal conjugate ``t`` with
-    ``t^e`` a minimal conjugate ``x`` of the element, so ``t`` is spelled by
-    the first ``len(x) / e`` letters of a geodesic spelling of ``x``: a
-    layer of the band over ``x``.  Only exponents that divide ``len(x)`` and
-    that the H_1 class allows (:func:`_root_exponents`) are tried, largest
-    first."""
-    exponents = _root_exponents(rec.presentation, letters)
-    if exponents is None:
+    """An ``e``-th root of an element has a conjugate ``t`` with ``t^e`` a
+    minimal conjugate ``x``, spelled by the first ``len(x) // e`` letters of
+    ``x`` and a relator piece; ``t^e`` can be shorter than ``e`` times ``t``.
+    The H_1 class (:func:`_homology`) of ``t`` is ``1 / e`` of that of ``x``,
+    so ``e`` divides the free coordinates (even only at crosscap parity 0)
+    and only the pieces that complete the class are tried, largest ``e`` first."""
+    pres, band = rec.presentation, rec.band
+    free, parity = _homology(pres, letters)
+    if (g := math.gcd(*free)) == 1:
         return letters, 1
-    band = rec.band
-    x, c = _minimal_conjugates(letters, band)[0]
+    x, c = next(_minimal_conjugates(letters, band))
     n = len(x)
-    live = _band_live(x, band)
     for e in range(n, 1, -1):
-        if n % e or not exponents(e):
+        if g % e or parity and e % 2 == 0:
             continue
-        for d in _bits(live[n // e]):
+        key = _class_key(tuple(v // e - h for v, h in zip(free, _homology(pres, x[: n // e])[0])), band.L)
+        for d in band.classes.get(key, ()):
             t, _ = _dehn_normalize(x[: n // e] + band.pieces[d], band)
-            if _dehn_normalize(t * e, band)[0] == x:
+            # a cyclic word that reads no half relator spells its own powers
+            rigid = t and t[0] != -t[-1] and not _cyclic_half_window(t, band)
+            if (t * e if rigid else _dehn_normalize(t * e, band)[0]) == x:
                 return _dehn_normalize(c + t + invert_letters(c), band)[0], e
     return letters, 1
-
-
-def _root_exponents(pres, letters) -> Callable[[int], bool] | None:
-    """A test for the exponents ``e > 1`` that the H_1 class (:func:`_homology`)
-    allows for an ``e``-th root, or None if it allows none.  The class of
-    ``t^e`` is ``e`` times that of ``t``: ``e`` divides its free coordinates,
-    and an even ``e`` needs crosscap parity 0 (so orientation is preserved)."""
-    image = _homology(pres, letters)
-    free, parity = (image, 0) if pres.surface.orientable else (image[:-1], image[-1])
-    g = math.gcd(*free)
-    return None if g == 1 else lambda e: g % e == 0 and (e % 2 == 1 or parity == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -854,9 +860,8 @@ class SurfaceRecord(
     order where :data:`~curvespace.surfaces.FINITE_ORDERS` lists one, else
     None.  ``names`` are the generator names and then the fiber letter
     ``f``, ``lifts`` the lift of each generator at fiber zero and ``fiber``
-    the fiber class.  ``band`` holds
-    the relator index and band of the closed hyperbolic engine
-    (:func:`_band_tables`); on the other regimes it is None."""
+    the fiber class.  ``band`` holds the relator index and band of the closed
+    hyperbolic engine (:func:`_band_tables`); on the other regimes it is None."""
 
     __slots__ = ()
 

@@ -150,16 +150,10 @@ def test_st_is_conjugate_examples():
     assert not st_is_conjugate(w, ST("c1^2 c3^2 f", NONOR3))
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="the closed hyperbolic root misses x for x^2 shorter than 2 |x| on nonorientable "
-    "genus 3, so st_is_conjugate sees an orientation-preserving root and no mirror",
-)
 def test_st_is_conjugate_through_a_root_that_is_not_geodesic():
     """``x = C3 c1^2 c2 c3^2 C1`` reverses orientation and conjugates
-    ``(x^2, 0)`` to ``(x^2, -6)``; the wrong root of ``x^2`` (itself) hides
-    that reflection."""
+    ``(x^2, 0)`` to ``(x^2, -6)``; only the root ``x`` of ``x^2``, whose
+    square is shorter than twice it, shows that reflection."""
     x = ST("C3 c1^2 c2 c3^2 C1", NONOR3)
     u = st_word(NONOR3, st_power(x, 2).base.letters, 0)
     v = st_conjugate(u, x)

@@ -20,7 +20,6 @@ from curvespace.words import (
     _record,
     _relator_move,
     _ring_partners,
-    _root_exponents,
     _rotation,
     conjugating_element,
     cyclic_free_reduce,
@@ -202,8 +201,9 @@ def test_homology_images_agree_with_the_abelianization_certificate():
         assert seen == {True, False}, surface
 
 
-def test_root_exponents_allow_the_exponent_of_a_power():
-    """The H_1 filter never rules out the exponent of an actual power."""
+def test_primitive_root_allows_the_exponent_of_a_power():
+    """The exponent of an actual power divides the primitive root's, whose
+    power is the element: the H_1 rule never rules it out."""
     rng = random.Random(35)
     for surface in (GENUS2, GENUS3, NONOR3, SurfaceSpec(False, 4)):
         pres = presentation(surface)
@@ -211,10 +211,11 @@ def test_root_exponents_allow_the_exponent_of_a_power():
         for _ in range(60):
             t = [rng.choice((1, -1)) * rng.randrange(1, n + 1) for _ in range(rng.randrange(1, 9))]
             e = rng.randrange(2, 7)
-            letters = word(pres, tuple(t) * e).letters
-            if letters:
-                allowed = _root_exponents(pres, letters)
-                assert allowed is not None and allowed(e), (surface, t, e)
+            power = word(pres, tuple(t) * e)
+            if power.letters:
+                root, k = primitive_root(power)
+                assert k % e == 0, (surface, t, e)
+                assert word(pres, root.letters * k) == power, (surface, t, e)
 
 
 def test_conjugacy_oracle_search_small():
@@ -377,12 +378,6 @@ def test_square_shorter_than_twice_its_root():
     assert (len(x), len(mul(x, x))) == (7, 12)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="_dehn_root assumes an e-th root of a minimal x has |x| / e letters; on "
-    "nonorientable genus 3 a power of a minimal word can be shorter than e |x|",
-)
 def test_primitive_root_of_a_square_that_is_not_geodesic():
     x = W(NOT_GEODESIC_SQUARE_ROOT, NONOR3)
     assert primitive_root(mul(x, x)) == (x, 2)
@@ -394,16 +389,11 @@ def test_primitive_root_of_a_square_that_is_not_geodesic():
 NOT_GEODESIC_CUBE_ROOT = "c1^3 c2 C1^2 c3"
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="_dehn_root tries only exponents that divide the length of a minimal conjugate; "
-    "on nonorientable genus 3 the cube of a 7-letter minimal word normalizes to 19 letters",
-)
 def test_primitive_root_of_a_cube_that_is_not_geodesic():
-    """``x^3`` has 19 letters, a prime, so no exponent above 1 is tried; the
-    root, the decomposition and the Thm 6 I generator all miss ``x``, which
-    lies in the centralizer of ``x^3``."""
+    """``x^3`` has 19 letters, a prime, so the cube root is found although
+    3 does not divide that length; the root, the decomposition and the
+    Thm 6 I generator are all ``x``, which lies in the centralizer of
+    ``x^3``."""
     x = W(NOT_GEODESIC_CUBE_ROOT, NONOR3)
     assert primitive_root(x) == (x, 1)
     cube = mul(mul(x, x), x)
@@ -413,6 +403,36 @@ def test_primitive_root_of_a_cube_that_is_not_geodesic():
     xi = st_parse(str(cube), NONOR3)
     assert decompose(xi).k == 3
     assert classify_pi1(NONOR3, xi).group.witnesses[0].base == x
+
+
+# the 24 seven-letter cyclically reduced normal forms on nonorientable
+# genus 3 whose square and cube roots a search that assumes |t^e| = e |t|
+# misses (1,680 such forms have powers shorter than that, and the rest are
+# found by it)
+SHORT_POWER_FORMS = (
+    "C1 c3 c1^3 c2 C1", "C1^2 C3 c1^2 C2 C1", "C1^2 c3 c1^3 c2", "C1^3 C3 c1^2 C2",
+    "C2 c1 c2 C1^2 C3 C2", "C2^2 C1 c2^2 C3 C2", "C2^2 c1 c2 C1^2 C3", "C2^3 C1 c2^2 C3",
+    "C3 c1^2 c2 c3^2 C1", "C3 c2 c3 C2^2 C1 C3", "c1 c2 C1^2 c3 c1^2", "c1 c2 c3^2 C1 C3 c1",
+    "c1 c2^2 C3 C2 c3^2", "c1^2 c2 C1^2 c3 c1", "c1^2 c2 c3^2 C1 C3", "c1^3 c2 C1^2 c3",
+    "c2 C1^2 c3 c1^3", "c2 c3 C2^2 c1 c2^2", "c2 c3 c1^2 C2 C1 c2", "c2 c3^2 C1 C3 c1^2",
+    "c3 C2^2 c1 c2^3", "c3 c1 c2^2 C3 C2 c3", "c3 c1^2 C2 C1 c2^2", "c3 c1^3 c2 C1^2",
+)
+
+
+def test_primitive_roots_of_powers_shorter_than_their_multiple():
+    """Squares and cubes of those forms: the root's exponent is a multiple
+    of the power, the root to that exponent is the power, and the
+    decomposition reads the same exponent."""
+    for text in SHORT_POWER_FORMS:
+        t = W(text, NONOR3)
+        assert len(t) == 7
+        for k in (2, 3):
+            power = word(t.ambient, t.letters * k)
+            assert len(power) < 7 * k, (text, k)
+            root, e = primitive_root(power)
+            assert e % k == 0, (text, k)
+            assert word(t.ambient, root.letters * e) == power, (text, k)
+            assert decompose(st_parse(" ".join([text] * k), NONOR3)).k == e, (text, k)
 
 
 def test_normal_form_laws_random():
@@ -614,11 +634,11 @@ def test_relator_index_is_the_prefix_table():
             assert _relator_move(band, side, start, len(key)) == (rhs, e * eps_rhs), (surface, key)
 
 
-def test_relator_index_memory_on_the_largest_surface():
+@pytest.mark.parametrize("surface", [SurfaceSpec(True, 32, 0), SurfaceSpec(False, 64, 0)], ids=str)
+def test_relator_index_memory_on_the_largest_surface(surface):
     """The closed hyperbolic tables of a surface with a 128-letter relator
     trace under 12 MB while they are built; a table of all relator prefixes
     took about 38 MB."""
-    surface = SurfaceSpec(True, 32, 0)
     presentation(surface)
     tracemalloc.start()
     try:
