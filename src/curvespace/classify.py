@@ -199,7 +199,7 @@ def classify_pi1(surface: SurfaceSpec, xi: STWord) -> ClassificationReport:
     dec = decompose(xi)
     root = dec.root_lift
     if base_character(xi) == -1:
-        witness = STWord(surface, root.base, dec.l)
+        witness = STWord(root.base, dec.l)
         return report("Thm 6 I", GroupDescription(Kind.Z, (witness,)), (dec.k, dec.l))
     if base_character(root) == +1:
         group = GroupDescription(Kind.ZXZ, (root, f))

@@ -159,7 +159,7 @@ def bounded_elements(surface: SurfaceSpec, bound: SearchBound) -> tuple[STWord, 
     for letters in _reduced_words(len(pres.generators), bound.max_word_length):
         base = st_word(surface, letters, 0).base
         if base.letters == letters:  # keep normal forms only
-            out.extend(STWord(surface, base, m, None) for m in fibers)
+            out.extend(STWord(base, m) for m in fibers)
     return tuple(out)
 
 
@@ -198,10 +198,10 @@ def _product(table: dict, u: STWord, v: STWord) -> STWord:
     key = (u.base.letters, v.base.letters)
     hit = table.get(key)
     if hit is None:
-        z = st_multiply(STWord(u.surface, u.base, 0), STWord(v.surface, v.base, 0))
+        z = st_multiply(STWord(u.base, 0), STWord(v.base, 0))
         hit = table[key] = z, stbundle.base_character(v)
     z, eps = hit
-    return STWord(z.surface, z.base, eps * u.fiber + v.fiber + z.fiber)
+    return STWord(z.base, eps * u.fiber + v.fiber + z.fiber)
 
 
 def bounded_centralizer(

@@ -6,8 +6,8 @@ the right; pushing ``f**m`` through a base word ``w`` turns it into
 sphere and the projective plane the whole group is finite cyclic (orders 2
 and 4): the fiber class has order 2 in both, so the fiber is kept mod 2,
 and on the projective plane the lift of the crosscap generator is a
-residue-1 element whose square is the fiber class.  Those elements also
-carry their residue, but every operation here takes the general path.
+residue-1 element whose square is the fiber class.  An element's residue
+is read off its base and fiber; every operation here takes the general path.
 
 Base normalization shifts the fiber whenever a relator copy is removed on
 the closed hyperbolic regimes (the surface relator equals ``f**chi``
@@ -170,7 +170,7 @@ def decompose(xi: STWord) -> LiftDecomposition:
     # the base is a normal form and so is the root: the engine takes it and
     # the root lifts at fiber zero as it is
     root, k = rec.engine.root(rec, xi.base.letters)
-    root_lift = STWord(xi.surface, Word(rec.presentation, root), 0)
+    root_lift = STWord(Word(rec.presentation, root), 0)
     power = st_power(root_lift, k)
     if power.base != xi.base:
         raise AssertionError("root power does not reproduce the base")

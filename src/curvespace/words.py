@@ -217,7 +217,7 @@ class _Band(namedtuple("_Band", "cycles at sign chi L pieces index classes steps
     them by the key of their H_1 class (:func:`_class_key`).  ``steps`` maps
     ``(a, d)`` to the moves ``(y, d', s)``, in shortlex letter order, with
     ``a^-1 d y = d' f^s`` and ``d'`` a piece, filled on first use by
-    :func:`_band_steps`; ``ahead`` and ``behind`` cache :func:`_band_live`."""
+    :func:`_band_steps`; ``ahead`` caches :func:`_band_union`, ``behind`` :func:`_band_live`."""
 
     __slots__ = ()
 
@@ -393,13 +393,10 @@ def _band_live(w: Letters, band: _Band) -> list[int]:
     A layer's successor mask depends only on its letter and its own mask, so
     both sweeps are one table lookup per layer once the masks that occur
     have been seen."""
-    ahead, behind = band.ahead, band.behind
+    behind = band.behind
     masks = [1]
     for a in w:
-        mask = ahead.get((a, masks[-1]))
-        if mask is None:
-            mask = ahead[a, masks[-1]] = _band_union(band, a, masks[-1])
-        masks.append(mask)
+        masks.append(_band_union(band, a, masks[-1]))
     # sweep back, replacing each forward mask by its live part
     after = masks[-1] = 1
     for j in range(len(w) - 1, -1, -1):
@@ -423,11 +420,15 @@ def _bits(mask: int):
 
 
 def _band_union(band: _Band, a: int, mask: int) -> int:
-    """The targets of the moves out of the offsets in ``mask``."""
-    out = 0
-    for d in _bits(mask):
-        entry = band.steps.get((a, d)) or _band_steps(band, a, d)
-        out |= entry[1]
+    """The targets of the moves out of the offsets in ``mask``, kept in
+    ``band.ahead``."""
+    out = band.ahead.get((a, mask))
+    if out is None:
+        out = 0
+        for d in _bits(mask):
+            entry = band.steps.get((a, d)) or _band_steps(band, a, d)
+            out |= entry[1]
+        band.ahead[a, mask] = out
     return out
 
 
@@ -683,13 +684,9 @@ def _ring_offsets(x: Letters, band: _Band, start: int) -> int:
     """The offsets that walks once around the band over ``x`` from the
     offsets in the mask ``start`` reach without meeting offset 1 (such a walk
     only spells a rotation of ``x``), by the band's shared mask table."""
-    ahead = band.ahead
     mask = start
     for a in x:
-        nxt = ahead.get((a, mask))
-        if nxt is None:
-            nxt = ahead[a, mask] = _band_union(band, a, mask)
-        mask = nxt & ~1
+        mask = _band_union(band, a, mask) & ~1
         if not mask:
             break
     return mask
@@ -834,15 +831,23 @@ _ENGINES = {
 # the per-surface record
 
 
-class STWord(namedtuple("STWord", "surface base fiber residue", defaults=(None,))):
+class STWord(namedtuple("STWord", "base fiber")):
     """Normal-form element of the tangent-bundle fundamental group: a base
-    :class:`Word` and a fiber exponent.  On the sphere and the projective
-    plane, where the fiber class has order 2, the fiber is reduced mod 2
-    and ``residue`` also names the element in the finite cyclic group;
-    elsewhere it is None.  Arithmetic on these lives in
-    :mod:`curvespace.stbundle`."""
+    :class:`Word` and a fiber exponent; ``surface`` is the base's.  Where the
+    group is finite the fiber is reduced mod 2 and ``residue`` names the
+    element: its letters (the crosscap lift, 1) plus half the order per fiber
+    class; elsewhere it is None.  Arithmetic lives in :mod:`curvespace.stbundle`."""
 
     __slots__ = ()
+
+    @property
+    def surface(self) -> SurfaceSpec:
+        return self.base.ambient.surface
+
+    @property
+    def residue(self) -> int | None:
+        order = surface_record(self.surface).order
+        return None if order is None else len(self.base.letters) + order // 2 * self.fiber
 
     def __str__(self) -> str:
         return st_text(self)
@@ -881,17 +886,11 @@ class SurfaceRecord(
         return self.engine.normalize(self, letters)
 
     def lift(self, letters, fiber: int) -> STWord:
-        """The tangent-bundle element ``letters * f**fiber`` in normal form.  On
-        a finite group the fiber class has order 2, so the fiber is reduced
-        mod 2, and the residue counts the normal form's letter (the crosscap
-        lift, 1) and the fiber class (half the order)."""
+        """The tangent-bundle element ``letters * f**fiber`` in normal form, its
+        fiber reduced mod 2 on a finite group (the fiber class has order 2)."""
         nf, shift = self.normalize(letters)
-        base = Word(self.presentation, nf)
         fiber += shift
-        if self.order is None:
-            return STWord(self.presentation.surface, base, fiber, None)
-        fiber %= 2
-        return STWord(self.presentation.surface, base, fiber, len(nf) + self.order // 2 * fiber)
+        return STWord(Word(self.presentation, nf), fiber if self.order is None else fiber % 2)
 
 
 @cache

@@ -422,9 +422,9 @@ def _reference_is_conjugate(u, v):
     if v0 is None:
         return False
     rho, _ = primitive_root(u.base)
-    w0 = STWord(u.surface, u.base, 0)
-    conj_v0 = st_conjugate(w0, STWord(u.surface, v0, 0))
-    conj_rho = st_conjugate(w0, STWord(u.surface, rho, 0))
+    w0 = STWord(u.base, 0)
+    conj_v0 = st_conjugate(w0, STWord(v0, 0))
+    conj_rho = st_conjugate(w0, STWord(rho, 0))
     assert conj_v0.base == v.base and conj_rho.base == u.base
     d0, c_rho = conj_v0.fiber, conj_rho.fiber
     eps_v0 = pres.word_character(v0.letters)
@@ -588,6 +588,31 @@ def test_projective_plane_normalizes_with_the_fiber_shift():
             letters = (1,) * k if k >= 0 else (-1,) * -k
             assert st_word(RP2, letters, m).residue == (k + 2 * m) % 4
 
+
+
+def test_surface_and_residue_are_read_off_the_base_and_the_fiber():
+    """An element's surface is its base's.  Its residue is None on the
+    infinite groups, and on the finite ones it names the element as the
+    oracle enumerates them: ``r % (order / 2)`` crosscap letters times
+    ``f**(r // (order / 2))``."""
+    for spec in ALL_REGIME_SAMPLES:
+        rec = surface_record(spec)
+        fiber_multiples = (st_multiply(x, rec.fiber) for x in rec.lifts)
+        for element in (st_identity(spec), rec.fiber, *rec.lifts, *fiber_multiples):
+            assert element.surface == spec == element.base.ambient.surface
+            if rec.order is None:
+                assert element.residue is None, (spec, element)
+                continue
+            half = rec.order // 2
+            r = element.residue
+            assert 0 <= r < rec.order and st_word(spec, (1,) * (r % half), r // half) == element, (spec, r)
+    residues = {
+        SPHERE: {"1": 0, "f": 1, "F": 1, "f^2": 0},
+        RP2: {"1": 0, "c1": 1, "f": 2, "c1 f": 3, "C1": 3, "c1^2": 2, "c1 F^3": 3},
+    }
+    for spec, table in residues.items():
+        for text, r in table.items():
+            assert ST(text, spec).residue == r, (spec, text)
 
 # a surface of every regime, with the largest surfaces under the generator cap
 RECORD_SURFACES = tuple(

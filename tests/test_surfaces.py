@@ -143,9 +143,11 @@ def test_value_records_behave_as_records(name):
 
 def test_records_hold_no_field_that_other_fields_decide():
     """A presentation's engine follows from its surface and its relators, the
-    index-two answer's predicate from its kind, and a report's surface from
-    its element, so none of them is a field."""
+    index-two answer's predicate from its kind, a report's surface from its
+    element, and a tangent-bundle element's surface and residue from its base
+    and fiber, so none of them is a field."""
     assert Presentation._fields == ("generators", "relators", "surface")
+    assert curvespace.STWord._fields == ("base", "fiber")
     assert GroupDescription._fields == ("kind", "witnesses", "sphere_sum_degree")
     assert curvespace.ClassificationReport._fields == ("element", "case", "group", "decomposition")
 
