@@ -32,9 +32,11 @@ by regime:
   a half relator's only other one is its complement (:func:`_band_steps`).
   Conjugacy and primitive roots first read the H_1 class (:func:`_homology`):
   conjugates share it, and a root's is ``1 / e`` of its ``e``-th power's,
-  which picks the exponents and pieces that a root is tried with.  Both then
-  work on minimal-length conjugates, found through the same band, and
-  conjugators come from rotations, as on free groups
+  which picks the exponents and pieces that a root is tried with.  Where it
+  is 0 on an orientable surface, the area class (:func:`_area_class`) of an
+  ``e``-th power is ``e`` times its root's, which narrows the exponents.
+  Both then work on minimal-length conjugates, found through the same band,
+  and conjugators come from rotations, as on free groups
   (:func:`_cyclic_conjugator`).  Nothing is capped: every answer is decided
   in polynomial time;
 * projective plane: the parity of the exponent sum; sphere: the empty word.
@@ -711,6 +713,24 @@ def _homology(pres, letters) -> tuple[tuple[int, ...], int]:
     return (v, 0) if pres.surface.orientable else (tuple(x - v[0] for x in v[1:]), v[0] % 2)
 
 
+def _area_class(pres, letters) -> tuple[int, ...]:
+    """The area class of a null-homologous word on a closed orientable
+    surface: ``A(p, q)``, ``p < q``, adds ``s V_p`` for each letter ``q^s``,
+    ``V`` the exponent vector before it.  The relator adds 1 at each ``(a_i,
+    b_i)``, so ``A(a1, b1)`` is taken off the other ``(a_i, b_i)`` and
+    dropped.  The class adds on products and conjugation keeps it, so an
+    ``e``-th power's class is ``e`` times its root's."""
+    v = [0] * len(pres.generators)
+    area = [[0] * q for q in range(len(v))]
+    for x in letters:
+        q, s = abs(x) - 1, 1 if x > 0 else -1
+        area[q] = [a + s * b for a, b in zip(area[q], v)]
+        v[q] += s
+    for i in range(3, len(v), 2):
+        area[i][i - 1] -= area[1][0]
+    return tuple(c for row in area[2:] for c in row)
+
+
 # -- primitive roots ---------------------------------------------------------
 
 
@@ -764,10 +784,15 @@ def _dehn_root(rec, letters) -> tuple[Letters, int]:
     ``x`` and a relator piece; ``t^e`` can be shorter than ``e`` times ``t``.
     The H_1 class (:func:`_homology`) of ``t`` is ``1 / e`` of that of ``x``,
     so ``e`` divides the free coordinates (even only at crosscap parity 0)
-    and only the pieces that complete the class are tried, largest ``e`` first."""
+    and only the pieces that complete the class are tried, largest ``e`` first.
+    Where those coordinates are all 0 on an orientable surface, ``e`` also
+    divides the area class (:func:`_area_class`)."""
     pres, band = rec.presentation, rec.band
     free, parity = _homology(pres, letters)
-    if (g := math.gcd(*free)) == 1:
+    g = math.gcd(*free)
+    if not g and pres.surface.orientable:
+        g = math.gcd(*_area_class(pres, letters))
+    if g == 1:
         return letters, 1
     x, c = next(_minimal_conjugates(letters, band))
     n = len(x)

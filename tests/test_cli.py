@@ -340,6 +340,13 @@ def test_verify_past_the_enumeration_cap_exits2():
         assert message in proc.stderr and "Traceback" not in proc.stderr
 
 
+def test_verify_past_the_enumeration_cap_exits2_in_process(capsys):
+    """The same refusal through ``main`` in this process, so that a line
+    trace of the tests reaches the raise in ``oracle._check_enumeration``."""
+    code, out, err = run(capsys, "verify", "--surface", "orientable:32:0", "--word", "a1")
+    assert (code, out) == (2, "")
+    assert err == "error: bounds of base length 4 and fiber 3 ask for more than 200000 box elements; lower them\n"
+
 def test_verify_bounds_around_the_enumeration_cap():
     """Bounds just under the 200,000 enumeration cap verify (exit 0), and
     the next bound up exits 2, each child within the timeout and without a

@@ -10,6 +10,7 @@ from curvespace.words import (
     TrivialWordError,
     Word,
     WordParseError,
+    _area_class,
     _band_steps,
     _band_tables,
     _cyclic_half_window,
@@ -331,6 +332,76 @@ def test_primitive_root_errors():
     with pytest.raises(ValueError):
         primitive_root(W("c1", RP2))
 
+
+
+def _null_homologous(rng, pres, length):
+    """Random letters closed up by the inverses of their exponent vector, in
+    a random order: a null-homologous word on an orientable surface."""
+    n = len(pres.generators)
+    w = [rng.choice((1, -1)) * rng.randrange(1, n + 1) for _ in range(length)]
+    tail = [-x for x in w]
+    rng.shuffle(tail)
+    return tuple(w + tail)
+
+
+def test_area_class_of_generator_commutators():
+    """The commutators ``[x, y]`` of generator pairs, but ``[a1, b1]``, are
+    unit vectors, one per coordinate, and ``[a1, b1]`` is minus the sum of
+    the other ``[a_i, b_i]``, since the relator's class is 0."""
+    for genus in (2, 3, 4):
+        pres = presentation(SurfaceSpec(True, genus))
+        n = len(pres.generators)
+        classes = {(x, y): _area_class(pres, (x, y, -x, -y)) for x in range(1, n + 1) for y in range(x + 1, n + 1)}
+        first = classes.pop((1, 2))
+        units = set()
+        for (x, y), c in classes.items():
+            assert sorted(map(abs, c)) == [0] * (len(c) - 1) + [1], (genus, x, y, c)
+            units.add(next(i for i, v in enumerate(c) if v))
+        assert len(units) == len(classes) == len(first), genus
+        handles = [classes[2 * i - 1, 2 * i] for i in range(2, genus + 1)]
+        assert first == tuple(-sum(column) for column in zip(*handles)), genus
+        assert sorted(first) == [-1] * (genus - 1) + [0] * (len(first) - genus + 1), genus
+
+
+def test_area_class_laws_on_seeded_words():
+    """On null-homologous words the class is unchanged by free reduction,
+    by inserting a rotation of the relator or of its inverse anywhere, by
+    conjugation and by normalizing, and it adds on products."""
+    rng = random.Random(36)
+    for surface in (GENUS2, GENUS3, SurfaceSpec(True, 4)):
+        pres = presentation(surface)
+        n = len(pres.generators)
+        relator = pres.relators[0]
+        for _ in range(60):
+            u = _null_homologous(rng, pres, rng.randrange(1, 10))
+            v = _null_homologous(rng, pres, rng.randrange(1, 10))
+            area = _area_class(pres, u)
+            r = rng.randrange(len(relator))
+            copy = (relator[r:] + relator[:r]) if rng.random() < 0.5 else invert_letters(relator[r:] + relator[:r])
+            i = rng.randrange(len(u) + 1)
+            t = tuple(rng.choice((1, -1)) * rng.randrange(1, n + 1) for _ in range(rng.randrange(1, 6)))
+            assert _area_class(pres, free_reduce(u)) == area, (surface, u)
+            assert _area_class(pres, u[:i] + copy + u[i:]) == area, (surface, u, i, copy)
+            assert _area_class(pres, t + u + invert_letters(t)) == area, (surface, u, t)
+            assert _area_class(pres, word(pres, u).letters) == area, (surface, u)
+            assert _area_class(pres, u + v) == tuple(p + q for p, q in zip(area, _area_class(pres, v))), (surface, u, v)
+
+
+def test_primitive_root_of_null_homologous_powers():
+    """A null-homologous power's exponent divides the content of its area
+    class, and its primitive root is found with a multiple of it."""
+    rng = random.Random(37)
+    for surface in (GENUS2, GENUS3):
+        pres = presentation(surface)
+        for _ in range(40):
+            t = _null_homologous(rng, pres, rng.randrange(1, 6))
+            e = rng.randrange(2, 6)
+            power = word(pres, t * e)
+            if power.letters:
+                assert math.gcd(*_area_class(pres, power.letters)) % e == 0, (surface, t, e)
+                root, k = primitive_root(power)
+                assert k % e == 0, (surface, t, e)
+                assert word(pres, root.letters * k) == power, (surface, t, e)
 
 def test_primitive_root_on_constructed_powers():
     """u = r^k must come back with exponent at least k (hidden larger roots
