@@ -189,19 +189,18 @@ def _product(table: dict, u: STWord, v: STWord) -> STWord:
     """``st_multiply(u, v)``, normalizing each pair of bases only once.
 
     ``table`` maps a pair of base spellings to their product at fiber
-    zero and ``eps(v)``; the fibers then add up linearly, because pushing
-    ``f**m`` right through ``v`` turns it into ``f**(eps(v) m)``.
+    zero, ``eps(v)`` and whether the group is finite; the fibers then add
+    up linearly, because pushing ``f**m`` right through ``v`` turns it into
+    ``f**(eps(v) m)``, and a finite group reduces the sum mod 2.
     """
-    if u.residue is not None:
-        # the finite groups reduce the fiber mod 2, which the sum below skips
-        return st_multiply(u, v)
     key = (u.base.letters, v.base.letters)
     hit = table.get(key)
     if hit is None:
         z = st_multiply(STWord(u.base, 0), STWord(v.base, 0))
-        hit = table[key] = z, stbundle.base_character(v)
-    z, eps = hit
-    return STWord(z.base, eps * u.fiber + v.fiber + z.fiber)
+        hit = table[key] = z, stbundle.base_character(v), z.residue is not None
+    z, eps, finite = hit
+    fiber = eps * u.fiber + v.fiber + z.fiber
+    return STWord(z.base, fiber % 2 if finite else fiber)
 
 
 def bounded_centralizer(
