@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import namedtuple
 from enum import Enum
 
-from .surfaces import FINITE_ORDERS, Regime, SurfaceSpec, regime
+from .surfaces import FINITE_ORDERS, CheckedRecord, Regime, SurfaceSpec, regime
 from .words import SurfaceRecord, klein_coordinates, spell_klein, surface_record
 from .stbundle import (
     STWord,
@@ -63,7 +63,7 @@ _DESCRIPTIONS = {
 }
 
 
-class GroupDescription(namedtuple("GroupDescription", "kind witnesses sphere_sum_degree")):
+class GroupDescription(CheckedRecord, namedtuple("GroupDescription", "kind witnesses sphere_sum_degree")):
     """A named group with generator witnesses living in the tangent-bundle
     group of the classified surface; the index-two subgroup has none, and
     its kind names its predicate, :data:`ORIENTATION_PRESERVING_PREDICATE`."""
@@ -82,10 +82,6 @@ class GroupDescription(namedtuple("GroupDescription", "kind witnesses sphere_sum
         if want is not None and witnesses and len(witnesses) != want:
             raise ValueError(f"{kind.value} needs {want} witnesses")
         return super().__new__(cls, kind, witnesses, sphere_sum_degree)
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*super()._make(iterable))
 
     def label(self) -> str:
         if self.kind is Kind.SYMBOLIC_SPHERE_SUM:

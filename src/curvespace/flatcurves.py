@@ -185,11 +185,7 @@ def _validated(curve: CurveOnSurface):
             # grid line, so it skips the tests below
             if not (lox < x < hix and loy < y < hiy):
                 qx, qy = floor(x), floor(y)
-                # the grid line nearer to x is qx or qx + 1; the difference
-                # to that one is at most 1/2 and exact, so this is
-                # |x - round(x)| < _INT_EPS
-                if (x - qx < _INT_EPS or qx + 1 - x < _INT_EPS
-                        or y - qy < _INT_EPS or qy + 1 - y < _INT_EPS):
+                if _near_int(x) or _near_int(y):
                     raise CurveError("vertices may not lie on grid lines; perturb the curve")
                 # edge k - 1 runs from (px, py) in cell (cx, cy) to (x, y)
                 if k and (qx != cx or qy != cy) and bad is None:

@@ -16,14 +16,14 @@ import operator
 from collections import namedtuple
 from functools import lru_cache
 
-from .surfaces import SurfaceSpec, abelianization, presentation
+from .surfaces import CheckedRecord, SurfaceSpec, abelianization, presentation
 from .words import Word, free_reduce, invert_letters, surface_record
 from . import stbundle
 from .stbundle import STWord, st_multiply, st_word
 from .classify import Kind, classify_pi1
 
 
-class SearchBound(namedtuple("SearchBound", "max_word_length max_fiber")):
+class SearchBound(CheckedRecord, namedtuple("SearchBound", "max_word_length max_fiber")):
     """The box of :func:`bounded_elements`: base words of at most
     ``max_word_length`` letters and fiber exponents of at most ``max_fiber``
     in absolute value.  The defaults are :data:`VERIFY_BOUND`.  Both fields
@@ -41,10 +41,6 @@ class SearchBound(namedtuple("SearchBound", "max_word_length max_fiber")):
         if max_word_length < 1 or max_fiber < 0:
             raise ValueError("bounds must be positive (fiber may be zero)")
         return super().__new__(cls, max_word_length, max_fiber)
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*super()._make(iterable))
 
 
 #: default box for :func:`verify_classification`, sized so that the full
@@ -146,12 +142,11 @@ def bounded_elements(surface: SurfaceSpec, bound: SearchBound) -> tuple[STWord, 
     generator before its inverse, generators in presentation order), then
     fiber.  Only the 16 boxes used last are kept: one box can hold over
     10 MB (genus 3 at :data:`VERIFY_BOUND`: 122,983 elements, 13.4 MB)."""
-    order = surface_record(surface).order
-    if order:
-        # the whole finite group, in residue order: residue r is r % half
-        # crosscap letters times f**(r // half)
-        half = order // 2
-        return tuple(st_word(surface, (1,) * (r % half), r // half) for r in range(order))
+    rec = surface_record(surface)
+    if rec.order:
+        # the whole finite group, in residue order: the powers of its
+        # generator, the crosscap lift or else the fiber class
+        return tuple(stbundle.st_power((rec.lifts + (rec.fiber,))[0], r) for r in range(rec.order))
     pres = presentation(surface)
     fibers = range(-bound.max_fiber, bound.max_fiber + 1)
     _check_enumeration(_box_candidates(len(pres.generators), bound), "box elements", bound)

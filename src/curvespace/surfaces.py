@@ -48,7 +48,20 @@ class Regime(Enum):
 _MAX_GENERATORS = 64
 
 
-class SurfaceSpec(namedtuple("SurfaceSpec", "orientable genus punctures")):
+class CheckedRecord:
+    """The ``_make`` of the records whose constructor checks their fields:
+    the base checks the number of fields and the constructor their values,
+    and ``_replace`` builds through ``_make``, so it checks them too.  It
+    comes first among a record's bases."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*super()._make(iterable))
+
+
+class SurfaceSpec(CheckedRecord, namedtuple("SurfaceSpec", "orientable genus punctures")):
     """Orientability + genus + punctures.  Immutable and hashable.
 
     ``orientable`` must be ``True`` or ``False``, and genus and punctures
@@ -77,12 +90,6 @@ class SurfaceSpec(namedtuple("SurfaceSpec", "orientable genus punctures")):
                 f"the surface has {generators} generators; at most {_MAX_GENERATORS} are supported"
             )
         return super().__new__(cls, orientable, genus, punctures)
-
-    @classmethod
-    def _make(cls, iterable):
-        # the base checks the length and the constructor the values;
-        # _replace builds through _make, so it validates too
-        return cls(*super()._make(iterable))
 
     @classmethod
     def parse(cls, text: str) -> "SurfaceSpec":
@@ -134,7 +141,7 @@ def regime(spec: SurfaceSpec) -> Regime:
 FINITE_ORDERS = {Regime.SPHERE: 2, Regime.RP2: 4}
 
 
-class Generator(namedtuple("Generator", "name character")):
+class Generator(CheckedRecord, namedtuple("Generator", "name character")):
     """A group generator together with its orientation character, the
     integer +1 or -1 (a float such as ``1.0`` raises ``ValueError``)."""
 
@@ -144,10 +151,6 @@ class Generator(namedtuple("Generator", "name character")):
         if not isinstance(character, int) or character not in (+1, -1):
             raise ValueError("character must be +1 or -1")
         return super().__new__(cls, name, character)
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*super()._make(iterable))
 
 
 class Presentation(namedtuple("Presentation", "generators relators surface", defaults=(None,))):

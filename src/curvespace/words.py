@@ -590,15 +590,20 @@ def _minimal_conjugates(letters, band: _Band) -> Iterator[tuple[Letters, Letters
     ``x`` or a rotation of one, listed lazily.
 
     Two minimal conjugates are joined by an annulus of relator faces one
-    face thick, so one is a rotation of a geodesic spelling of the other (a
-    chain of conjugations by the first letters of geodesic spellings, layer 1
-    of the band) or lies on the far side of a ring of faces around it (see
+    face thick, so one is a rotation of a geodesic spelling of the other or
+    lies on the far side of a ring of faces around it (see
     :func:`_ring_partners`).  A cyclic word with a half-relator window (read
-    around the cycle) needs only the search along first letters, which lists
-    every minimal conjugate (a shorter one found on the way restarts it).  A
-    cyclic word ``x`` with no such window is minimal, every rotation is its
-    own only spelling of that length, and its other minimal conjugates are
-    the rotations of its ring partners, which the list holds with it.
+    around the cycle) needs only the search by cuts, which lists every
+    minimal conjugate up to rotation (a shorter one found on the way
+    restarts it).  A form ``s`` is cut at the first layer ``j >= 1`` of its
+    band with two or more live offsets (layer 1 if none has): each live
+    offset ``d`` there gives the conjugate ``d^-1 s[j:] s[:j] d`` by
+    ``s[:j] d``, whose normal form is listed.  A layer whose only live
+    offset is the identity cuts ``s`` into rotations of one normal form, so
+    cutting there lists nothing new.  A cyclic word ``x`` with no such
+    window is minimal, every rotation is its own only spelling of that
+    length, and its other minimal conjugates are the rotations of its ring
+    partners, which the list holds with it.
 
     Those partners read no half relator either, so no search starts from
     them.  In the universal cover every vertex has degree ``L``, and two
@@ -630,16 +635,17 @@ def _minimal_conjugates(letters, band: _Band) -> Iterator[tuple[Letters, Letters
         shorter = None
         while queue and shorter is None:
             s = queue.pop()
-            cs = seen[s]
-            after = _band_live(s, band)[1]
-            firsts = [y for y, k, _ in band.steps[s[0], 0][0] if after >> k & 1]
-            for y in firsts:
-                t, _ = _dehn_normalize((-y,) + s + (y,), band)
+            live = _band_live(s, band)
+            j = next((j for j in range(1, len(s)) if live[j] & (live[j] - 1)), 1)
+            for d in _bits(live[j]):
+                piece = band.pieces[d]
+                t, _ = _dehn_normalize(invert_letters(piece) + s[j:] + s[:j] + piece, band)
+                ct = seen[s] + s[:j] + piece
                 if len(t) < len(s):
-                    shorter = t, cs + (y,)
+                    shorter = t, ct
                     break
                 if t not in seen:
-                    seen[t] = cs + (y,)
+                    seen[t] = ct
                     queue.append(t)
         if shorter is None:
             yield from seen.items()
@@ -829,7 +835,7 @@ class _Engine(namedtuple("_Engine", "normalize conjugator root")):
 
 def _rp2_normalize(rec, letters) -> tuple[Letters, int]:
     # c1^2 is the fiber class upstairs, so c1^exp = c1^(exp mod 2) f^(exp // 2)
-    exp = sum(1 if x > 0 else -1 for x in letters)
+    (exp,) = exponent_vector(rec.presentation, letters)
     return ((1,) if exp % 2 else ()), exp // 2
 
 

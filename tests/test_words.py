@@ -946,6 +946,63 @@ def test_ring_partners_read_no_half_relator():
     assert with_partners >= 50
 
 
+def test_minimal_conjugates_list_every_minimal_conjugate_up_to_rotation():
+    """The contract of the conjugacy search, read without its cut rule, on
+    seeded cyclically reduced normal forms with a cyclic half-relator
+    window.  Each start no rotation of which, or of a one-letter conjugate
+    that cyclically reduces, normalizes to fewer letters.  Every listed form
+    conjugates to the start by its conjugator and has the start's length.
+    The normal form of every rotation of the start is a rotation of a
+    listed form, and so is every one-letter conjugate of a listed form that
+    keeps its length; none is shorter."""
+    rng = random.Random(53)
+    for surface in (GENUS2, GENUS3, NONOR3, SurfaceSpec(False, 4)):
+        rec = surface_record(surface)
+        band = rec.band
+        letters = band.letters
+        checked = 0
+        while checked < 30:
+            raw = ()
+            for _ in range(rng.randint(1, 4)):
+                start = rng.randrange(band.L)
+                raw += rng.choice(band.cycles)[start : start + band.L // 2]
+                raw += tuple(rng.choice(letters) for _ in range(rng.randint(0, 5)))
+            x = rec.normalize(raw)[0]
+            while True:
+                shorter = [
+                    t
+                    for i in range(len(x))
+                    for y in (None, *letters)
+                    for r in [x[i:] + x[:i]]
+                    for t in [rec.normalize(r if y is None else (-y,) + r + (y,))[0]]
+                    if len(t) < len(x)
+                ]
+                if not shorter:
+                    break
+                x = cyclic_free_reduce(shorter[0])[1]
+                x = rec.normalize(x)[0]
+            if not x or cyclic_free_reduce(x)[0] or not _cyclic_half_window(x, band):
+                continue
+            checked += 1
+            listed = list(_minimal_conjugates(x, band))
+            forms = [t for t, _ in listed]
+
+            def is_listed(t):
+                return any(_rotation(f, t) is not None for f in forms)
+
+            for t, c in listed:
+                assert len(t) == len(x), (surface, x, t)
+                assert rec.normalize(c + t + invert_letters(c))[0] == x, (surface, x, t)
+            for i in range(len(x)):
+                t = rec.normalize(x[i:] + x[:i])[0]
+                assert is_listed(t), (surface, x, i, t)
+            for f in forms:
+                for y in letters:
+                    t = rec.normalize((-y,) + f + (y,))[0]
+                    assert len(t) >= len(x), (surface, x, f, y)
+                    assert len(t) > len(x) or is_listed(t), (surface, x, f, y, t)
+
+
 def test_conjugators_conjugate_on_every_regime():
     """Every conjugator found conjugates: ``s u s^-1 == v`` for seeded
     pairs ``v = t u t^-1`` and for unrelated pairs, on every regime."""
