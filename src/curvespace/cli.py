@@ -11,6 +11,12 @@ handler returns its exit code with its text and its structured lines;
 and ``verify`` read their element from ``--word`` or a curve file, through
 the same reader as ``lift`` and the two ``reghom`` inputs.
 
+A process runs the CLI through ``run``, the console script's entry point
+and ``python -m curvespace.cli``: once ``main`` has returned or raised, it
+freezes the heap, so the collections of the interpreter's shutdown skip
+every object made so far.  ``main(argv)`` called in process freezes
+nothing and leaves the caller's collector as it was.
+
 Grammars (frozen):
 
 * surface: ``<orientable|nonorientable>:<genus>:<punctures>``, at most 64
@@ -25,6 +31,7 @@ Grammars (frozen):
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 
 from .surfaces import SurfaceSpec, presentation, presentation_text, st_presentation
@@ -176,5 +183,19 @@ def main(argv=None) -> int:
         return 2
 
 
+def run() -> int:
+    """``main`` for a process that ends with the command."""
+    # The freeze lives here and not in main: tests, traced benchmark runs
+    # and library callers keep calling main in a process that goes on and
+    # needs its collector.  Here the process is about to exit, and without
+    # the freeze its shutdown collections walk every module-level object
+    # only to drop it.  The finally covers argparse's SystemExit (usage
+    # errors, --help) and uncaught exceptions too.
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run())

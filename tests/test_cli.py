@@ -1,3 +1,4 @@
+import gc
 import os
 import pathlib
 import re
@@ -374,6 +375,41 @@ def test_verify_bounds_around_the_enumeration_cap():
         )
         assert proc.returncode == code, (surface, length, fiber, proc.stderr)
         assert message in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # a large output: a buffer lost at exit would show
+        ("group", "--surface", "orientable:32:0", "--format", "structured"),
+        ("reghom", "--surface", "orientable:1:0", "word:a1 b1 f", "word:b1 a1"),
+        ("classify", "--surface", "orientable:2:0", "--word", "a1 q7"),
+        (),
+        ("--help",),
+    ],
+    ids=["group", "reghom-exit1", "classify-exit2", "usage-exit2", "help"],
+)
+def test_process_entry_matches_main_in_process(capsys, monkeypatch, argv):
+    """``python -m curvespace.cli`` ends through ``run``, which freezes the
+    heap once ``main`` has returned or raised.  Its exit code, standard
+    output and standard error are those of ``main`` in process, byte for
+    byte, and ``main`` in process freezes nothing."""
+    import curvespace
+
+    # argparse wraps its help and usage to the terminal's width
+    monkeypatch.setenv("COLUMNS", "80")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(curvespace.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "curvespace.cli", *argv], capture_output=True, env=env, timeout=60
+    )
+    frozen = gc.get_freeze_count()
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    assert gc.get_freeze_count() == frozen
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.out.encode(), out.err.encode())
 
 
 def test_cli_import_leaves_out_dataclasses():

@@ -8,9 +8,14 @@ that count against the length, between the first and the last word, at
 1.25: linear work reads about 1, quadratic work about 2.  It reads no
 clock, so its verdict does not depend on the machine.  The families cover
 normal forms, products, classification, roots and conjugators, ring words
-among them, on genus 2 and 3 and on 3 and 4 crosscaps.  The one family
-that is still quadratic is a strict xfail stopped at 256 letters; a fix
-that makes it linear fails its marker, which is then removed.
+among them, on genus 2 and 3 and on 3 and 4 crosscaps.  The two root
+families that are still quadratic are strict xfails stopped at 256
+letters: a class-0 power on genus 2, and a commutator power on 3
+crosscaps, where no area class is read.  ROADMAP item 2's canonical cyclic
+words and item 18's orientation double cover (an area class off the
+orientable surfaces) are the two routes to linear work; a fix that makes
+a family linear fails its marker, and the family then moves to the linear
+ones.
 """
 
 import math
@@ -74,6 +79,8 @@ QUADRATIC = {
     # a power of a class-0 element: its free H_1 coordinates and its area
     # class are 0, so every exponent is tried
     "root of [[a1, b1], a2]^k": (_root, "orientable:2:0", "", "a1 b1 A1 B1 a2 b1 a1 B1 A1 A2"),
+    # null-homologous on 3 crosscaps, where no area class narrows the exponents
+    "root of (c1 c2 C1 C2)^k on 3 crosscaps": (_root, "nonorientable:3:0", "", "c1 c2 C1 C2"),
 }
 
 
@@ -111,8 +118,8 @@ def test_work_grows_linearly_with_length(monkeypatch, name):
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
-    reason="still quadratic: a class-0 root normalizes a whole power per exponent; "
-    "ROADMAP item 2's canonical cyclic words",
+    reason="still quadratic: these roots normalize a whole power per exponent; "
+    "ROADMAP item 2's canonical cyclic words or item 18's orientation double cover",
 )
 @pytest.mark.parametrize("name", QUADRATIC)
 def test_quadratic_families_grow_linearly_with_length(monkeypatch, name):
