@@ -11,6 +11,12 @@ handler returns its exit code with its text and its structured lines;
 and ``verify`` read their element from ``--word`` or a curve file, through
 the same reader as ``lift`` and the two ``reghom`` inputs.
 
+The module itself imports only ``surfaces``, which ``main`` needs for every
+command; each handler imports the engine modules it calls when it runs.  So
+a subcommand imports only the modules it runs: ``group`` none besides
+``surfaces``, ``decompose`` ``words`` and ``stbundle``, ``verify`` the
+``oracle`` as well, and a curve file ``flatcurves``.
+
 A process runs the CLI through ``run``, the console script's entry point
 and ``python -m curvespace.cli``: once ``main`` has returned or raised, it
 freezes the heap, so the collections of the interpreter's shutdown skip
@@ -34,30 +40,32 @@ import argparse
 import gc
 import sys
 
-from .surfaces import SurfaceSpec, presentation, presentation_text, st_presentation
-from .words import WordParseError
-from .stbundle import STWord, st_parse, st_text, decompose
-from .flatcurves import lift, read_curve_file
-from .classify import Kind, classify_pi1, classify_pin, regular_homotopy_equivalent
-from .oracle import SearchBound, VERIFY_BOUND, verify_classification
+from .surfaces import SurfaceSpec
 
 _INPUT_ERRORS = (ValueError, OSError)
 
 
-def _element(word: str | None, path: str | None, surface: SurfaceSpec) -> STWord:
-    """The element a word or a curve file spells.  ``None`` is an absent
+def _element(word: str | None, path: str | None, surface: SurfaceSpec):
+    """The ``STWord`` a word or a curve file spells.  ``None`` is an absent
     input, while an empty path is read (and fails) like any other; the
     subcommands whose curve file is optional pass an empty one as ``None``."""
+    from .stbundle import st_parse
+    from .words import WordParseError
+
     if word is not None and path is not None:
         raise WordParseError("provide --word or a curve file, not both")
     if word is not None:
         return st_parse(word, surface)
     if path is None:
         raise WordParseError("provide --word or a curve file")
+    from .flatcurves import lift, read_curve_file
+
     return lift(read_curve_file(path), surface)
 
 
 def _cmd_group(args, spec):
+    from .surfaces import presentation, presentation_text, st_presentation
+
     base = presentation(spec)
     st = st_presentation(spec)
     structured = []
@@ -73,11 +81,15 @@ def _cmd_group(args, spec):
 
 
 def _cmd_classify(args, spec):
+    from .classify import classify_pi1
+
     report = classify_pi1(spec, _element(args.word, args.curve or None, spec))
     return 0, [report.text()], [report.structured()]
 
 
 def _cmd_pin(args, spec):
+    from .classify import Kind, classify_pin
+
     group = classify_pin(spec, args.n)
     case = "Thm 8 II" if group.kind is Kind.TRIVIAL_GROUP else "Thm 8 I"
     text = [f"pi_{args.n} of the curve space on {spec}: {group.describe()}  [{case}]"]
@@ -85,11 +97,15 @@ def _cmd_pin(args, spec):
 
 
 def _cmd_lift(args, spec):
+    from .stbundle import st_text
+
     word = st_text(_element(None, args.curve, spec))
     return 0, [word], [f"word={word}"]
 
 
 def _cmd_decompose(args, spec):
+    from .stbundle import decompose, st_text
+
     xi = _element(args.word, args.curve or None, spec)
     dec = decompose(xi)
     root = st_text(dec.root_lift)
@@ -98,6 +114,9 @@ def _cmd_decompose(args, spec):
 
 
 def _cmd_reghom(args, spec):
+    from .classify import regular_homotopy_equivalent
+    from .stbundle import st_text
+
     u, v = (_element(token[len("word:") :], None, spec) if token.startswith("word:") else _element(None, token, spec)
             for token in args.inputs)
     verdict = regular_homotopy_equivalent(spec, u, v)
@@ -107,8 +126,15 @@ def _cmd_reghom(args, spec):
 
 
 def _cmd_verify(args, spec):
+    from .oracle import VERIFY_BOUND, SearchBound, verify_classification
+    from .stbundle import st_text
+
     xi = _element(args.word, args.curve or None, spec)
-    outcome = verify_classification(spec, xi, SearchBound(args.bound_length, args.bound_fiber))
+    # The bounds have no parser default, so that building the parser does
+    # not import the oracle; a bound not given is VERIFY_BOUND's.
+    bound = SearchBound(VERIFY_BOUND.max_word_length if args.bound_length is None else args.bound_length,
+                        VERIFY_BOUND.max_fiber if args.bound_fiber is None else args.bound_fiber)
+    outcome = verify_classification(spec, xi, bound)
     structured = [f"verified={'pass' if outcome.passed else 'fail'}", f"detail={outcome.detail}"]
     if outcome.counterexample is not None:
         structured.append(f"counterexample={st_text(outcome.counterexample)}")
@@ -130,8 +156,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--word", help="element of the tangent-bundle group")
             p.add_argument("curve", nargs="?", help="curve file (alternative to --word)")
         if bounds:
-            p.add_argument("--bound-length", type=int, default=VERIFY_BOUND.max_word_length)
-            p.add_argument("--bound-fiber", type=int, default=VERIFY_BOUND.max_fiber)
+            p.add_argument("--bound-length", type=int)
+            p.add_argument("--bound-fiber", type=int)
 
     p = sub.add_parser("group", help="print the surface and tangent-bundle presentations")
     common(p)

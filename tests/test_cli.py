@@ -453,6 +453,10 @@ DOCUMENTED_API = {
 def test_top_level_exports_are_the_documented_api():
     import curvespace
 
+    # the top level binds each name on first use: resolve them all first
+    for name in DOCUMENTED_API:
+        getattr(curvespace, name)
+    assert set(curvespace.__all__) == DOCUMENTED_API
     public = {
         name
         for name, value in vars(curvespace).items()
@@ -696,7 +700,7 @@ def test_reghom_structured_output(capsys):
 
 
 def test_verify_structured_output(capsys, monkeypatch):
-    import curvespace.cli
+    import curvespace.oracle
     from curvespace import SurfaceSpec, VerificationOutcome
 
     argv = ("verify", "--surface", "nonorientable:3:0", "--word", "c1^2", "--format", "structured")
@@ -708,6 +712,6 @@ def test_verify_structured_output(capsys, monkeypatch):
     # counterexample, is supplied here
     counterexample = st_parse("c2 f", SurfaceSpec(False, 3, 0))
     failed = VerificationOutcome(False, "1 centralizer element not covered", counterexample)
-    monkeypatch.setattr(curvespace.cli, "verify_classification", lambda *args: failed)
+    monkeypatch.setattr(curvespace.oracle, "verify_classification", lambda *args: failed)
     code, out, _ = run(capsys, *argv)
     assert (code, out) == (1, "verified=fail\ndetail=1 centralizer element not covered\ncounterexample=c2 f\n")

@@ -56,15 +56,25 @@ def test_bounded_is_trivial_undecided_vs_certificate(monkeypatch):
     assert bounded_is_trivial(nested) is UNDECIDED
 
 
-def test_default_box_is_verify_bound():
-    """``SearchBound()`` is the verify box, and the CLI's ``verify``
-    defaults are its two fields."""
-    from curvespace import cli
+def test_default_box_is_verify_bound(monkeypatch, capsys):
+    """``SearchBound()`` is the verify box, and the CLI's ``verify`` run
+    without bound flags verifies in it."""
+    from curvespace import cli, oracle
 
     assert SearchBound() == VERIFY_BOUND == SearchBound(4, 3)
     assert SearchBound._fields == ("max_word_length", "max_fiber")
-    args = cli.build_parser().parse_args(["verify", "--surface", "orientable:1:0", "--word", "a1"])
-    assert (args.bound_length, args.bound_fiber) == VERIFY_BOUND
+    bounds = []
+
+    def record(surface, xi, bound):
+        bounds.append(bound)
+        return VerificationOutcome(True, "recorded", None)
+
+    monkeypatch.setattr(oracle, "verify_classification", record)
+    assert cli.main(["verify", "--surface", "orientable:1:0", "--word", "a1"]) == 0
+    assert capsys.readouterr().out == "PASS: recorded\n"
+    # a bound that is not given is VERIFY_BOUND's, also beside one that is
+    assert cli.main(["verify", "--surface", "orientable:1:0", "--word", "a1", "--bound-fiber", "2"]) == 0
+    assert bounds == [VERIFY_BOUND, SearchBound(VERIFY_BOUND.max_word_length, 2)]
 
 
 def test_finite_regime_element_tables():
